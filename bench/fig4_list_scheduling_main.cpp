@@ -19,16 +19,26 @@
 
 #include <cstdio>
 #include <iostream>
+#include <optional>
 
 #include "bench/scenario.hpp"
 #include "bench/scenario_runner.hpp"
+#include "exit_codes.hpp"
 #include "util/flags.hpp"
 
 using namespace spmap;
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv,
-                    {"scenario", "sizes", "graphs", "seed", "threads", "out"});
+  std::optional<Flags> parsed;
+  try {
+    parsed.emplace(argc, argv,
+                   std::vector<std::string>{"scenario", "sizes", "graphs",
+                                            "seed", "threads", "out"});
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "bench_fig4_list_scheduling: %s\n", ex.what());
+    return cli::kExitUsage;
+  }
+  const Flags& flags = *parsed;
   try {
     Scenario scenario = load_scenario_file(flags.get(
         "scenario", std::string(SPMAP_SCENARIO_DIR) +
@@ -56,7 +66,7 @@ int main(int argc, char** argv) {
     run_report_write(scenario, options, flags.get("out", ""), std::cout);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "bench_fig4_list_scheduling: %s\n", ex.what());
-    return 1;
+    return cli::kExitFailure;
   }
-  return 0;
+  return cli::kExitOk;
 }

@@ -18,9 +18,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <optional>
 
 #include "bench/scenario.hpp"
 #include "bench/scenario_runner.hpp"
+#include "exit_codes.hpp"
 #include "util/flags.hpp"
 
 using namespace spmap;
@@ -51,9 +53,17 @@ void override_nsga_generations(Scenario& scenario, long generations) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv,
-                    {"scenario", "edges", "tasks", "graphs", "seed",
-                     "generations", "threads", "out"});
+  std::optional<Flags> parsed;
+  try {
+    parsed.emplace(argc, argv,
+                   std::vector<std::string>{"scenario", "edges", "tasks",
+                                            "graphs", "seed", "generations",
+                                            "threads", "out"});
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "bench_fig7_almost_sp: %s\n", ex.what());
+    return cli::kExitUsage;
+  }
+  const Flags& flags = *parsed;
   try {
     Scenario scenario = load_scenario_file(
         flags.get("scenario",
@@ -91,7 +101,7 @@ int main(int argc, char** argv) {
     run_report_write(scenario, options, flags.get("out", ""), std::cout);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "bench_fig7_almost_sp: %s\n", ex.what());
-    return 1;
+    return cli::kExitFailure;
   }
-  return 0;
+  return cli::kExitOk;
 }

@@ -45,7 +45,8 @@
 ///        "nodes": N, "ns_per_full_eval": ..., "ns_per_reassign": ...,
 ///        "speedup_vs_full_eval": ...,     // one probe vs one full sweep
 ///        "hybrid_decision": "incremental"|"suffix_sweep"|"mixed",
-///        "incremental_probes": ..., "fallback_probes": ...,
+///        "incremental_probes": ..., "fallback_probes": ..., // over one
+///                                         // pass of the 1024-move stream
 ///        "avg_replayed_incremental": ..., // positions/probe, each path
 ///        "avg_swept_fallback": ...},      // counted separately
 ///       {"name": "local_search", "mapper": "hillclimb:...", "nodes": N,
@@ -68,10 +69,12 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exit_codes.hpp"
 #include "graph/generators.hpp"
 #include "mappers/registry.hpp"
 #include "model/platform.hpp"
@@ -155,18 +158,26 @@ void report_incremental(Json& results, const char* config, const Dag& dag,
     i = (i + 1) & 1023;
   });
 
-  // Per-path replay metrics from the engine's own counters (the combined
-  // average used to fold fallback sweeps into the incremental density —
-  // understating it exactly where the hybrid decides).
-  const std::size_t inc_probes = inc.incremental_probe_count();
-  const std::size_t fb_probes = inc.fallback_probe_count();
+  // Per-path replay metrics from the engine's own counters, over exactly
+  // one pass of the move stream on a fresh engine: the timed loop above
+  // runs a time-dependent number of probes, this pass repeats exactly. (The
+  // combined average used to fold fallback sweeps into the incremental
+  // density — understating it exactly where the hybrid decides.)
+  IncrementalEvaluator counted(eval);
+  counted.reset(mapping);
+  for (const TaskReassignment& move : moves) {
+    probe_sink = probe_sink + counted.probe(move);
+  }
+  const std::size_t inc_probes = counted.incremental_probe_count();
+  const std::size_t fb_probes = counted.fallback_probe_count();
   const double avg_inc =
-      inc_probes == 0 ? 0.0
-                      : static_cast<double>(inc.incremental_replayed_total()) /
-                            static_cast<double>(inc_probes);
+      inc_probes == 0
+          ? 0.0
+          : static_cast<double>(counted.incremental_replayed_total()) /
+                static_cast<double>(inc_probes);
   const double avg_fb =
       fb_probes == 0 ? 0.0
-                     : static_cast<double>(inc.fallback_swept_total()) /
+                     : static_cast<double>(counted.fallback_swept_total()) /
                            static_cast<double>(fb_probes);
   const std::size_t routed = inc_probes + fb_probes;
   const double fb_frac =
@@ -204,10 +215,8 @@ void report_incremental(Json& results, const char* config, const Dag& dag,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv, {"out", "smoke", "seed", "gate"});
+/// The report proper; main() maps exceptions to the exit-code contract.
+int run(const Flags& flags) {
   const bool smoke = flags.get_bool("smoke", false);
   const bool gate = flags.get_bool("gate", false);
   const std::string out_path = flags.get("out", "BENCH_eval.json");
@@ -322,7 +331,7 @@ int main(int argc, char** argv) {
                      "FATAL: batch results differ from the serial path at "
                      "threads=%zu\n",
                      threads);
-        return 1;
+        return cli::kExitFailure;
       }
       if (threads == 4 && speedup < 2.5) {
         if (exceeds) {
@@ -411,8 +420,9 @@ int main(int argc, char** argv) {
 
   std::ofstream out(out_path);
   if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+    std::fprintf(stderr, "bench_perf_report: cannot write %s\n",
+                 out_path.c_str());
+    return cli::kExitFailure;
   }
   out << doc.dump(2) << '\n';
   std::printf("wrote %s\n", out_path.c_str());
@@ -422,7 +432,26 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: %s\n", gate ? "GATE FAILURE" : "WARNING",
                    f.c_str());
     }
-    if (gate) return 1;
+    if (gate) return cli::kExitFailure;
   }
-  return 0;
+  return cli::kExitOk;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::optional<Flags> flags;
+  try {
+    flags.emplace(argc, argv,
+                  std::vector<std::string>{"out", "smoke", "seed", "gate"});
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "bench_perf_report: %s\n", ex.what());
+    return cli::kExitUsage;
+  }
+  try {
+    return run(*flags);
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "bench_perf_report: %s\n", ex.what());
+    return cli::kExitFailure;
+  }
 }

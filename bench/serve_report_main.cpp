@@ -54,9 +54,11 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "exit_codes.hpp"
 #include "serve/daemon.hpp"
 #include "serve/loadgen.hpp"
 #include "util/flags.hpp"
@@ -155,10 +157,8 @@ void report_run(Json& results, const char* name, const LoadgenOptions& options,
               report.throughput_rps, report.verified, report.mismatches);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv, {"out", "smoke", "seed"});
+/// The report proper; main() maps exceptions to the exit-code contract.
+int run(const Flags& flags) {
   const bool smoke = flags.get_bool("smoke", false);
   const std::string out_path = flags.get("out", "BENCH_serve.json");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
                    "FATAL: closed loop sessions=%zu failed=%zu "
                    "mismatches=%zu\n",
                    sessions, report.failed, report.mismatches);
-      return 1;
+      return cli::kExitFailure;
     }
   }
 
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
     report_run(results, "open_loop_overload", options, report, max_queued);
     if (report.failed > 0) {
       std::fprintf(stderr, "FATAL: open loop failed=%zu\n", report.failed);
-      return 1;
+      return cli::kExitFailure;
     }
   }
 
@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
     const LoadgenReport warmed = run_loadgen(warmup);
     if (warmed.failed > 0) {
       std::fprintf(stderr, "FATAL: cache warm-up failed=%zu\n", warmed.failed);
-      return 1;
+      return cli::kExitFailure;
     }
     // Repeat phase: many sessions folding onto the same K identities; the
     // memo answers the repeats, and verify proves cached == recomputed.
@@ -248,11 +248,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "FATAL: warm cache repeat failed=%zu mismatches=%zu\n",
                    report.failed, report.mismatches);
-      return 1;
+      return cli::kExitFailure;
     }
     if (report.cache_hits == 0) {
       std::fprintf(stderr, "FATAL: warm cache repeat saw no cache hits\n");
-      return 1;
+      return cli::kExitFailure;
     }
   }
 
@@ -267,10 +267,30 @@ int main(int argc, char** argv) {
 
   std::ofstream out(out_path);
   if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+    std::fprintf(stderr, "bench_serve_report: cannot write %s\n",
+                 out_path.c_str());
+    return cli::kExitFailure;
   }
   out << doc.dump(2) << '\n';
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return cli::kExitOk;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::optional<Flags> flags;
+  try {
+    flags.emplace(argc, argv,
+                  std::vector<std::string>{"out", "smoke", "seed"});
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "bench_serve_report: %s\n", ex.what());
+    return cli::kExitUsage;
+  }
+  try {
+    return run(*flags);
+  } catch (const std::exception& ex) {
+    std::fprintf(stderr, "bench_serve_report: %s\n", ex.what());
+    return cli::kExitFailure;
+  }
 }

@@ -17,6 +17,9 @@
 #   4. No naked std::thread::detach() — a detached thread outlives the
 #      state it touches; everything joins (ThreadPool, MappingService,
 #      test helpers).
+#   5. No clock in src/sched/ — pricing and probe routing are pure
+#      functions of their inputs, so the same calls take the same paths
+#      and return the same values on every run.
 set -u
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -58,6 +61,12 @@ report "raw std::mutex family outside src/util/mutex.hpp (use spmap::Mutex/Mutex
 matches=$(grep -rn --include='*.hpp' --include='*.cpp' \
   -e '\.detach()' src/ tools/ bench/ || true)
 report "std::thread::detach() is banned (join everything; detached threads outlive the state they touch)" "$matches"
+
+# Rule 5: the evaluator layer reads no clock.
+matches=$(grep -rn --include='*.hpp' --include='*.cpp' \
+  -e '<chrono>' -e 'steady_clock' -e 'system_clock' -e 'WallTimer' \
+  -e 'clock_gettime' src/sched/ || true)
+report "clocks are banned in src/sched/ (pricing and probe routing must be pure functions of their inputs)" "$matches"
 
 if [ "$failures" -ne 0 ]; then
   echo "lint_invariants: FAILED" >&2

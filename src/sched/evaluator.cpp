@@ -4,57 +4,56 @@
 
 namespace spmap {
 
+SweepTables::SweepTables(const CostModel& cost)
+    : flat(cost.dag()), exec(cost.exec_data()) {
+  const Platform& platform = cost.platform();
+  const std::size_t m = platform.device_count();
+  devices = m;
+  slot_offset.resize(m + 1, 0);
+  is_fpga.resize(m);
+  fill.resize(m);
+  for (std::size_t d = 0; d < m; ++d) {
+    const Device& dev = platform.device(DeviceId(d));
+    slot_offset[d + 1] = slot_offset[d] + std::max<std::size_t>(1, dev.slots);
+    is_fpga[d] = dev.is_fpga() ? 1 : 0;
+    fill[d] = dev.stream_fill_fraction;
+  }
+  latency.assign(m * m, 0.0);
+  bandwidth.assign(m * m, 1.0);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      if (a == b) continue;
+      latency[a * m + b] = platform.latency_s(DeviceId(a), DeviceId(b));
+      bandwidth[a * m + b] = platform.bandwidth_gbps(DeviceId(a), DeviceId(b));
+    }
+  }
+  // Hoist the constant /1000 unit conversion of the transfer formula out
+  // of the sweep (same operation as the naive path, so still bit-exact).
+  in_mb1000.resize(flat.edge_count());
+  for (std::size_t k = 0; k < flat.edge_count(); ++k) {
+    in_mb1000[k] = flat.in_data_mb_data()[k] / 1000.0;
+  }
+}
+
 Evaluator::Evaluator(const CostModel& cost, EvalParams params)
-    : cost_(&cost), flat_(cost.dag()) {
+    : cost_(&cost), tables_(cost) {
   const Dag& dag = cost.dag();
   orders_.push_back(bfs_order(dag));
   Rng rng(params.seed);
   for (std::size_t i = 0; i < params.random_orders; ++i) {
     orders_.push_back(random_topological_order(dag, rng));
   }
-
-  const Platform& platform = cost.platform();
-  const std::size_t m = platform.device_count();
-  device_count_ = m;
-  exec_ = cost.exec_data();
-  slot_offset_.resize(m + 1, 0);
-  dev_is_fpga_.resize(m);
-  dev_fill_.resize(m);
-  for (std::size_t d = 0; d < m; ++d) {
-    const Device& dev = platform.device(DeviceId(d));
-    slot_offset_[d + 1] = slot_offset_[d] + std::max<std::size_t>(1, dev.slots);
-    dev_is_fpga_[d] = dev.is_fpga() ? 1 : 0;
-    dev_fill_[d] = dev.stream_fill_fraction;
-  }
-  link_latency_.assign(m * m, 0.0);
-  link_bandwidth_.assign(m * m, 1.0);
-  for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t b = 0; b < m; ++b) {
-      if (a == b) continue;
-      link_latency_[a * m + b] = platform.latency_s(DeviceId(a), DeviceId(b));
-      link_bandwidth_[a * m + b] =
-          platform.bandwidth_gbps(DeviceId(a), DeviceId(b));
-    }
-  }
-
-  // Hoist the constant /1000 unit conversion of the transfer formula out
-  // of the sweep (same operation as the naive path, so still bit-exact).
-  in_mb_over_1000_.resize(flat_.edge_count());
-  for (std::size_t k = 0; k < flat_.edge_count(); ++k) {
-    in_mb_over_1000_[k] = flat_.in_data_mb_data()[k] / 1000.0;
-  }
-
   plans_.reserve(orders_.size());
   for (const auto& order : orders_) plans_.push_back(build_plan(order));
 }
 
-Evaluator::WalkPlan Evaluator::build_plan(
-    const std::vector<NodeId>& order) const {
+WalkPlan Evaluator::build_plan(const std::vector<NodeId>& order) const {
   WalkPlan plan;
   plan.reserve(order.size());
-  const auto m = static_cast<std::uint32_t>(device_count_);
+  const auto m = static_cast<std::uint32_t>(tables_.devices);
+  const FlatGraph& flat = tables_.flat;
   for (const NodeId v : order) {
-    plan.push_back(PlanNode{v.v, v.v * m, flat_.in_begin(v), flat_.in_end(v)});
+    plan.push_back(PlanNode{v.v, v.v * m, flat.in_begin(v), flat.in_end(v)});
   }
   return plan;
 }
@@ -83,89 +82,31 @@ void EvalContext::layout(std::size_t nodes, std::size_t slots,
 double Evaluator::evaluate_plan(const Mapping& mapping, const WalkPlan& plan,
                                 EvalContext& ctx) const {
   ++ctx.evals_;
-  ctx.layout(flat_.node_count(), slot_offset_.back(), device_count_);
+  ctx.layout(tables_.flat.node_count(), tables_.slot_count(), tables_.devices);
   std::fill_n(ctx.slot_ready(), ctx.reset_len_, 0.0);
 
-  // Everything the sweep touches is a contiguous array captured in a local
-  // non-aliasing pointer, so the loop body stays in registers.
-  const std::size_t m = device_count_;
+  // The per-sweep arrays are captured in local non-aliasing pointers (the
+  // kernel does the same for the tables), so the loop body stays in
+  // registers.
   const DeviceId* __restrict map = mapping.device.data();
-  const double* __restrict exec = exec_;
-  const std::uint32_t* __restrict in_src = flat_.in_src_data();
-  const double* __restrict in_mb1000 = in_mb_over_1000_.data();
-  const std::uint8_t* __restrict is_fpga = dev_is_fpga_.data();
-  const double* __restrict fill = dev_fill_.data();
-  const double* __restrict lat = link_latency_.data();
-  const double* __restrict bw = link_bandwidth_.data();
-  const std::size_t* __restrict slot_offset = slot_offset_.data();
   double* __restrict start = ctx.start();
   double* __restrict finish = ctx.finish();
-  double* __restrict slot_ready = ctx.slot_ready();
   double* __restrict link_ready = ctx.link_ready();
+  const PlainTimes times{start, finish};
+  const ArgminSlots slots{ctx.slot_ready(), tables_.slot_offset.data()};
 
   double makespan = 0.0;
   for (const PlanNode pn : plan) {
-    const std::uint32_t v = pn.node;
-    const std::uint32_t d = map[v].v;
-    const bool dev_fpga = is_fpga[d] != 0;
-    double ready = 0.0;
-    bool streamed_in = false;
-    for (std::uint32_t k = pn.in_begin; k < pn.in_end; ++k) {
-      const std::uint32_t u = in_src[k];
-      const std::uint32_t du = map[u].v;
-      if (du == d) {
-        if (dev_fpga) {
-          // FPGA dataflow streaming: the consumer stage starts once the
-          // producer's pipeline has filled, not when the producer finishes.
-          ready = std::max(ready, start[u] + fill[d] * exec[u * m + d]);
-          streamed_in = true;
-        } else {
-          ready = std::max(ready, finish[u]);
-        }
-      } else {
-        // Cross-device transfer: occupies the link of both endpoint
-        // devices; concurrent transfers through one attachment serialize.
-        const std::size_t li = du * m + d;
-        const double transfer = lat[li] + in_mb1000[k] / bw[li];
-        const double t_start =
-            std::max({finish[u], link_ready[du], link_ready[d]});
-        const double arrival = t_start + transfer;
-        link_ready[du] = arrival;
-        link_ready[d] = arrival;
-        ready = std::max(ready, arrival);
-      }
-    }
-    const double exec_v = exec[pn.exec_offset + d];
-    double start_v;
-    if (streamed_in) {
-      // A streamed stage co-resides in fabric with its producer and does
-      // not queue on an execution slot.
-      start_v = ready;
-    } else {
-      // Earliest-ready execution slot of the device. Conditional-move form:
-      // the comparisons are data-dependent and would mispredict as
-      // branches.
-      std::size_t best_slot = slot_offset[d];
-      double best = slot_ready[best_slot];
-      const std::size_t slots_end = slot_offset[d + 1];
-      for (std::size_t s = best_slot + 1; s < slots_end; ++s) {
-        const double x = slot_ready[s];
-        best_slot = x < best ? s : best_slot;
-        best = x < best ? x : best;
-      }
-      start_v = std::max(ready, best);
-      slot_ready[best_slot] = start_v + exec_v;
-    }
-    start[v] = start_v;
-    const double finish_v = start_v + exec_v;
-    finish[v] = finish_v;
-    makespan = std::max(makespan, finish_v);
+    const NodeTime nt = time_node(tables_, map, pn, link_ready, times, slots);
+    start[pn.node] = nt.start;
+    finish[pn.node] = nt.finish;
+    makespan = std::max(makespan, nt.finish);
   }
   return makespan;
 }
 
 double Evaluator::evaluate(const Mapping& mapping, EvalContext& ctx) const {
-  SPMAP_ASSERT(mapping.size() == flat_.node_count());
+  SPMAP_ASSERT(mapping.size() == tables_.flat.node_count());
   if (!cost_->area_feasible(mapping)) return kInfeasible;
   double best = kInfeasible;
   for (const WalkPlan& plan : plans_) {
@@ -177,8 +118,8 @@ double Evaluator::evaluate(const Mapping& mapping, EvalContext& ctx) const {
 double Evaluator::evaluate_order(const Mapping& mapping,
                                  const std::vector<NodeId>& order,
                                  EvalContext& ctx) const {
-  SPMAP_ASSERT(order.size() == flat_.node_count());
-  SPMAP_ASSERT(mapping.size() == flat_.node_count());
+  SPMAP_ASSERT(order.size() == tables_.flat.node_count());
+  SPMAP_ASSERT(mapping.size() == tables_.flat.node_count());
   for (std::size_t i = 0; i < orders_.size(); ++i) {
     if (&orders_[i] == &order) return evaluate_plan(mapping, plans_[i], ctx);
   }

@@ -29,14 +29,17 @@
 ///
 /// This is the hot path of every search mapper (thousands to millions of
 /// calls per experiment), so the simulation never touches `Dag` or
-/// `CostModel` inside the loop. At construction the evaluator builds a
-/// `FlatGraph` CSR view of the graph and, per prepared schedule order, a
-/// *walk plan*: one compact record per node (node id, device-strided offset
-/// into the execution-time table, in-edge span) laid out in walk order.
-/// Evaluating a mapping is then a branch-light linear sweep over contiguous
-/// arrays. The arithmetic is performed in exactly the order of the naive
-/// definition (see sched/reference_evaluator.hpp), so flat results are
-/// bit-identical to the reference implementation.
+/// `CostModel` inside the loop. At construction the evaluator builds its
+/// `SweepTables` (a `FlatGraph` CSR view of the graph plus flattened
+/// device/link tables) and, per prepared schedule order, a *walk plan*: one
+/// compact record per node (node id, device-strided offset into the
+/// execution-time table, in-edge span) laid out in walk order. Evaluating a
+/// mapping is then a branch-light linear sweep over contiguous arrays,
+/// pricing each node with `time_node` (sched/sweep_kernel.hpp) — the one
+/// implementation of the timing arithmetic, shared with every sweep of the
+/// incremental engine. The arithmetic is performed in exactly the order of
+/// the naive definition (see sched/reference_evaluator.hpp), so flat
+/// results are bit-identical to the reference implementation.
 ///
 /// ## Thread-safety contract
 ///
@@ -63,8 +66,8 @@
 #include <vector>
 
 #include "graph/algorithms.hpp"
-#include "graph/flat_graph.hpp"
 #include "model/cost_model.hpp"
+#include "sched/sweep_kernel.hpp"
 #include "util/thread_pool.hpp"
 
 namespace spmap {
@@ -129,7 +132,7 @@ class Evaluator {
 
   const CostModel& cost() const { return *cost_; }
   const Dag& dag() const { return cost_->dag(); }
-  const FlatGraph& flat_graph() const { return flat_; }
+  const FlatGraph& flat_graph() const { return tables_.flat; }
 
   // ---- thread-safe evaluation (explicit context) ----
 
@@ -192,38 +195,24 @@ class Evaluator {
 
   const std::vector<std::vector<NodeId>>& orders() const { return orders_; }
 
+  /// The immutable tables and the walk plan of `orders()[order_index]`
+  /// that every sweep reads; the incremental engine shares them
+  /// (sched/incremental_evaluator.hpp).
+  const SweepTables& tables() const { return tables_; }
+  const WalkPlan& plan(std::size_t order_index) const {
+    return plans_[order_index];
+  }
+
  private:
-  /// The incremental delta-evaluation engine reuses the walk plans and the
-  /// flattened device/link tables (sched/incremental_evaluator.hpp).
-  friend class IncrementalEvaluator;
-
-  /// One node of a walk plan: everything the sweep needs, in walk order.
-  struct PlanNode {
-    std::uint32_t node;         ///< node id (index into start/finish)
-    std::uint32_t exec_offset;  ///< node * device_count, into exec table
-    std::uint32_t in_begin;     ///< in-edge span in the FlatGraph arrays
-    std::uint32_t in_end;
-  };
-  using WalkPlan = std::vector<PlanNode>;
-
   WalkPlan build_plan(const std::vector<NodeId>& order) const;
   /// The flat sweep. Infeasibility is NOT checked here.
   double evaluate_plan(const Mapping& mapping, const WalkPlan& plan,
                        EvalContext& ctx) const;
 
   const CostModel* cost_;
-  FlatGraph flat_;
+  SweepTables tables_;
   std::vector<std::vector<NodeId>> orders_;  // [0] = breadth-first
   std::vector<WalkPlan> plans_;              // plans_[i] walks orders_[i]
-  std::vector<std::size_t> slot_offset_;     // device -> first slot index
-  // Flattened device/link tables so the sweep never calls into Platform.
-  std::size_t device_count_ = 0;
-  const double* exec_ = nullptr;            // cost model's [node][device]
-  std::vector<std::uint8_t> dev_is_fpga_;   // per device
-  std::vector<double> dev_fill_;            // per device, stream fill frac
-  std::vector<double> link_latency_;        // [from][to], 0 on diagonal
-  std::vector<double> link_bandwidth_;      // [from][to], 1 on diagonal
-  std::vector<double> in_mb_over_1000_;     // per in-edge slot: data_mb/1000
 
   mutable EvalContext scratch_;  // backs the convenience overloads
   mutable std::vector<EvalContext> batch_contexts_;  // per-worker, reused

@@ -29,6 +29,8 @@ const std::vector<std::string>& tool_sources() {
   static const std::vector<std::string> sources = {
       std::string(SPMAP_SOURCE_DIR) + "/tools/spmap_cli.cpp",
       std::string(SPMAP_SOURCE_DIR) + "/tools/spmap_loadgen.cpp",
+      std::string(SPMAP_SOURCE_DIR) + "/bench/perf_report_main.cpp",
+      std::string(SPMAP_SOURCE_DIR) + "/bench/serve_report_main.cpp",
   };
   return sources;
 }

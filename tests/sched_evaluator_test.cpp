@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "model/platform.hpp"
+#include "sched/incremental_evaluator.hpp"
 #include "sched/timeline.hpp"
 
 namespace spmap {
@@ -204,6 +206,63 @@ TEST(Evaluator, EvaluationCountTracksCalls) {
   EXPECT_EQ(eval.evaluation_count(), 0u);
   eval.evaluate(Mapping(2, kCpu));
   EXPECT_EQ(eval.evaluation_count(), 5u);  // BFS + 4 random orders
+}
+
+// ---- IncrementalEvaluator probe routing ----
+
+/// Feeds 1024 random genuine reassignments to the kAuto probe of two
+/// engines and returns the share of probes routed through the suffix
+/// sweep. Routing is a pure function of the probe stream, so both engines
+/// must report identical per-path counters.
+double auto_sweep_share(const Dag& dag, const TaskAttrs& attrs,
+                        const Platform& platform, const Mapping& mapping) {
+  const CostModel cost(dag, attrs, platform);
+  const Evaluator eval(cost);
+  IncrementalEvaluator a(eval);
+  IncrementalEvaluator b(eval);
+  a.reset(mapping);
+  b.reset(mapping);
+  Rng rng(12);
+  for (std::size_t i = 0; i < 1024; ++i) {
+    const TaskReassignment move =
+        random_reassignment(mapping, platform.device_count(), rng);
+    EXPECT_EQ(a.probe(move), b.probe(move));
+  }
+  EXPECT_EQ(a.incremental_probe_count(), b.incremental_probe_count());
+  EXPECT_EQ(a.fallback_probe_count(), b.fallback_probe_count());
+  EXPECT_EQ(a.incremental_replayed_total(), b.incremental_replayed_total());
+  const std::size_t routed =
+      a.incremental_probe_count() + a.fallback_probe_count();
+  EXPECT_EQ(routed, 1024u);
+  return static_cast<double>(a.fallback_probe_count()) /
+         static_cast<double>(routed);
+}
+
+TEST(IncrementalRouting, SaturatedPaperCaseTakesTheSweep) {
+  // SP graph on the reference platform, every 4th task on device 1: most
+  // moves cascade through the suffix.
+  Rng rng(8);
+  const Dag dag = generate_sp_dag(1024, rng);
+  const TaskAttrs attrs = random_task_attrs(dag, rng);
+  const Platform platform = reference_platform();
+  Mapping mapping(dag.node_count(), DeviceId(0u));
+  for (std::size_t i = 0; i < mapping.size(); i += 4) {
+    mapping.device[i] = DeviceId(1u);
+  }
+  EXPECT_GE(auto_sweep_share(dag, attrs, platform, mapping), 0.9);
+}
+
+TEST(IncrementalRouting, WideCaseStaysIncremental) {
+  // 16-wide layered DAG on the many-core platform: moves heal quickly.
+  Rng rng(8);
+  const Dag dag = generate_layered_dag(rng, {.layers = 64,
+                                             .min_width = 16,
+                                             .max_width = 16,
+                                             .edge_probability = 0.25});
+  const TaskAttrs attrs = random_task_attrs(dag, rng);
+  const Platform platform = manycore_platform();
+  const Mapping mapping(dag.node_count(), platform.default_device());
+  EXPECT_LE(auto_sweep_share(dag, attrs, platform, mapping), 0.1);
 }
 
 // ---- DeviceTimeline ----
