@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "exit_codes.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "model/platform.hpp"
@@ -237,4 +238,14 @@ BENCHMARK(BM_BfsOrder)->Range(64, 4096);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN() with the exit-code contract: an unrecognized flag is a
+// usage error.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return spmap::cli::kExitUsage;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return spmap::cli::kExitOk;
+}

@@ -69,7 +69,6 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -440,16 +439,11 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<Flags> flags;
   try {
-    flags.emplace(argc, argv,
-                  std::vector<std::string>{"out", "smoke", "seed", "gate"});
-  } catch (const std::exception& ex) {
+    return run(Flags(argc, argv, {"out", "smoke", "seed", "gate"}));
+  } catch (const UsageError& ex) {
     std::fprintf(stderr, "bench_perf_report: %s\n", ex.what());
     return cli::kExitUsage;
-  }
-  try {
-    return run(*flags);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "bench_perf_report: %s\n", ex.what());
     return cli::kExitFailure;

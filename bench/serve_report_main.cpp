@@ -54,7 +54,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -279,16 +278,11 @@ int run(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::optional<Flags> flags;
   try {
-    flags.emplace(argc, argv,
-                  std::vector<std::string>{"out", "smoke", "seed"});
-  } catch (const std::exception& ex) {
+    return run(Flags(argc, argv, {"out", "smoke", "seed"}));
+  } catch (const UsageError& ex) {
     std::fprintf(stderr, "bench_serve_report: %s\n", ex.what());
     return cli::kExitUsage;
-  }
-  try {
-    return run(*flags);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "bench_serve_report: %s\n", ex.what());
     return cli::kExitFailure;

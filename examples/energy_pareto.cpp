@@ -14,6 +14,7 @@
 
 #include <cstdio>
 
+#include "exit_codes.hpp"
 #include "graph/generators.hpp"
 #include "mappers/multi_objective.hpp"
 #include "util/flags.hpp"
@@ -36,7 +37,7 @@ void print_front(const char* title, const std::vector<ParetoPoint>& front,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags(argc, argv, {"tasks", "seed"});
   const auto n = static_cast<std::size_t>(flags.get_int("tasks", 40));
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 11)));
@@ -69,4 +70,7 @@ int main(int argc, char** argv) {
     print_front("Scalarized SPFirstFit front", front, timer.seconds());
   }
   return 0;
+} catch (const UsageError& ex) {
+  std::fprintf(stderr, "example_energy_pareto: %s\n", ex.what());
+  return cli::kExitUsage;
 }

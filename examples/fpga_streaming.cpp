@@ -11,8 +11,10 @@
 
 #include <cstdio>
 
+#include "exit_codes.hpp"
 #include "mappers/registry.hpp"
 #include "model/platform.hpp"
+#include "util/flags.hpp"
 
 using namespace spmap;
 
@@ -39,7 +41,9 @@ Platform slow_link_platform() {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) try {
+  const Flags flags(argc, argv, {});  // takes no flags
+
   constexpr std::size_t kStages = 6;
   Dag dag(kStages);
   for (std::uint32_t i = 0; i + 1 < kStages; ++i) {
@@ -84,4 +88,7 @@ int main() {
               "(%.0fx faster than all-CPU)\n",
               rp.predicted_makespan, baseline / rp.predicted_makespan);
   return 0;
+} catch (const UsageError& ex) {
+  std::fprintf(stderr, "example_fpga_streaming: %s\n", ex.what());
+  return cli::kExitUsage;
 }

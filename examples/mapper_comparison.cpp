@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "exit_codes.hpp"
 #include "graph/generators.hpp"
 #include "mappers/registry.hpp"
 #include "model/platform.hpp"
@@ -23,7 +24,7 @@
 
 using namespace spmap;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags(argc, argv,
                     {"tasks", "seed", "milp-limit", "generations"});
   const auto n = static_cast<std::size_t>(flags.get_int("tasks", 20));
@@ -72,4 +73,7 @@ int main(int argc, char** argv) {
   }
   std::puts(table.to_string().c_str());
   return 0;
+} catch (const UsageError& ex) {
+  std::fprintf(stderr, "example_mapper_comparison: %s\n", ex.what());
+  return cli::kExitUsage;
 }

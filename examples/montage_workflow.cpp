@@ -14,13 +14,14 @@
 #include <memory>
 #include <vector>
 
+#include "exit_codes.hpp"
 #include "mappers/registry.hpp"
 #include "util/flags.hpp"
 #include "workflows/workflows.hpp"
 
 using namespace spmap;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags(argc, argv, {"width", "seed"});
   const auto width = static_cast<std::size_t>(flags.get_int("width", 24));
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 7)));
@@ -58,4 +59,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const UsageError& ex) {
+  std::fprintf(stderr, "example_montage_workflow: %s\n", ex.what());
+  return cli::kExitUsage;
 }

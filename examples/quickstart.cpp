@@ -8,13 +8,17 @@
 
 #include <cstdio>
 
+#include "exit_codes.hpp"
 #include "graph/io.hpp"
 #include "mappers/registry.hpp"
 #include "model/platform.hpp"
+#include "util/flags.hpp"
 
 using namespace spmap;
 
-int main() {
+int main(int argc, char** argv) try {
+  const Flags flags(argc, argv, {});  // takes no flags
+
   // 1. The application: a small fork-join pipeline.
   //    decode -> {denoise, fft} -> mix -> encode
   Dag dag;
@@ -66,4 +70,7 @@ int main() {
   }
   std::printf("\nGraphviz of the task graph:\n%s", to_dot(dag).c_str());
   return 0;
+} catch (const UsageError& ex) {
+  std::fprintf(stderr, "example_quickstart: %s\n", ex.what());
+  return cli::kExitUsage;
 }

@@ -40,18 +40,38 @@ SweepAxis sweep_from_json(const Json& doc, const WorkloadSpec& workload) {
   SweepAxis sweep;
   sweep.parameter = doc.at("parameter").as_string();
   for (const Json& v : doc.at("values").as_array()) {
-    sweep.values.push_back(v.as_int());
+    if (v.is_string()) {
+      sweep.string_values.push_back(v.as_string());
+    } else {
+      sweep.values.push_back(v.as_int());
+    }
   }
-  require(!sweep.values.empty(), "scenario sweep: empty 'values'");
+  require(sweep.values.empty() || sweep.string_values.empty(),
+          "scenario sweep: 'values' mixes numbers and strings");
+  const std::size_t count = sweep.values.size() + sweep.string_values.size();
+  require(count > 0, "scenario sweep: empty 'values'");
   // Validate parameter name and every value against the workload kind.
-  for (const std::int64_t v : sweep.values) {
+  for (std::size_t i = 0; i < count; ++i) {
     WorkloadSpec probe = workload;
-    apply_sweep_value(probe, sweep.parameter, v);
+    sweep.apply(i, probe);
   }
   return sweep;
 }
 
 }  // namespace
+
+Json SweepAxis::value_json(std::size_t i) const {
+  if (string_values.empty()) return Json(values.at(i));
+  return Json(string_values.at(i));
+}
+
+void SweepAxis::apply(std::size_t i, WorkloadSpec& workload) const {
+  if (string_values.empty()) {
+    apply_sweep_value(workload, parameter, values.at(i));
+  } else {
+    apply_sweep_value(workload, parameter, string_values.at(i));
+  }
+}
 
 Scenario scenario_from_json(const Json& doc, const std::string& base_dir) {
   doc.require_keys("scenario",
@@ -125,7 +145,9 @@ Json scenario_to_json(const Scenario& scenario) {
     Json sweep = Json::object();
     sweep.set("parameter", scenario.sweep.parameter);
     Json values = Json::array();
-    for (const std::int64_t v : scenario.sweep.values) values.push_back(v);
+    for (std::size_t i = 0; i < scenario.sweep.point_count(); ++i) {
+      values.push_back(scenario.sweep.value_json(i));
+    }
     sweep.set("values", std::move(values));
     doc.set("sweep", std::move(sweep));
   }

@@ -8,9 +8,9 @@
 /// an optional *sweep* axis, a *mapper line-up* (MapperRegistry spec
 /// strings) and the repetition/reporting protocol of the paper's Section
 /// IV-A — so an experiment is a committed file instead of a C++ driver.
-/// `spmap_cli sweep` and the ported `bench_fig*` binaries both run through
-/// this layer; see docs/FORMATS.md for the full schema reference and
-/// `scenarios/` for the shipped paper experiments.
+/// `spmap_cli sweep` runs every paper figure through this layer; see
+/// docs/FORMATS.md for the full schema reference and `scenarios/` for the
+/// shipped paper experiments.
 ///
 /// Schema sketch (`"schema": "spmap-scenario/1"`):
 ///   {
@@ -20,6 +20,7 @@
 ///     "platform": "platforms/paper_cpu_gpu_fpga.json",   // or inline {...}
 ///     "workload": {"type": "sp", "tasks": 30},
 ///     "sweep":    {"parameter": "tasks", "values": [5, 20, ...]},  // opt.
+///                 // ("family" sweeps take names: ["blast", "cycles"])
 ///     "mappers":  ["heft", {"spec": "spff:threads=2", "display": "SPFF"}],
 ///     "repetitions": 10,        // graphs per sweep point
 ///     "reporting_orders": 100,  // random schedules of the reporting eval
@@ -52,12 +53,22 @@ struct ScenarioMapper {
   std::string display;  ///< Result-table label; never empty after parsing.
 };
 
-/// Optional sweep axis: one workload parameter varied over `values`.
+/// Optional sweep axis: one workload parameter varied over `values`, or
+/// over `string_values` for the one string parameter, a workflow `family`.
 struct SweepAxis {
   std::string parameter;  ///< "" = no sweep (a single point).
   std::vector<std::int64_t> values;
+  std::vector<std::string> string_values;  ///< Set instead of `values`.
 
   bool enabled() const { return !parameter.empty(); }
+  /// Points to run: one per value, or one unnamed point without a sweep.
+  std::size_t point_count() const {
+    return enabled() ? values.size() + string_values.size() : 1;
+  }
+  /// Point `i` as written in the file and the results: number or string.
+  Json value_json(std::size_t i) const;
+  /// Overrides the swept parameter of `workload` with point `i`.
+  void apply(std::size_t i, WorkloadSpec& workload) const;
 };
 
 /// A fully parsed experiment description.

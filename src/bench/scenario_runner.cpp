@@ -1,7 +1,6 @@
 #include "bench/scenario_runner.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
 #include "serve/mapping_service.hpp"
@@ -12,6 +11,12 @@
 namespace spmap {
 
 namespace {
+
+/// A sweep value as a table cell or progress label: names verbatim,
+/// numbers as JSON prints them.
+std::string cell_label(const Json& value) {
+  return value.is_string() ? value.as_string() : value.dump();
+}
 
 /// Everything measured for one (repetition, mapper) pair.
 struct CellResult {
@@ -140,19 +145,10 @@ Json run_scenario(const Scenario& scenario, const SweepRunOptions& options) {
       std::make_shared<const Platform>(scenario.platform.platform);
   Rng rng(scenario.seed);
 
-  std::vector<std::int64_t> points;
-  if (scenario.sweep.enabled()) {
-    points = scenario.sweep.values;
-  } else {
-    points.push_back(0);  // one unnamed point
-  }
-
   Json results = Json::array();
-  for (const std::int64_t value : points) {
+  for (std::size_t p = 0; p < scenario.sweep.point_count(); ++p) {
     WorkloadSpec workload = scenario.workload;
-    if (scenario.sweep.enabled()) {
-      apply_sweep_value(workload, scenario.sweep.parameter, value);
-    }
+    if (scenario.sweep.enabled()) scenario.sweep.apply(p, workload);
     // Graphs and rng streams are derived serially so the job phase is
     // worker-count invariant.
     std::vector<std::shared_ptr<const TaskGraph>> cases;
@@ -169,15 +165,15 @@ Json run_scenario(const Scenario& scenario, const SweepRunOptions& options) {
       }
     }
     if (options.progress) {
+      const char* tag =
+          scenario.name.empty() ? "sweep" : scenario.name.c_str();
       if (scenario.sweep.enabled()) {
-        std::fprintf(stderr, "[%s] %s=%lld (%zu repetitions)...\n",
-                     scenario.name.empty() ? "sweep" : scenario.name.c_str(),
+        std::fprintf(stderr, "[%s] %s=%s (%zu repetitions)...\n", tag,
                      scenario.sweep.parameter.c_str(),
-                     static_cast<long long>(value), cases.size());
-      } else {
-        std::fprintf(stderr, "[%s] %zu repetitions...\n",
-                     scenario.name.empty() ? "sweep" : scenario.name.c_str(),
+                     cell_label(scenario.sweep.value_json(p)).c_str(),
                      cases.size());
+      } else {
+        std::fprintf(stderr, "[%s] %zu repetitions...\n", tag, cases.size());
       }
     }
     const std::vector<CellResult> cells = run_point(
@@ -186,7 +182,7 @@ Json run_scenario(const Scenario& scenario, const SweepRunOptions& options) {
     if (scenario.sweep.enabled()) {
       // Prepend the sweep value so it leads the object.
       Json ordered = Json::object();
-      ordered.set("sweep_value", value);
+      ordered.set("sweep_value", scenario.sweep.value_json(p));
       ordered.set("mappers", point.at("mappers"));
       point = std::move(ordered);
     }
@@ -245,14 +241,13 @@ void print_sweep_tables(const Json& results, std::ostream& os) {
     Table table(header);
     for (std::size_t i = 0; i < points.size(); ++i) {
       const Json& point = points[i];
-      std::vector<double> values;
+      std::vector<std::string> row{cell_label(
+          point.contains("sweep_value") ? point.at("sweep_value") : Json(i))};
       for (const Json& m : point.at("mappers").as_array()) {
-        values.push_back(scale * m.at(field).as_double());
+        row.push_back(
+            format_double(scale * m.at(field).as_double(), precision));
       }
-      const double x = point.contains("sweep_value")
-                           ? static_cast<double>(point.at("sweep_value").as_int())
-                           : static_cast<double>(i);
-      table.add_row(x, values, precision);
+      table.add_row(std::move(row));
     }
     os << "## " << scenario << ": " << metric << "\n";
     table.write_tsv(os);
@@ -265,20 +260,6 @@ void print_sweep_tables(const Json& results, std::ostream& os) {
        1.0, 4);
   emit("mapper execution time [ms] (mean over repetitions)",
        "mapper_seconds_mean", 1e3, 3);
-}
-
-Json run_report_write(const Scenario& scenario,
-                      const SweepRunOptions& options,
-                      const std::string& out_path, std::ostream& os) {
-  const Json results = run_scenario(scenario, options);
-  print_sweep_tables(results, os);
-  if (!out_path.empty()) {
-    std::ofstream file(out_path);
-    require(file.good(), "cannot open output file: " + out_path);
-    file << results.dump(2) << '\n';
-    std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-  }
-  return results;
 }
 
 }  // namespace spmap

@@ -2,8 +2,8 @@
 /// \file scenario_runner.hpp
 /// Executes a parsed Scenario and emits a `spmap-sweep-results/1` document.
 ///
-/// The runner follows the paper's experiment protocol (Section IV-A),
-/// exactly as the per-figure bench binaries always did:
+/// The runner is the one implementation of the paper's experiment protocol
+/// (Section IV-A) that every figure and table runs through:
 ///  * mappers run against an *inner* evaluator (breadth-first schedule
 ///    only — the linear-time cost function used during mapping);
 ///  * reported makespans use the *reporting* evaluator: minimum over a
@@ -18,10 +18,9 @@
 /// per-job construction rng streams are derived *serially* up front and
 /// submitted FIFO, results are collected in submission order, and each job
 /// builds its own evaluators — so every quality/makespan number is
-/// **bit-identical for every worker count**, including the serial path the
-/// per-figure binaries always produced. Only the wall-clock
-/// `mapper_seconds_*` fields vary run to run (and are noisier when workers
-/// contend for cores).
+/// **bit-identical for every worker count**, the serial path included.
+/// Only the wall-clock `mapper_seconds_*` fields vary run to run (and are
+/// noisier when workers contend for cores).
 ///
 /// ## Thread-safety
 ///
@@ -65,7 +64,8 @@ struct SweepRunOptions {
 ///     "threads": ...,
 ///     "sweep_parameter": "tasks",        // only when sweeping
 ///     "results": [
-///       {"sweep_value": 5,               // only when sweeping
+///       {"sweep_value": 5,               // only when sweeping; a
+///                                        // string for "family" sweeps
 ///        "mappers": [
 ///          {"name": "HEFT", "spec": "heft",
 ///           "improvement_mean": ..., "improvement_min": ...,
@@ -78,18 +78,9 @@ struct SweepRunOptions {
 Json run_scenario(const Scenario& scenario,
                   const SweepRunOptions& options = {});
 
-/// Prints the classic bench output from a results document: one TSV block
-/// plus aligned table per metric (improvement, execution time), in the
-/// scenario's mapper order — the format the `bench_fig*` binaries have
-/// always emitted.
+/// Prints the human-readable view of a results document: one TSV block
+/// plus aligned table per metric (improvement, execution time), one row
+/// per sweep point, in the scenario's mapper order.
 void print_sweep_tables(const Json& results, std::ostream& os);
-
-/// The whole body of a ported `bench_fig*` binary after flag overrides:
-/// runs the scenario, prints the classic tables to `os`, and when
-/// `out_path` is non-empty writes the results document there (noting the
-/// path on stderr). Returns the results document.
-Json run_report_write(const Scenario& scenario,
-                      const SweepRunOptions& options,
-                      const std::string& out_path, std::ostream& os);
 
 }  // namespace spmap

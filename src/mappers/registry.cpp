@@ -295,7 +295,7 @@ std::unique_ptr<Mapper> MapperRegistry::create(const std::string& spec,
   require(mapper != nullptr,
           "MapperRegistry: factory of '" + name + "' returned null");
   // Bake the shared run options into the default request, so request-free
-  // drivers (bench harness, examples) honor `heft:deadline_ms=50` too.
+  // drivers (the scenario runner, examples) honor `heft:deadline_ms=50` too.
   mapper->set_default_request(run_request_from_options(options));
   return mapper;
 }

@@ -9,8 +9,8 @@
 /// factory taking typed `MapperOptions` (parsed from "key=value,key=value"
 /// strings, e.g. "nsga:generations=50,pop=100") plus metadata — a
 /// description, whether it needs a series-parallel decomposition of the
-/// input graph, and the paper's default parameters. Drivers (CLI, bench
-/// harness, examples) pick algorithms by name instead of hard-coding
+/// input graph, and the paper's default parameters. Drivers (CLI, scenario
+/// files, examples) pick algorithms by name instead of hard-coding
 /// constructor calls, so adding a mapper is a one-file change.
 ///
 /// Registration lives next to each mapper implementation (see the

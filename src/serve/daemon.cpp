@@ -14,14 +14,13 @@
 #include <thread>
 #include <utility>
 
-#include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "mappers/registry.hpp"
 #include "model/platform.hpp"
 #include "model/platform_io.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
-#include "workflows/workflows.hpp"
+#include "workflows/workload_spec.hpp"
 
 namespace spmap {
 
@@ -62,13 +61,6 @@ void signal_drain_handler(int) {
     const char byte = 's';
     [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
   }
-}
-
-WorkflowFamily family_by_name(const std::string& name) {
-  for (const WorkflowFamily f : all_workflow_families()) {
-    if (name == workflow_family_name(f)) return f;
-  }
-  throw Error("unknown workflow family: " + name);
 }
 
 std::size_t generate_count(const Json& spec, const char* key,
@@ -395,31 +387,27 @@ TaskGraph graph_from_generate_spec(const Json& spec) {
   }
   Rng rng(static_cast<std::uint64_t>(
       static_cast<std::int64_t>(generate_count(spec, "seed", 1))));
-  TaskGraph tg;
+  WorkloadSpec workload;
   if (type == "sp" || type == "almost-sp") {
-    tg.dag = generate_sp_dag(generate_count(spec, "tasks", 30), rng);
+    workload.kind = type == "sp" ? WorkloadKind::Sp : WorkloadKind::AlmostSp;
+    workload.tasks = generate_count(spec, "tasks", 30);
     if (type == "almost-sp") {
-      tg.dag = add_random_edges(tg.dag, generate_count(spec, "extra_edges",
-                                                       10),
-                                rng);
+      workload.extra_edges = generate_count(spec, "extra_edges", 10);
     }
-    tg.attrs = random_task_attrs(tg.dag, rng);
   } else if (type == "workflow") {
-    std::string family = "montage";
+    workload.kind = WorkloadKind::Workflow;
+    workload.family = "montage";
     if (spec.contains("family")) {
       require(spec.at("family").is_string(),
               "generate.family must be a string");
-      family = spec.at("family").as_string();
+      workload.family = spec.at("family").as_string();
     }
-    WorkflowInstance inst = generate_workflow(
-        family_by_name(family), generate_count(spec, "width", 12), rng);
-    tg.dag = std::move(inst.dag);
-    tg.attrs = std::move(inst.attrs);
+    workload.width = generate_count(spec, "width", 12);
   } else {
     throw Error("generate.type must be sp, almost-sp or workflow, got \"" +
                 type + "\"");
   }
-  return tg;
+  return materialize_workload(workload, rng);
 }
 
 std::shared_ptr<const TaskGraph> Daemon::resolve_graph(

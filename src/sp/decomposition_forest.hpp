@@ -25,7 +25,8 @@ namespace spmap {
 
 /// Strategy for choosing which wavefront subtree to cut when the wavefront
 /// stalls (paper line 38: "Choose any Tc"). The paper notes a well-designed
-/// heuristic may improve the mapping; the ablation bench compares these.
+/// heuristic may improve the mapping; scenarios/ablation_cut_policy.json
+/// compares these.
 enum class CutPolicy {
   Random,           ///< Paper default: uniformly random active subtree.
   SmallestSubtree,  ///< Cut the subtree with the fewest edges (lose least).

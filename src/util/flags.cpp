@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
-
-#include "util/error.hpp"
 
 namespace spmap {
 
@@ -21,7 +18,7 @@ Flags::Flags(int argc, const char* const* argv,
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (!is_flag(arg)) {
-      throw Error("unexpected positional argument: " + arg);
+      throw UsageError("unexpected positional argument: " + arg);
     }
     arg = arg.substr(2);
     std::string name;
@@ -41,7 +38,7 @@ Flags::Flags(int argc, const char* const* argv,
       }
     }
     if (std::find(known.begin(), known.end(), name) == known.end()) {
-      throw Error("unknown flag: --" + name);
+      throw UsageError("unknown flag: --" + name);
     }
     values_[name] = value;
   }
@@ -57,6 +54,14 @@ std::string Flags::get(const std::string& name,
   return it == values_.end() ? fallback : it->second;
 }
 
+std::string Flags::get_required(const std::string& name) const {
+  const auto it = values_.find(name);
+  if (it == values_.end() || it->second.empty()) {
+    throw UsageError("missing required flag --" + name);
+  }
+  return it->second;
+}
+
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
   const auto it = values_.find(name);
@@ -64,7 +69,8 @@ std::int64_t Flags::get_int(const std::string& name,
   try {
     return std::stoll(it->second);
   } catch (const std::exception&) {
-    throw Error("flag --" + name + " expects an integer, got: " + it->second);
+    throw UsageError("flag --" + name +
+                     " expects an integer, got: " + it->second);
   }
 }
 
@@ -74,7 +80,8 @@ double Flags::get_double(const std::string& name, double fallback) const {
   try {
     return std::stod(it->second);
   } catch (const std::exception&) {
-    throw Error("flag --" + name + " expects a number, got: " + it->second);
+    throw UsageError("flag --" + name +
+                     " expects a number, got: " + it->second);
   }
 }
 
@@ -84,25 +91,7 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw Error("flag --" + name + " expects a boolean, got: " + v);
-}
-
-std::vector<std::int64_t> Flags::get_int_list(
-    const std::string& name, const std::vector<std::int64_t>& fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  std::vector<std::int64_t> out;
-  std::stringstream ss(it->second);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    try {
-      out.push_back(std::stoll(item));
-    } catch (const std::exception&) {
-      throw Error("flag --" + name + " expects integers, got: " + item);
-    }
-  }
-  return out;
+  throw UsageError("flag --" + name + " expects a boolean, got: " + v);
 }
 
 }  // namespace spmap

@@ -1,17 +1,28 @@
 #pragma once
 /// \file flags.hpp
-/// Minimal command-line flag parser for the bench and example binaries.
+/// Minimal command-line flag parser for the tools, the report binaries and
+/// the examples.
 ///
 /// Supported syntax: `--name=value`, `--name value`, and bare boolean
-/// `--name`. Unknown flags raise spmap::Error so typos in experiment sweeps
-/// fail loudly instead of silently running the default configuration.
+/// `--name`. Unknown flags raise UsageError so typos fail loudly instead
+/// of silently running the default configuration.
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace spmap {
+
+/// A wrong invocation: an unknown flag, a positional argument, a malformed
+/// flag value or a missing required flag. Tools exit 2 on it
+/// (tools/exit_codes.hpp); any other spmap::Error is a runtime failure.
+class UsageError : public Error {
+ public:
+  using Error::Error;
+};
 
 /// Parsed command-line flags with typed accessors and defaults.
 class Flags {
@@ -22,13 +33,12 @@ class Flags {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// The value of a flag the invocation must give; UsageError when it is
+  /// absent or empty.
+  std::string get_required(const std::string& name) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
-
-  /// Parses a comma-separated integer list flag, e.g. `--sizes=5,10,15`.
-  std::vector<std::int64_t> get_int_list(
-      const std::string& name, const std::vector<std::int64_t>& fallback) const;
 
  private:
   std::map<std::string, std::string> values_;

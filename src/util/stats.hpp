@@ -1,7 +1,7 @@
 #pragma once
 /// \file stats.hpp
-/// Small statistics toolkit used by the experiment harness: Welford online
-/// accumulation plus order statistics over stored samples.
+/// Small statistics toolkit used by the scenario runner and the benchmarks:
+/// Welford online accumulation plus order statistics over stored samples.
 
 #include <cstddef>
 #include <vector>

@@ -18,15 +18,6 @@ void Table::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void Table::add_row(double x, const std::vector<double>& values,
-                    int precision) {
-  std::vector<std::string> row;
-  row.reserve(values.size() + 1);
-  row.push_back(format_double(x, 0));
-  for (double v : values) row.push_back(format_double(v, precision));
-  add_row(std::move(row));
-}
-
 void Table::write_tsv(std::ostream& os) const {
   for (std::size_t c = 0; c < header_.size(); ++c) {
     if (c) os << '\t';

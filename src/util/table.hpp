@@ -1,7 +1,8 @@
 #pragma once
 /// \file table.hpp
-/// Output helpers for the experiment harness: TSV series (machine readable,
-/// one row per x-value) and aligned console tables (human readable).
+/// Output helpers for the sweep tables and the CLI: TSV series (machine
+/// readable, one row per x-value) and aligned console tables (human
+/// readable).
 
 #include <iosfwd>
 #include <string>
@@ -20,9 +21,6 @@ class Table {
 
   /// Appends a row; must match the header width.
   void add_row(std::vector<std::string> row);
-
-  /// Convenience: formats cells from doubles with the given precision.
-  void add_row(double x, const std::vector<double>& values, int precision = 4);
 
   void write_tsv(std::ostream& os) const;
   void write_aligned(std::ostream& os) const;

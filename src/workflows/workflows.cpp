@@ -1,7 +1,6 @@
 #include "workflows/workflows.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace spmap {
 
@@ -28,11 +27,15 @@ std::vector<WorkflowFamily> all_workflow_families() {
           WorkflowFamily::Srasearch};
 }
 
-std::vector<WorkflowFamily> table1_workflow_families() {
-  return {WorkflowFamily::Genome1000, WorkflowFamily::Blast,
-          WorkflowFamily::Cycles,     WorkflowFamily::Epigenomics,
-          WorkflowFamily::Montage,    WorkflowFamily::Soykb,
-          WorkflowFamily::Srasearch};
+WorkflowFamily workflow_family_from_name(const std::string& name) {
+  std::string known;
+  for (const WorkflowFamily f : all_workflow_families()) {
+    if (name == workflow_family_name(f)) return f;
+    if (!known.empty()) known += ", ";
+    known += workflow_family_name(f);
+  }
+  throw Error("unknown workflow family '" + name + "' (accepted: " + known +
+              ")");
 }
 
 namespace {
@@ -333,27 +336,6 @@ WorkflowInstance generate_workflow(WorkflowFamily family, std::size_t width,
       return make_srasearch(width, rng, std::move(name));
   }
   throw Error("generate_workflow: unknown family");
-}
-
-std::vector<WorkflowInstance> workflow_benchmark_set(WorkflowFamily family,
-                                                     std::size_t instances,
-                                                     std::size_t max_width,
-                                                     Rng& rng) {
-  require(instances >= 1, "workflow_benchmark_set: need >= 1 instance");
-  std::vector<WorkflowInstance> set;
-  const std::size_t min_width = std::max<std::size_t>(2, max_width / 8);
-  for (std::size_t i = 0; i < instances; ++i) {
-    const double t = instances == 1
-                         ? 1.0
-                         : static_cast<double>(i) /
-                               static_cast<double>(instances - 1);
-    const auto width = static_cast<std::size_t>(
-        std::lround(static_cast<double>(min_width) +
-                    t * static_cast<double>(max_width - min_width)));
-    set.push_back(generate_workflow(family, std::max<std::size_t>(1, width),
-                                    rng));
-  }
-  return set;
 }
 
 }  // namespace spmap

@@ -59,9 +59,9 @@ const char* workflow_family_name(WorkflowFamily family);
 /// All nine families in Table I order.
 std::vector<WorkflowFamily> all_workflow_families();
 
-/// The seven families for which Table I reports results (bwa and
-/// seismology are excluded: no algorithm finds an acceleration there).
-std::vector<WorkflowFamily> table1_workflow_families();
+/// Inverse of workflow_family_name. Throws spmap::Error listing the
+/// accepted names on an unknown one.
+WorkflowFamily workflow_family_from_name(const std::string& name);
 
 struct WorkflowInstance {
   std::string name;  ///< e.g. "montage-50"
@@ -73,13 +73,5 @@ struct WorkflowInstance {
 /// family's skeleton (roughly: number of inputs / lanes / samples).
 WorkflowInstance generate_workflow(WorkflowFamily family, std::size_t width,
                                    Rng& rng);
-
-/// A graded set of instances per family, mimicking the size range of the
-/// benchmark set of [29]. `instances` sizes are interpolated between small
-/// and `max_width`.
-std::vector<WorkflowInstance> workflow_benchmark_set(WorkflowFamily family,
-                                                     std::size_t instances,
-                                                     std::size_t max_width,
-                                                     Rng& rng);
 
 }  // namespace spmap

@@ -34,19 +34,6 @@ WorkloadKind kind_from_string(const std::string& s) {
   throw Error("workload: unknown type '" + s + "' (accepted: " + known + ")");
 }
 
-WorkflowFamily family_from_string(const std::string& name) {
-  for (const WorkflowFamily f : all_workflow_families()) {
-    if (name == workflow_family_name(f)) return f;
-  }
-  std::string known;
-  for (const WorkflowFamily f : all_workflow_families()) {
-    if (!known.empty()) known += ", ";
-    known += workflow_family_name(f);
-  }
-  throw Error("workload: unknown family '" + name + "' (accepted: " + known +
-              ")");
-}
-
 std::size_t get_count(const Json& doc, const std::string& key,
                       std::size_t fallback, std::int64_t minimum) {
   if (!doc.contains(key)) return fallback;
@@ -54,6 +41,19 @@ std::size_t get_count(const Json& doc, const std::string& key,
   require(v >= minimum, "workload: '" + key + "' must be >= " +
                             std::to_string(minimum));
   return static_cast<std::size_t>(v);
+}
+
+/// Throws unless `kind` sweeps `parameter`, listing what it does sweep.
+void require_sweepable(WorkloadKind kind, const std::string& parameter) {
+  std::string list;
+  for (const std::string& p : sweepable_parameters(kind)) {
+    if (p == parameter) return;
+    if (!list.empty()) list += ", ";
+    list += p;
+  }
+  throw Error(std::string("workload type '") + workload_kind_name(kind) +
+              "' cannot sweep '" + parameter + "' (sweepable: " +
+              (list.empty() ? "none" : list) + ")");
 }
 
 }  // namespace
@@ -112,7 +112,7 @@ WorkloadSpec workload_from_json(const Json& doc) {
   }
   if (doc.contains("family")) {
     spec.family = doc.at("family").as_string();
-    family_from_string(spec.family);  // validate eagerly
+    workflow_family_from_name(spec.family);  // validate eagerly
   }
   if (doc.contains("path")) spec.path = doc.at("path").as_string();
   const bool needs_path = spec.kind == WorkloadKind::WfCommons ||
@@ -162,7 +162,7 @@ std::vector<std::string> sweepable_parameters(WorkloadKind kind) {
     case WorkloadKind::AlmostSp:
       return {"tasks", "extra_edges"};
     case WorkloadKind::Workflow:
-      return {"width"};
+      return {"width", "family"};
     case WorkloadKind::WfCommons:
     case WorkloadKind::GraphFile:
       return {};
@@ -172,22 +172,9 @@ std::vector<std::string> sweepable_parameters(WorkloadKind kind) {
 
 void apply_sweep_value(WorkloadSpec& spec, const std::string& parameter,
                        std::int64_t value) {
-  const std::vector<std::string> accepted = sweepable_parameters(spec.kind);
-  bool known = false;
-  for (const std::string& p : accepted) {
-    if (p == parameter) known = true;
-  }
-  if (!known) {
-    std::string list;
-    for (const std::string& p : accepted) {
-      if (!list.empty()) list += ", ";
-      list += p;
-    }
-    throw Error(std::string("workload type '") +
-                workload_kind_name(spec.kind) + "' cannot sweep '" +
-                parameter + "' (sweepable: " + (list.empty() ? "none" : list) +
-                ")");
-  }
+  require_sweepable(spec.kind, parameter);
+  require(parameter != "family",
+          "sweep: 'family' takes family names, not integers");
   require(value >= 0, "sweep: negative value for '" + parameter + "'");
   if (parameter == "tasks") {
     require(value >= 2, "sweep: 'tasks' must be >= 2");
@@ -198,6 +185,15 @@ void apply_sweep_value(WorkloadSpec& spec, const std::string& parameter,
     require(value >= 1, "sweep: 'width' must be >= 1");
     spec.width = static_cast<std::size_t>(value);
   }
+}
+
+void apply_sweep_value(WorkloadSpec& spec, const std::string& parameter,
+                       const std::string& value) {
+  require_sweepable(spec.kind, parameter);
+  require(parameter == "family",
+          "sweep: '" + parameter + "' takes integers, not strings");
+  workflow_family_from_name(value);  // validate eagerly
+  spec.family = value;
 }
 
 TaskGraph materialize_workload(const WorkloadSpec& spec, Rng& rng,
@@ -230,7 +226,7 @@ TaskGraph materialize_workload(const WorkloadSpec& spec, Rng& rng,
     }
     case WorkloadKind::Workflow: {
       WorkflowInstance inst = generate_workflow(
-          family_from_string(spec.family), spec.width, *source);
+          workflow_family_from_name(spec.family), spec.width, *source);
       tg.dag = std::move(inst.dag);
       tg.attrs = std::move(inst.attrs);
       break;

@@ -20,10 +20,11 @@
 ///  * "graph"     — a committed spmap task-graph JSON (graph/io.hpp
 ///                  format): `path`.
 ///
-/// Sweeps (scenario `sweep` axis) override one integer parameter per sweep
-/// point: `tasks`, `extra_edges`, or `width`, depending on the kind.
-/// Unknown keys, keys inapplicable to the kind, unknown kinds and
-/// out-of-range values throw spmap::Error naming what is accepted.
+/// Sweeps (scenario `sweep` axis) override one parameter per sweep point:
+/// the integers `tasks`, `extra_edges` or `width`, or the workflow
+/// `family` name, depending on the kind. Unknown keys, keys inapplicable
+/// to the kind, unknown kinds and out-of-range values throw spmap::Error
+/// naming what is accepted.
 ///
 /// ## Thread-safety
 ///
@@ -77,14 +78,20 @@ WorkloadSpec workload_from_json(const Json& doc);
 /// Serializes; workload_from_json(workload_to_json(w)) reproduces w.
 Json workload_to_json(const WorkloadSpec& spec);
 
-/// Sweepable integer parameters of this kind ("tasks", "extra_edges",
-/// "width"), for sweep-axis validation.
+/// Sweepable parameters of this kind ("tasks", "extra_edges", "width",
+/// "family"), for sweep-axis validation.
 std::vector<std::string> sweepable_parameters(WorkloadKind kind);
 
-/// Overrides one sweep parameter. Throws spmap::Error on a parameter the
-/// kind does not sweep, listing what it does.
+/// Overrides one integer sweep parameter. Throws spmap::Error on a
+/// parameter the kind does not sweep, listing what it does, and on
+/// "family", which takes names.
 void apply_sweep_value(WorkloadSpec& spec, const std::string& parameter,
                        std::int64_t value);
+
+/// Overrides the string sweep parameter "family" (workflow kind only).
+/// Throws spmap::Error on any other parameter and on an unknown family.
+void apply_sweep_value(WorkloadSpec& spec, const std::string& parameter,
+                       const std::string& value);
 
 /// Generates (or loads) one task-graph instance. `instance` distinguishes
 /// repetitions when the spec pins its own seed; `base_dir` resolves

@@ -2,7 +2,7 @@
 /// exit 0 = success, 1 = runtime failure (diagnostics on stderr),
 /// 2 = usage error. Enforced two ways: statically, by grepping the tool
 /// sources (via SPMAP_SOURCE_DIR) for convention violations, and
-/// behaviorally, by running the built spmap_cli (via SPMAP_CLI_PATH)
+/// behaviorally, by running every built binary (via SPMAP_CONTRACT_BINARIES)
 /// against bad invocations and checking the codes.
 
 #include <gtest/gtest.h>
@@ -84,15 +84,13 @@ TEST(CliContractSource, DiagnosticsGoToStderr) {
   }
 }
 
-// ---- behavioral audit of the built binary ----------------------------------
+// ---- behavioral audit of the built binaries --------------------------------
 
-#ifdef SPMAP_CLI_PATH
-
-/// Runs the CLI with stdout/stderr redirected; returns the exit code.
-int run_cli(const std::string& arguments, const std::string& stdout_file,
-            const std::string& stderr_file) {
-  const std::string command = std::string(SPMAP_CLI_PATH) + " " + arguments +
-                              " >" + stdout_file + " 2>" + stderr_file;
+/// Runs a tool with stdout/stderr redirected; returns the exit code.
+int run_tool(const std::string& binary, const std::string& arguments,
+             const std::string& stdout_file, const std::string& stderr_file) {
+  const std::string command = binary + " " + arguments + " >" + stdout_file +
+                              " 2>" + stderr_file;
   const int raw = std::system(command.c_str());
   EXPECT_TRUE(WIFEXITED(raw)) << command;
   return WEXITSTATUS(raw);
@@ -100,40 +98,70 @@ int run_cli(const std::string& arguments, const std::string& stdout_file,
 
 struct CliCase {
   const char* name;
+  std::string binary;
   std::string arguments;
   int expected_exit;
 };
 
+/// The contract cases of every binary this build produced: CMake passes
+/// their paths in SPMAP_CONTRACT_BINARIES, and the two tools with cases of
+/// their own in SPMAP_CLI_PATH and SPMAP_LOADGEN_PATH.
+std::vector<CliCase> cli_cases() {
+  std::vector<CliCase> cases;
+  // Every binary: an unknown flag is a usage error.
+  std::istringstream binaries(SPMAP_CONTRACT_BINARIES);
+  for (std::string binary; std::getline(binaries, binary, '|');) {
+    cases.push_back({"unknown_flag", binary, "--bogus", 2});
+  }
+#ifdef SPMAP_CLI_PATH
+  const std::string cli = SPMAP_CLI_PATH;
+  const std::string graph = ::testing::TempDir() + "/cli_contract_graph.json";
+  cases.insert(
+      cases.end(),
+      {
+          {"no_arguments", cli, "", 2},
+          {"unknown_subcommand", cli, "frobnicate", 2},
+          {"unknown_subcommand_flag", cli, "generate --bogus 1", 2},
+          {"malformed_flag_value", cli, "generate --tasks many", 2},
+          {"sweep_unknown_flag", cli, "sweep --bogus", 2},
+          {"sweep_without_scenario", cli, "sweep", 2},
+          {"daemon_without_listen", cli, "daemon", 2},
+          {"evaluate_without_in", cli, "evaluate", 2},
+          {"decompose_without_in", cli, "decompose", 2},
+          {"map_without_in", cli, "map", 2},
+          {"import_without_wf", cli, "import", 2},
+          {"missing_input_file", cli, "evaluate --in /nonexistent.json", 1},
+          {"daemon_bad_endpoint", cli, "daemon --listen bogus^spec", 1},
+          {"generate_ok", cli,
+           "generate --type sp --tasks 6 --seed 1 --out " + graph, 0},
+      });
+#endif
+#ifdef SPMAP_LOADGEN_PATH
+  cases.push_back({"loadgen_without_endpoint", SPMAP_LOADGEN_PATH, "", 2});
+#endif
+  return cases;
+}
+
 TEST(CliContractBinary, ExitCodesMatchTheContract) {
   const std::string tmp = ::testing::TempDir();
-  const std::vector<CliCase> cases = {
-      {"no_arguments", "", 2},
-      {"unknown_subcommand", "frobnicate", 2},
-      {"unknown_flag", "generate --bogus 1", 1},
-      {"missing_input_file", "evaluate --graph /nonexistent.json "
-                             "--mapping /nonexistent.json", 1},
-      {"daemon_bad_endpoint", "daemon --listen bogus^spec", 1},
-      {"generate_ok", "generate --type sp --tasks 6 --seed 1 --out " + tmp +
-                          "/cli_contract_graph.json", 0},
-  };
-  for (const CliCase& c : cases) {
+  for (const CliCase& c : cli_cases()) {
     const std::string out = tmp + "/cli_contract_stdout";
     const std::string err = tmp + "/cli_contract_stderr";
-    EXPECT_EQ(run_cli(c.arguments, out, err), c.expected_exit) << c.name;
+    // Diagnostics are prefixed with the tool name.
+    const std::string prefix =
+        c.binary.substr(c.binary.find_last_of('/') + 1) + ":";
+    EXPECT_EQ(run_tool(c.binary, c.arguments, out, err), c.expected_exit)
+        << c.name << " (" << c.binary << ")";
     if (c.expected_exit != 0) {
       EXPECT_FALSE(read_file(err).empty())
           << c.name << ": non-zero exit must explain itself on stderr";
       // Diagnostics never leak to stdout.
-      EXPECT_EQ(read_file(out).find("spmap_cli:"), std::string::npos)
-          << c.name;
+      EXPECT_EQ(read_file(out).find(prefix), std::string::npos) << c.name;
     } else {
       // Progress notes on stderr are fine; error-prefixed lines are not.
-      EXPECT_EQ(read_file(err).find("spmap_cli:"), std::string::npos)
-          << c.name;
+      EXPECT_EQ(read_file(err).find(prefix), std::string::npos) << c.name;
     }
   }
 }
-
-#endif  // SPMAP_CLI_PATH
 
 }  // namespace

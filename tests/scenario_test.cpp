@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "bench/scenario.hpp"
 #include "bench/scenario_runner.hpp"
 #include "util/error.hpp"
@@ -87,6 +89,22 @@ TEST(WorkloadSpec, SweepParameterValidation) {
     EXPECT_NE(what.find("tasks"), std::string::npos)
         << "error should list sweepable parameters: " << what;
   }
+
+  // "family" is the one string parameter: names only, on workflows only.
+  WorkloadSpec wf =
+      workload_from_json(Json::parse(R"({"type": "workflow"})"));
+  apply_sweep_value(wf, "family", std::string("blast"));
+  EXPECT_EQ(wf.family, "blast");
+  try {
+    apply_sweep_value(wf, "family", std::string("blasst"));
+    FAIL() << "expected spmap::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("epigenomics"), std::string::npos)
+        << "error should list the families: " << e.what();
+  }
+  EXPECT_THROW(apply_sweep_value(wf, "family", 3), Error);
+  EXPECT_THROW(apply_sweep_value(sp, "tasks", std::string("64")), Error);
+  EXPECT_THROW(apply_sweep_value(sp, "family", std::string("blast")), Error);
 }
 
 TEST(WorkloadSpec, PinnedSeedIsRepetitionStableButInstanceDistinct) {
@@ -247,29 +265,48 @@ TEST(Scenario, UnknownSweepKeysFailListingAccepted) {
 }
 
 TEST(Scenario, SweepParameterMismatchFailsAtParseTime) {
-  Json doc = small_scenario_doc();
-  Json sweep = Json::object();
-  sweep.set("parameter", "width");
-  Json values = Json::array();
-  values.push_back(4);
-  sweep.set("values", std::move(values));
-  doc.set("sweep", std::move(sweep));
-  EXPECT_THROW(scenario_from_json(doc), Error);
+  const auto with_sweep = [](const char* workload, const char* sweep) {
+    Json doc = small_scenario_doc();
+    doc.set("workload", Json::parse(workload));
+    doc.set("sweep", Json::parse(sweep));
+    return doc;
+  };
+  const char* sp = R"({"type": "sp"})";
+  const char* workflow = R"({"type": "workflow", "width": 4})";
+  for (const Json& doc : {
+           with_sweep(sp, R"({"parameter": "width", "values": [4]})"),
+           with_sweep(workflow,
+                      R"({"parameter": "family", "values": ["blasst"]})"),
+           with_sweep(sp, R"({"parameter": "tasks", "values": ["10"]})"),
+           with_sweep(workflow, R"({"parameter": "family", "values": [3]})"),
+           with_sweep(workflow,
+                      R"({"parameter": "family", "values": ["blast", 3]})"),
+       }) {
+    EXPECT_THROW(scenario_from_json(doc), Error) << doc.dump();
+  }
 }
 
 TEST(Scenario, CommittedScenarioFilesLoadAndRoundTrip) {
-  for (const char* file :
-       {"/fig4_list_scheduling.json", "/fig4_local_search.json",
-        "/fig7_almost_sp.json", "/examples/fig4_small.json",
-        "/examples/montage_small.json"}) {
-    const Scenario s = load_scenario_file(scenario_dir() + file);
+  // Every committed scenario file, wherever it sits; platforms/ holds the
+  // platform files they reference.
+  std::size_t checked = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(scenario_dir())) {
+    const std::string file = entry.path().string();
+    if (!entry.is_regular_file() || entry.path().extension() != ".json" ||
+        file.find("/platforms/") != std::string::npos) {
+      continue;
+    }
+    const Scenario s = load_scenario_file(file);
     EXPECT_FALSE(s.name.empty()) << file;
     EXPECT_FALSE(s.mappers.empty()) << file;
     EXPECT_FALSE(s.platform_path.empty()) << file;  // references, not inline
     const Json once = scenario_to_json(s);
     const Scenario again = scenario_from_json(once, s.base_dir);
     EXPECT_EQ(once.dump(2), scenario_to_json(again).dump(2)) << file;
+    ++checked;
   }
+  EXPECT_GE(checked, 11u);  // the paper figures plus the examples
 }
 
 // ---- the runner ------------------------------------------------------------
@@ -280,7 +317,7 @@ std::string quality_fingerprint(const Json& results) {
   std::string out;
   for (const Json& point : results.at("results").as_array()) {
     if (point.contains("sweep_value")) {
-      out += std::to_string(point.at("sweep_value").as_int()) + ":";
+      out += point.at("sweep_value").dump() + ":";
     }
     for (const Json& m : point.at("mappers").as_array()) {
       out += m.at("name").as_string() + "=";
@@ -316,6 +353,26 @@ TEST(ScenarioRunner, SweepSmokeIsDeterministicAcrossRunsAndThreads) {
                   .as_double(),
               0.0);
   }
+
+  // A family sweep: string points, run and reported in file order.
+  Json family_doc = small_scenario_doc();
+  family_doc.set("workload", Json::parse(R"({"type": "workflow",
+                                             "width": 3})"));
+  family_doc.set("sweep", Json::parse(R"({"parameter": "family",
+      "values": ["montage", "blast", "epigenomics"]})"));
+  const Scenario families = scenario_from_json(family_doc);
+  const Json family_serial =
+      run_scenario(families, {.threads = 1, .progress = false});
+  const Json family_threaded =
+      run_scenario(families, {.threads = 3, .progress = false});
+  EXPECT_EQ(quality_fingerprint(family_serial),
+            quality_fingerprint(family_threaded));
+  std::vector<std::string> order;
+  for (const Json& point : family_serial.at("results").as_array()) {
+    order.push_back(point.at("sweep_value").as_string());
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"montage", "blast",
+                                             "epigenomics"}));
 }
 
 TEST(ScenarioRunner, SeedChangesResults) {

@@ -10,7 +10,8 @@
 ///                     The diagnostic goes to **stderr**; stdout stays
 ///                     machine-parseable.
 ///   kExitUsage (2)    the invocation itself is wrong (unknown
-///                     subcommand, missing required flag)
+///                     subcommand, unknown flag, malformed flag value,
+///                     missing required flag: a spmap::UsageError)
 ///
 /// Tools must return these named constants, never bare integer literals,
 /// so the contract is greppable.

@@ -60,7 +60,6 @@
 #include "exit_codes.hpp"
 #include "serve/daemon.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "mappers/registry.hpp"
 #include "sched/schedule.hpp"
@@ -71,7 +70,7 @@
 #include "util/fs.hpp"
 #include "util/table.hpp"
 #include "workflows/wfcommons.hpp"
-#include "workflows/workflows.hpp"
+#include "workflows/workload_spec.hpp"
 
 using namespace spmap;
 using spmap::cli::kExitFailure;
@@ -162,13 +161,6 @@ void write_output(const std::string& path, const std::string& content) {
   out << content;
 }
 
-WorkflowFamily family_by_name(const std::string& name) {
-  for (const WorkflowFamily f : all_workflow_families()) {
-    if (name == workflow_family_name(f)) return f;
-  }
-  throw Error("unknown workflow family: " + name);
-}
-
 int cmd_generate(int argc, char** argv) {
   const Flags flags(argc, argv,
                     {"type", "tasks", "extra-edges", "family", "width",
@@ -176,30 +168,25 @@ int cmd_generate(int argc, char** argv) {
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
   const std::string type = flags.get("type", "sp");
 
-  Dag dag;
-  TaskAttrs attrs;
+  WorkloadSpec workload;
   if (type == "sp" || type == "almost-sp") {
-    const auto tasks = static_cast<std::size_t>(flags.get_int("tasks", 30));
-    dag = generate_sp_dag(tasks, rng);
+    workload.kind = type == "sp" ? WorkloadKind::Sp : WorkloadKind::AlmostSp;
+    workload.tasks = static_cast<std::size_t>(flags.get_int("tasks", 30));
     if (type == "almost-sp") {
-      const auto extra =
+      workload.extra_edges =
           static_cast<std::size_t>(flags.get_int("extra-edges", 10));
-      dag = add_random_edges(dag, extra, rng);
     }
-    attrs = random_task_attrs(dag, rng);
   } else if (type == "workflow") {
-    const auto width = static_cast<std::size_t>(flags.get_int("width", 12));
-    WorkflowInstance inst =
-        generate_workflow(family_by_name(flags.get("family", "montage")),
-                          width, rng);
-    dag = std::move(inst.dag);
-    attrs = std::move(inst.attrs);
+    workload.kind = WorkloadKind::Workflow;
+    workload.family = flags.get("family", "montage");
+    workload.width = static_cast<std::size_t>(flags.get_int("width", 12));
   } else {
     throw Error("unknown --type: " + type);
   }
-  write_output(flags.get("out", ""), to_json(dag, attrs) + "\n");
-  std::fprintf(stderr, "generated %zu tasks, %zu edges\n", dag.node_count(),
-               dag.edge_count());
+  const TaskGraph tg = materialize_workload(workload, rng);
+  write_output(flags.get("out", ""), to_json(tg.dag, tg.attrs) + "\n");
+  std::fprintf(stderr, "generated %zu tasks, %zu edges\n",
+               tg.dag.node_count(), tg.dag.edge_count());
   return kExitOk;
 }
 
@@ -207,7 +194,7 @@ int cmd_import(int argc, char** argv) {
   const Flags flags(argc, argv, {"wf", "seed", "out"});
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
   const TaskGraph tg =
-      import_wfcommons_json(read_file(flags.get("wf", "")), rng);
+      import_wfcommons_json(read_file(flags.get_required("wf")), rng);
   write_output(flags.get("out", ""), to_json(tg.dag, tg.attrs) + "\n");
   std::fprintf(stderr, "imported %zu tasks, %zu edges\n",
                tg.dag.node_count(), tg.dag.edge_count());
@@ -216,7 +203,8 @@ int cmd_import(int argc, char** argv) {
 
 int cmd_decompose(int argc, char** argv) {
   const Flags flags(argc, argv, {"in", "seed", "dot"});
-  const TaskGraph tg = task_graph_from_json(read_file(flags.get("in", "")));
+  const TaskGraph tg =
+      task_graph_from_json(read_file(flags.get_required("in")));
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
   if (flags.get_bool("dot", false)) {
     std::fputs(to_dot(tg.dag).c_str(), stdout);
@@ -288,7 +276,8 @@ int cmd_map(int argc, char** argv) {
                     {"in", "mapper", "seed", "gantt", "schedule-json",
                      "random-orders", "deadline-ms", "max-evals",
                      "max-iters", "cancel-after-ms"});
-  const TaskGraph tg = task_graph_from_json(read_file(flags.get("in", "")));
+  const TaskGraph tg =
+      task_graph_from_json(read_file(flags.get_required("in")));
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 1)));
   const Platform platform = reference_platform();
   const CostModel cost(tg.dag, tg.attrs, platform);
@@ -357,10 +346,7 @@ int run_scenario_command(int argc, char** argv, bool serve) {
   const Flags flags(argc, argv,
                     {"scenario", "out", serve ? "jobs" : "threads", "seed",
                      "repetitions", "cache-entries", "cache-bytes", "quiet"});
-  const std::string path = flags.get("scenario", "");
-  require(!path.empty(),
-          std::string(cmd) + ": --scenario FILE is required");
-  Scenario scenario = load_scenario_file(path);
+  Scenario scenario = load_scenario_file(flags.get_required("scenario"));
   if (flags.has("seed")) {
     scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   }
@@ -387,13 +373,15 @@ int run_scenario_command(int argc, char** argv, bool serve) {
   require(cache_bytes >= 0, std::string(cmd) + ": --cache-bytes must be >= 0");
   options.cache_bytes = static_cast<std::size_t>(cache_bytes);
 
+  const Json results = run_scenario(scenario, options);
   const std::string out = flags.get("out", "");
   if (out.empty()) {
     // No --out: the results document is the output (pipe-friendly).
-    const Json results = run_scenario(scenario, options);
     write_output("", results.dump(2) + "\n");
   } else {
-    run_report_write(scenario, options, out, std::cout);
+    print_sweep_tables(results, std::cout);
+    write_output(out, results.dump(2) + "\n");
+    std::fprintf(stderr, "wrote %s\n", out.c_str());
   }
   return kExitOk;
 }
@@ -408,7 +396,8 @@ int cmd_serve(int argc, char** argv) {
 
 int cmd_evaluate(int argc, char** argv) {
   const Flags flags(argc, argv, {"in", "mapping", "random-orders"});
-  const TaskGraph tg = task_graph_from_json(read_file(flags.get("in", "")));
+  const TaskGraph tg =
+      task_graph_from_json(read_file(flags.get_required("in")));
   const Platform platform = reference_platform();
   const CostModel cost(tg.dag, tg.attrs, platform);
   const auto orders =
@@ -450,12 +439,8 @@ int cmd_daemon(int argc, char** argv) {
                      "grace-ms", "seed", "journal", "retention",
                      "resume-window-s", "cache-entries", "cache-bytes",
                      "failpoints", "quiet"});
-  const std::string listen = flags.get("listen", "");
-  require(!listen.empty(),
-          "daemon: --listen ENDPOINT is required (unix:PATH or "
-          "tcp:HOST:PORT)");
   DaemonOptions options;
-  options.endpoint = Endpoint::parse(listen);
+  options.endpoint = Endpoint::parse(flags.get_required("listen"));
   const std::int64_t workers = flags.get_int("workers", 2);
   require(workers >= 1, "daemon: --workers must be >= 1");
   options.workers = static_cast<std::size_t>(workers);
@@ -519,6 +504,9 @@ int main(int argc, char** argv) {
     if (cmd == "serve") return cmd_serve(argc - 1, argv + 1);
     if (cmd == "daemon") return cmd_daemon(argc - 1, argv + 1);
     if (cmd == "list-mappers") return cmd_list_mappers(argc - 1, argv + 1);
+  } catch (const UsageError& ex) {
+    std::fprintf(stderr, "spmap_cli: %s\n", ex.what());
+    return kExitUsage;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "spmap_cli: %s\n", ex.what());
     return kExitFailure;

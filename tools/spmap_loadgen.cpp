@@ -218,6 +218,9 @@ int main(int argc, char** argv) {
       return kExitFailure;
     }
     return kExitOk;
+  } catch (const UsageError& ex) {
+    std::fprintf(stderr, "spmap_loadgen: %s\n", ex.what());
+    return kExitUsage;
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "spmap_loadgen: %s\n", ex.what());
     return kExitFailure;
