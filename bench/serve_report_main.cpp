@@ -44,8 +44,8 @@
 ///        "duration_s": ..., "max_queued": 4, ...same fields...,
 ///        "rejected": N},          // > 0: the shed path was exercised
 ///       {"name": "warm_cache_repeat", "distinct": K, ...same fields...,
-///        "cache_hits": ..., "cache_warm": ..., "cache_misses": ...,
-///        "cache_none": ..., "cache_hit_rate": ...}
+///        "cache_hits": ..., "cache_misses": ..., "cache_none": ...,
+///        "cache_hit_rate": ...}
 ///     ]
 ///   }
 
@@ -126,7 +126,6 @@ void report_run(Json& results, const char* name, const LoadgenOptions& options,
   if (options.distinct > 0) {
     row.set("distinct", options.distinct);
     row.set("cache_hits", report.cache_hits);
-    row.set("cache_warm", report.cache_warm);
     row.set("cache_misses", report.cache_misses);
     row.set("cache_none", report.cache_none);
     row.set("cache_hit_rate",

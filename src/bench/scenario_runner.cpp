@@ -213,7 +213,6 @@ Json run_scenario(const Scenario& scenario, const SweepRunOptions& options) {
     doc.set("cache_entries_limit", options.cache_entries);
     doc.set("cache_hits", service_stats.cache_hits);
     doc.set("cache_misses", service_stats.cache_misses);
-    doc.set("cache_warm", service_stats.cache_warm);
     doc.set("cache_inserts", cache_stats.inserts);
     doc.set("cache_evictions", cache_stats.evictions);
     doc.set("cache_resident_entries", cache_stats.entries);

@@ -66,7 +66,6 @@ RestartResult run_hillclimb(IncrementalEvaluator& inc, std::size_t devices,
     if (probed < best) {
       best = probed;
       inc.apply(move);
-      inc.commit();
       note_incumbent(control, r, best, i + 1);
     }
   }
@@ -101,7 +100,6 @@ RestartResult run_anneal(IncrementalEvaluator& inc, std::size_t devices,
     if (accept) {
       current = probed;
       inc.apply(move);
-      inc.commit();
       if (current < r.makespan) {
         r.makespan = current;
         r.mapping = inc.mapping();
@@ -151,7 +149,6 @@ RestartResult run_tabu(IncrementalEvaluator& inc, std::size_t devices,
     }
     if (!have_move || best_probed >= kInfeasible) continue;
     inc.apply(best_move);
-    inc.commit();
     tabu_until[best_move.node.v] = round + tenure;
     if (best_probed < r.makespan) {
       r.makespan = best_probed;
@@ -189,52 +186,28 @@ MapReport LocalSearchMapper::map(const Evaluator& eval,
   const std::size_t devices = eval.cost().platform().device_count();
   const std::size_t evals_before = eval.evaluation_count();
 
-  // A warm-start seed (MapRequest::warm_start, offered by the result
-  // cache's incumbent index) replaces the init run entirely: the search
-  // starts from the known-good mapping, re-priced by this run's own
-  // evaluator. The seed-wins-ties comparison at the end then guarantees
-  // the run never reports worse than the warm seed. Mis-sized or
-  // out-of-range warm mappings are ignored, falling back to init=.
-  const Mapping* warm = request.warm_start.get();
-  bool warm_ok = warm != nullptr && warm->size() == n && n > 0;
-  if (warm_ok) {
-    for (DeviceId d : warm->device) {
-      if (!d.valid() || d.v >= devices) {
-        warm_ok = false;
-        break;
-      }
-    }
+  // The init run shares the deadline window, the cancel token and the
+  // evaluation budget (a seed that overruns any of them must stop too;
+  // whatever the init consumes is deducted from the search's allotment
+  // below). The *iteration* budget stays with the search: probes and init
+  // iterations (tasks placed, generations) are different units. A pinned
+  // per-run seed pins the init too (derived stream, so a stochastic init=
+  // does not correlate with the search rng).
+  MapRequest init_request;
+  if (request.deadline_ms > 0.0) {
+    init_request.deadline_ms = std::max(
+        0.001, request.deadline_ms - control.elapsed_seconds() * 1e3);
   }
-  MapReport seed;
-  if (warm_ok) {
-    seed.mapping = *warm;
-    seed.predicted_makespan = eval.evaluate(seed.mapping);
-    seed.iterations = 0;
-    seed.termination = TerminationReason::kConverged;
-  } else {
-    // The init run shares the deadline window, the cancel token and the
-    // evaluation budget (a seed that overruns any of them must stop too;
-    // whatever the init consumes is deducted from the search's allotment
-    // below). The *iteration* budget stays with the search: probes and
-    // init iterations (tasks placed, generations) are different units. A
-    // pinned per-run seed pins the init too (derived stream, so a
-    // stochastic init= does not correlate with the search rng).
-    MapRequest init_request;
-    if (request.deadline_ms > 0.0) {
-      init_request.deadline_ms = std::max(
-          0.001, request.deadline_ms - control.elapsed_seconds() * 1e3);
-    }
-    init_request.max_evaluations = request.max_evaluations;
-    if (request.seed.has_value()) {
-      init_request.seed = *request.seed ^ 0x9e3779b97f4a7c15ULL;
-    }
-    init_request.cancel = request.cancel;
-    init_request.pool = request.pool;
-    // Like every explicit-request driver, fold in the bounds baked into
-    // the init= sub-spec (e.g. init=nsga:deadline_ms=20).
-    seed = init_->map(
-        eval, merge_run_bounds(init_->default_request(), init_request));
+  init_request.max_evaluations = request.max_evaluations;
+  if (request.seed.has_value()) {
+    init_request.seed = *request.seed ^ 0x9e3779b97f4a7c15ULL;
   }
+  init_request.cancel = request.cancel;
+  init_request.pool = request.pool;
+  // Like every explicit-request driver, fold in the bounds baked into the
+  // init= sub-spec (e.g. init=nsga:deadline_ms=20).
+  MapReport seed = init_->map(
+      eval, merge_run_bounds(init_->default_request(), init_request));
 
   const std::size_t iterations =
       params_.iterations != 0 ? params_.iterations : 50 * std::max<std::size_t>(n, 1);

@@ -19,7 +19,6 @@ const char* to_string(CacheOutcome outcome) {
     case CacheOutcome::kNone: return "none";
     case CacheOutcome::kMiss: return "miss";
     case CacheOutcome::kHit: return "hit";
-    case CacheOutcome::kWarm: return "warm";
   }
   return "unknown";
 }

@@ -77,11 +77,9 @@ enum class CacheOutcome {
   kHit,   ///< Served from the memo without occupying a worker. Every
           ///< other field is bit-identical to recomputation (wall-clock
           ///< fields report the *original* run).
-  kWarm,  ///< Executed, but a cached incumbent for the same problem was
-          ///< offered as the warm-start seed (opt-in; see MapRequest).
 };
 
-/// Stable lower-case label ("none", "miss", "hit", "warm").
+/// Stable lower-case label ("none", "miss", "hit").
 const char* to_string(CacheOutcome outcome);
 
 /// Cooperative cancellation flag, shared between a run and its observers.
@@ -161,16 +159,6 @@ struct MapRequest {
   /// mappers may replay the winning trajectory at the end of the run
   /// instead of interleaving callbacks (see each mapper's contract).
   std::function<void(const IncumbentRecord&)> on_incumbent;
-  /// Optional warm-start seed: a known-good mapping for the same
-  /// (graph, platform). The local-search family uses it as the search
-  /// seed *instead of* running its init= mapper (the seed still wins
-  /// ties, so the run never reports worse than this mapping as evaluated
-  /// by the run's own evaluator); other mappers ignore it. Deliberately
-  /// opt-in everywhere: a warm seed changes results relative to a cold
-  /// run, so determinism-sensitive drivers (scenario sweeps, the cache's
-  /// bit-identity contract) never set it. Ignored if not sized for the
-  /// graph. The mapping must stay alive and unchanged for the whole run.
-  std::shared_ptr<const Mapping> warm_start;
 
   bool has_budget() const { return max_evaluations || max_iterations; }
 };

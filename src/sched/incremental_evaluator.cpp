@@ -186,7 +186,6 @@ void IncrementalEvaluator::shift_move_uses(std::uint32_t node,
 double IncrementalEvaluator::reset(const Mapping& mapping) {
   SPMAP_ASSERT(mapping.size() == n_);
   mapping_ = mapping;
-  frames_.clear();
   apply_count_ = 0;
   probe_count_ = 0;
   full_recording_sweep();
@@ -363,38 +362,26 @@ bool IncrementalEvaluator::can_stop(std::size_t p) const {
   return true;
 }
 
-void IncrementalEvaluator::patch_tail_checkpoints(std::size_t p,
-                                                  UndoFrame& frame) {
+void IncrementalEvaluator::patch_tail_checkpoints(std::size_t p) {
   if (diff_device_count_ == 0) return;
   // The diverged devices are unused from p to the end, so the new sweep's
   // state for them is frozen at the current values — write those into every
   // remaining checkpoint so later reconstructions see the new truth.
-  const std::size_t row = s_total_ + m_;
   for (std::size_t c = (p + kStride - 1) / kStride; c < blocks_; ++c) {
     double* ck = checkpoint(c);
     for (const std::uint32_t dev : diff_list_) {
       if (slot_differs_[dev]) {
-        for (std::size_t i = t_->slot_offset[dev];
-             i < t_->slot_offset[dev + 1]; ++i) {
-          if (ck[i] != cur_slot_[i]) {
-            frame.ck_cells.emplace_back(
-                static_cast<std::uint32_t>(c * row + i), ck[i]);
-            ck[i] = cur_slot_[i];
-          }
-        }
+        std::copy(cur_slot_.begin() + t_->slot_offset[dev],
+                  cur_slot_.begin() + t_->slot_offset[dev + 1],
+                  ck + t_->slot_offset[dev]);
       }
-      if (link_differs_[dev] && ck[s_total_ + dev] != cur_link_[dev]) {
-        frame.ck_cells.emplace_back(
-            static_cast<std::uint32_t>(c * row + s_total_ + dev),
-            ck[s_total_ + dev]);
-        ck[s_total_ + dev] = cur_link_[dev];
-      }
+      if (link_differs_[dev]) ck[s_total_ + dev] = cur_link_[dev];
     }
   }
 }
 
 template <bool kProbe>
-bool IncrementalEvaluator::step(std::size_t p, UndoFrame* frame) {
+bool IncrementalEvaluator::step(std::size_t p) {
   const PlanNode pn = (*plan_)[p];
   const std::uint32_t u = pn.node;
   const std::uint32_t d = mapping_.device[u].v;
@@ -461,16 +448,13 @@ bool IncrementalEvaluator::step(std::size_t p, UndoFrame* frame) {
     }
     if constexpr (!kProbe) {
       const std::uint8_t new_xfer = xfer ? 1 : 0;
-      if (new_xfer != edge_xfer_[k] || (xfer && arrival != edge_arrival_[k])) {
-        frame->edges.push_back({k, edge_xfer_[k], edge_arrival_[k]});
-        if (new_xfer != edge_xfer_[k]) {
-          // A flipped transfer flag moves this edge's link-use contribution.
-          bump_link_use(p, ds, xfer);
-          bump_link_use(p, d, xfer);
-        }
+      if (new_xfer != edge_xfer_[k]) {
+        // A flipped transfer flag moves this edge's link-use contribution.
+        bump_link_use(p, ds, xfer);
+        bump_link_use(p, d, xfer);
         edge_xfer_[k] = new_xfer;
-        edge_arrival_[k] = arrival;
       }
+      edge_arrival_[k] = arrival;
       if (xfer) {
         ++seen_link_[ds];
         ++seen_link_[d];
@@ -503,7 +487,6 @@ bool IncrementalEvaluator::step(std::size_t p, UndoFrame* frame) {
   } else {
     const std::uint8_t st = nt.streamed ? 1 : 0;
     if (st != streamed_[p]) {
-      frame->streams.push_back({static_cast<std::uint32_t>(p), streamed_[p]});
       bump_slot_use(p, d, st == 0);  // slot use appears when streaming stops
       streamed_[p] = st;
     }
@@ -512,7 +495,6 @@ bool IncrementalEvaluator::step(std::size_t p, UndoFrame* frame) {
   if (!nt.streamed) touch_slot_device(d);
   if (nt.start != start_[u] || nt.finish != finish_[u]) {
     if constexpr (!kProbe) {
-      frame->times.push_back({u, start_[u], finish_[u]});
       start_[u] = nt.start;
       finish_[u] = nt.finish;
     }
@@ -527,16 +509,8 @@ bool IncrementalEvaluator::step(std::size_t p, UndoFrame* frame) {
   return true;
 }
 
-void IncrementalEvaluator::snapshot_checkpoint(std::size_t c,
-                                               UndoFrame& frame) {
+void IncrementalEvaluator::snapshot_checkpoint(std::size_t c) {
   double* ck = checkpoint(c);
-  const bool same =
-      std::equal(cur_slot_.begin(), cur_slot_.end(), ck) &&
-      std::equal(cur_link_.begin(), cur_link_.end(), ck + s_total_);
-  if (same) return;
-  frame.checkpoints.emplace_back(
-      static_cast<std::uint32_t>(c),
-      std::vector<double>(ck, ck + s_total_ + m_));
   std::copy(cur_slot_.begin(), cur_slot_.end(), ck);
   std::copy(cur_link_.begin(), cur_link_.end(), ck + s_total_);
 }
@@ -554,41 +528,27 @@ void IncrementalEvaluator::update_area(std::uint32_t device, double delta) {
   if (was_over != now_over) over_budget_count_ += now_over ? 1 : -1;
 }
 
-void IncrementalEvaluator::move_area(UndoFrame& frame, NodeId node,
-                                     std::uint32_t from, std::uint32_t to) {
+void IncrementalEvaluator::move_area(NodeId node, std::uint32_t from,
+                                     std::uint32_t to) {
   if (!t_->is_fpga[from] && !t_->is_fpga[to]) return;
   const double area = eval_->cost().area(node);
-  if (t_->is_fpga[from]) {
-    frame.areas.emplace_back(from, area_used_[from]);
-    update_area(from, -area);
-  }
-  if (t_->is_fpga[to]) {
-    frame.areas.emplace_back(to, area_used_[to]);
-    update_area(to, area);
-  }
+  if (t_->is_fpga[from]) update_area(from, -area);
+  if (t_->is_fpga[to]) update_area(to, area);
 }
 
 double IncrementalEvaluator::apply(TaskReassignment move) {
   SPMAP_ASSERT(move.node.v < n_);
   SPMAP_ASSERT(move.device.v < m_);
   ++apply_count_;
-  spare_.reset_keep_capacity();
-  frames_.push_back(std::move(spare_));
-  spare_ = UndoFrame{};
-  UndoFrame& frame = frames_.back();
-  frame.node = move.node.v;
-  frame.old_device = mapping_.device[move.node.v].v;
-  frame.old_makespan = makespan_value_;
-  frame.old_over_budget = over_budget_count_;
-  if (move.device.v == frame.old_device) return makespan();
-  frame.noop = false;
+  const std::uint32_t old_dev = mapping_.device[move.node.v].v;
+  if (move.device.v == old_dev) return makespan();
 
   mapping_.device[move.node.v] = move.device;
-  shift_move_uses(move.node.v, frame.old_device, move.device.v);
-  move_area(frame, move.node, frame.old_device, move.device.v);
+  shift_move_uses(move.node.v, old_dev, move.device.v);
+  move_area(move.node, old_dev, move.device.v);
 
   moved_ = move.node.v;
-  moved_old_dev_ = frame.old_device;
+  moved_old_dev_ = old_dev;
   const std::size_t p0 = pos_[moved_];
   reconstruct_state(p0, true);
   limit_ = last_consumer_pos_[moved_];
@@ -599,21 +559,17 @@ double IncrementalEvaluator::apply(TaskReassignment move) {
   // Stop once nothing ahead can read any remaining divergence: the rest of
   // the sweep reproduces its committed values verbatim.
   for (; p < n_ && !can_stop(p); ++p) {
-    if (p % kStride == 0) snapshot_checkpoint(p / kStride, frame);
-    step<false>(p, &frame);
+    if (p % kStride == 0) snapshot_checkpoint(p / kStride);
+    step<false>(p);
     run_max = std::max(run_max, finish_[plan[p].node]);
-    if (prefix_max_[p] != run_max) {
-      frame.prefix.emplace_back(static_cast<std::uint32_t>(p), prefix_max_[p]);
-      prefix_max_[p] = run_max;
-    }
+    prefix_max_[p] = run_max;
   }
-  if (p < n_) patch_tail_checkpoints(p, frame);
+  if (p < n_) patch_tail_checkpoints(p);
   // Early exit: the remaining times stand, but the running max still has to
   // be folded forward until it rejoins the committed prefix-max curve.
   for (; p < n_; ++p) {
     const double folded = std::max(run_max, finish_[plan[p].node]);
     if (folded == prefix_max_[p]) break;
-    frame.prefix.emplace_back(static_cast<std::uint32_t>(p), prefix_max_[p]);
     prefix_max_[p] = folded;
     run_max = folded;
   }
@@ -742,7 +698,7 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
       break;
     }
     ++replayed;
-    recomputed += step<true>(p, nullptr) ? 1 : 0;
+    recomputed += step<true>(p) ? 1 : 0;
     run_max = std::max(run_max, overlay.finish_of(plan[p].node));
   }
   // Read-only fold: past the stop point every time is committed, so the
@@ -771,65 +727,5 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
   mapping_.device[move.node.v] = DeviceId(old_dev);
   return over == 0 ? run_max : kInfeasible;
 }
-
-void IncrementalEvaluator::undo() {
-  require(!frames_.empty(), "IncrementalEvaluator::undo: empty undo stack");
-  UndoFrame& frame = frames_.back();
-  makespan_value_ = frame.old_makespan;
-  over_budget_count_ = frame.old_over_budget;
-  if (!frame.noop) {
-    // Reverse the step-level mutations first (the use-count bookkeeping of
-    // the records was done under the post-move mapping), then the move.
-    for (auto it = frame.times.rbegin(); it != frame.times.rend(); ++it) {
-      start_[it->node] = it->start;
-      finish_[it->node] = it->finish;
-    }
-    for (auto it = frame.streams.rbegin(); it != frame.streams.rend(); ++it) {
-      const std::uint32_t p = it->first;
-      bump_slot_use(p, mapping_.device[(*plan_)[p].node].v, it->second == 0);
-      streamed_[p] = it->second;
-    }
-    for (auto it = frame.edges.rbegin(); it != frame.edges.rend(); ++it) {
-      if (it->xfer != edge_xfer_[it->k]) {
-        const FlatGraph& flat = t_->flat;
-        std::uint32_t dst = 0;
-        // in-edge slot k belongs to the consumer whose span contains k; the
-        // consumer is recoverable from the flat graph's in_edge -> Dag edge.
-        const EdgeId e = flat.in_edge(it->k);
-        dst = eval_->cost().dag().dst(e).v;
-        const std::uint32_t src = eval_->cost().dag().src(e).v;
-        const bool add = it->xfer != 0;
-        bump_link_use(pos_[dst], mapping_.device[src].v, add);
-        bump_link_use(pos_[dst], mapping_.device[dst].v, add);
-      }
-      edge_xfer_[it->k] = it->xfer;
-      edge_arrival_[it->k] = it->arrival;
-    }
-    for (auto it = frame.prefix.rbegin(); it != frame.prefix.rend(); ++it) {
-      prefix_max_[it->first] = it->second;
-    }
-    for (auto it = frame.checkpoints.rbegin(); it != frame.checkpoints.rend();
-         ++it) {
-      std::copy(it->second.begin(), it->second.end(), checkpoint(it->first));
-    }
-    for (auto it = frame.ck_cells.rbegin(); it != frame.ck_cells.rend();
-         ++it) {
-      checkpoints_[it->first] = it->second;
-    }
-    for (auto it = frame.areas.rbegin(); it != frame.areas.rend(); ++it) {
-      area_used_[it->first] = it->second;
-    }
-    shift_move_uses(frame.node, mapping_.device[frame.node].v,
-                    frame.old_device);
-    mapping_.device[frame.node] = DeviceId(frame.old_device);
-  }
-  // Recycle the frame's storage for the next apply (probe loops allocate
-  // nothing in steady state).
-  spare_ = std::move(frame);
-  spare_.reset_keep_capacity();
-  frames_.pop_back();
-}
-
-void IncrementalEvaluator::commit() { frames_.clear(); }
 
 }  // namespace spmap

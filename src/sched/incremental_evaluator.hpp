@@ -11,9 +11,9 @@
 /// `apply(TaskReassignment)` re-propagates finish times only from the first
 /// affected position of the walk order, skipping every node whose inputs
 /// are untouched and terminating as soon as the perturbation has been
-/// absorbed (typically at the next series join of the graph). An undo stack
-/// records exactly the entries each apply changed, so a search can
-/// speculatively probe and roll back in O(affected suffix).
+/// absorbed (typically at the next series join of the graph). `apply`
+/// rewrites the committed records in place; a search prices candidates with
+/// the read-only `probe` and applies only the moves it accepts.
 ///
 /// ## Exactness
 ///
@@ -30,7 +30,7 @@
 /// "state has re-converged to the baseline" detectable by an elementwise
 /// compare, which is what bounds the affected suffix.
 /// `tests/property_incremental_test.cpp` asserts the three-way agreement
-/// after every apply/undo over randomized reassignment sequences.
+/// after every apply and probe over randomized reassignment sequences.
 ///
 /// ## Feasibility
 ///
@@ -123,31 +123,19 @@ class IncrementalEvaluator {
   explicit IncrementalEvaluator(const Evaluator& eval,
                                 std::size_t order_index = 0);
 
-  /// Loads `mapping` with one full recording sweep (O(V + E)) and clears
-  /// the undo stack. Returns `makespan()`.
+  /// Loads `mapping` with one full recording sweep (O(V + E)). Returns
+  /// `makespan()`.
   double reset(const Mapping& mapping);
 
   /// Reassigns one task and re-propagates times from the first affected
-  /// position. Pushes one undo frame (a no-op move pushes an empty frame,
-  /// so apply/undo always pair). Returns `makespan()`.
+  /// position, rewriting the committed state in place. Returns `makespan()`.
   double apply(TaskReassignment move);
 
-  /// The makespan the move *would* produce, leaving the state untouched —
-  /// exactly apply() followed by undo(), but trace-free: recomputed times
-  /// go to an epoch-tagged overlay and nothing is recorded or rolled back,
-  /// so a rejected candidate costs only the replay itself. The returned
-  /// value is bit-identical to what apply() would return.
+  /// The makespan the move *would* produce, leaving the state untouched:
+  /// recomputed times go to an epoch-tagged overlay and nothing committed is
+  /// written, so a rejected candidate costs only the replay itself. The
+  /// returned value is bit-identical to what apply() would return.
   double probe(TaskReassignment move);
-
-  /// Rolls back the most recent un-undone apply(). Requires `depth() > 0`.
-  void undo();
-
-  /// Accepts all applied moves: clears the undo stack (state is kept).
-  /// Bounds undo-stack memory in long accept-heavy searches.
-  void commit();
-
-  /// Undo frames currently on the stack.
-  std::size_t depth() const { return frames_.size(); }
 
   /// Makespan of the current mapping under the bound schedule order;
   /// `kInfeasible` while any FPGA area budget is exceeded (matching
@@ -208,49 +196,6 @@ class IncrementalEvaluator {
   static constexpr std::size_t kDensityDecayEvery = 64;
   static constexpr std::size_t kDensityRefreshEvery = 64;
 
-  struct UndoFrame {
-    std::uint32_t node = 0;
-    std::uint32_t old_device = 0;
-    double old_makespan = 0.0;
-    int old_over_budget = 0;
-    bool noop = true;
-    /// Old start/finish of every node whose times changed.
-    struct TimeRec {
-      std::uint32_t node;
-      double start, finish;
-    };
-    std::vector<TimeRec> times;
-    /// Old streamed flag of every position whose flag flipped.
-    std::vector<std::pair<std::uint32_t, std::uint8_t>> streams;
-    /// Old transfer record of every in-edge slot whose record changed.
-    struct EdgeRec {
-      std::uint32_t k;
-      std::uint8_t xfer;
-      double arrival;
-    };
-    std::vector<EdgeRec> edges;
-    /// Old prefix-max entries.
-    std::vector<std::pair<std::uint32_t, double>> prefix;
-    /// Old checkpoint blocks (index, S + D doubles).
-    std::vector<std::pair<std::uint32_t, std::vector<double>>> checkpoints;
-    /// Old single checkpoint cells (flat index into checkpoints_) — the
-    /// frozen-device spans patched on an early exit with lingering diffs.
-    std::vector<std::pair<std::uint32_t, double>> ck_cells;
-    /// Old FPGA area sums of the touched devices.
-    std::vector<std::pair<std::uint32_t, double>> areas;
-
-    void reset_keep_capacity() {
-      noop = true;
-      times.clear();
-      streams.clear();
-      edges.clear();
-      prefix.clear();
-      checkpoints.clear();
-      ck_cells.clear();
-      areas.clear();
-    }
-  };
-
   void full_recording_sweep();
   /// Replays committed records from the nearest checkpoint to rebuild the
   /// (slot, link) state at position `p0` into cur_*. For the incremental
@@ -258,12 +203,11 @@ class IncrementalEvaluator {
   /// and the seen-use counters are seeded for the prefix.
   void reconstruct_state(std::size_t p0, bool with_base);
   /// Processes position `p` of an apply (`kProbe` false: recomputed times
-  /// and records are committed, old values pushed onto `frame`) or of a
-  /// probe (`kProbe` true: recomputed times land in the probe overlay,
-  /// nothing committed is touched): skip if clean, else recompute. Returns
-  /// true when the position was recomputed.
+  /// and records are committed) or of a probe (`kProbe` true: recomputed
+  /// times land in the probe overlay, nothing committed is touched): skip if
+  /// clean, else recompute. Returns true when the position was recomputed.
   template <bool kProbe>
-  bool step(std::size_t p, UndoFrame* frame);
+  bool step(std::size_t p);
   /// Re-simulates every position from `p` to the end against the cur state
   /// with the plain sweep — no skip detection, no base state — writing the
   /// probe overlay, and returns the folded makespan. `times` resolves
@@ -284,17 +228,16 @@ class IncrementalEvaluator {
   void pop_min_insert(double* slots, std::uint32_t device, double value) const {
     SortedSlots{slots, t_->slot_offset.data()}.replace_min(device, value);
   }
-  void snapshot_checkpoint(std::size_t c, UndoFrame& frame);
+  void snapshot_checkpoint(std::size_t c);
   /// True once no unvisited position can read any remaining divergent
   /// state: past `limit_`, and every device with a lingering slot/link diff
   /// has zero remaining uses of that state.
   bool can_stop(std::size_t p) const;
   /// Freezes the lingering divergent device spans into all checkpoints at
   /// positions >= p (their state cannot change again — the devices are
-  /// unused from p on), recording old cells for undo.
-  void patch_tail_checkpoints(std::size_t p, UndoFrame& frame);
-  void move_area(UndoFrame& frame, NodeId node, std::uint32_t from,
-                 std::uint32_t to);
+  /// unused from p on).
+  void patch_tail_checkpoints(std::size_t p);
+  void move_area(NodeId node, std::uint32_t from, std::uint32_t to);
   void update_area(std::uint32_t device, double delta);
   /// Adjusts the committed use counts (see block_*_uses_) by +/-1.
   void bump_slot_use(std::size_t p, std::uint32_t device, bool add);
@@ -377,9 +320,6 @@ class IncrementalEvaluator {
   std::uint32_t moved_ = kNoDevice;
   std::uint32_t moved_old_dev_ = kNoDevice;
   std::size_t limit_ = 0;
-
-  std::vector<UndoFrame> frames_;
-  UndoFrame spare_;  // recycled frame: probe loops stay allocation-free
 };
 
 }  // namespace spmap

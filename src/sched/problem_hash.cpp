@@ -1,10 +1,5 @@
 #include "sched/problem_hash.hpp"
 
-#include <algorithm>
-#include <numeric>
-
-#include "graph/algorithms.hpp"
-
 namespace spmap {
 
 namespace {
@@ -36,86 +31,6 @@ Digest task_graph_hash(const TaskGraph& graph) {
     }
   }
   return h.digest();
-}
-
-GraphStructure structural_task_graph_hash(const TaskGraph& graph) {
-  const Dag& dag = graph.dag;
-  const std::size_t n = dag.node_count();
-
-  // Per-node base signature: model attrs only (no ids, no labels).
-  std::vector<Digest> base(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    base[v] = node_attrs_hasher(graph.attrs, v).digest();
-  }
-
-  // Downward pass (topological order): each node's signature is a pure
-  // function of its attrs and the *multiset* of (ancestor signature,
-  // payload) pairs over its in-edges — well-defined independent of node
-  // ids, hence invariant under relabeling.
-  const std::vector<NodeId> topo = topological_order(dag);
-  std::vector<Digest> down(n);
-  std::vector<Digest> scratch;
-  auto neighbor_fold = [&scratch](const Digest& self, const char* domain) {
-    std::sort(scratch.begin(), scratch.end());
-    ContentHasher h(domain);
-    h.digest(self).u64(scratch.size());
-    for (const Digest& d : scratch) h.digest(d);
-    return h.digest();
-  };
-  for (NodeId v : topo) {
-    scratch.clear();
-    for (EdgeId e : dag.in_edges(v)) {
-      ContentHasher edge("spmap-edge/1");
-      edge.digest(down[dag.src(e).v]).f64(dag.data_mb(e));
-      scratch.push_back(edge.digest());
-    }
-    down[v.v] = neighbor_fold(base[v.v], "spmap-down/1");
-  }
-
-  // Upward pass (reverse topological order) over out-edges, so the final
-  // signature sees both the ancestor and the descendant structure.
-  std::vector<Digest> up(n);
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId v = *it;
-    scratch.clear();
-    for (EdgeId e : dag.out_edges(v)) {
-      ContentHasher edge("spmap-edge/1");
-      edge.digest(up[dag.dst(e).v]).f64(dag.data_mb(e));
-      scratch.push_back(edge.digest());
-    }
-    up[v.v] = neighbor_fold(base[v.v], "spmap-up/1");
-  }
-
-  std::vector<Digest> sig(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    ContentHasher h("spmap-node-sig/1");
-    h.digest(down[v]).digest(up[v]);
-    sig[v] = h.digest();
-  }
-
-  GraphStructure out;
-  // Canonical ranks: nodes sorted by signature, ties (structural twins)
-  // broken by id — deterministic, but only id-invariant when unambiguous.
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&sig](std::uint32_t a, std::uint32_t b) {
-              if (sig[a] != sig[b]) return sig[a] < sig[b];
-              return a < b;
-            });
-  out.canonical_rank.resize(n);
-  for (std::uint32_t rank = 0; rank < n; ++rank) {
-    out.canonical_rank[order[rank]] = rank;
-    if (rank > 0 && sig[order[rank]] == sig[order[rank - 1]]) {
-      out.ambiguous = true;
-    }
-  }
-
-  ContentHasher h("spmap-task-graph-structural/1");
-  h.u64(n).u64(dag.edge_count());
-  for (std::uint32_t v : order) h.digest(sig[v]);
-  out.digest = h.digest();
-  return out;
 }
 
 Digest platform_hash(const Platform& platform) {

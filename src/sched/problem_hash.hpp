@@ -3,36 +3,21 @@
 /// Canonical content hashes of mapping-problem inputs (task graph,
 /// platform) — the domain layer under the result cache's keys.
 ///
-/// Two different identities matter, and conflating them is exactly the
-/// silent-corruption bug a result cache invites:
-///
-///  * `task_graph_hash` (exact) — the identity of the *computation*. It
-///    covers the model content (attrs, edges, payloads) in node-id order,
-///    because mapper runs are id-order sensitive: the breadth-first
-///    schedule order breaks level ties by node id, so two insertion
-///    orders of "the same" graph are genuinely different computations
-///    with different (equally valid) results. The memo of MapReports must
-///    key on this hash — it is what makes a cache hit provably
-///    bit-identical to recomputation. Invariant under JSON key order and
-///    save/load round-trips (hashes the parsed structure, and numbers
-///    round-trip by bit pattern); sensitive to node insertion order.
-///  * `structural_task_graph_hash` — the identity of the *problem*. A
-///    Weisfeiler-Lehman-style signature propagated down (over ancestors)
-///    and up (over descendants) the DAG with sorted neighbor-signature
-///    multisets, so it is invariant under node insertion order. Used by
-///    the warm-start index: a good mapping for a structurally-equal graph
-///    is a valid *seed* under any labeling (translated through the
-///    canonical ranks), it just is not a bit-identical *answer*. Also the
-///    content-hash identity exposed to users: "is this the same graph?"
+/// `task_graph_hash` is the identity of the *computation*. It covers the
+/// model content (attrs, edges, payloads) in node-id order, because mapper
+/// runs are id-order sensitive: the breadth-first schedule order breaks
+/// level ties by node id, so two insertion orders of "the same" graph are
+/// genuinely different computations with different (equally valid)
+/// results. The memo of MapReports keys on this hash — it is what makes a
+/// cache hit provably bit-identical to recomputation. Invariant under JSON
+/// key order and save/load round-trips (hashes the parsed structure, and
+/// numbers round-trip by bit pattern); sensitive to node insertion order.
 ///
 /// Node labels are cosmetic (never read by the cost model) and excluded
-/// from both hashes, as are device names on the platform side.
+/// from the hash, as are device names on the platform side.
 ///
 /// All hashes require validated inputs (acyclic graph, fully-linked
 /// platform) — the same precondition every evaluator shares.
-
-#include <cstdint>
-#include <vector>
 
 #include "graph/io.hpp"
 #include "model/platform.hpp"
@@ -44,30 +29,6 @@ namespace spmap {
 /// in-edges per node in adjacency order with payloads. The cache-key
 /// identity; see the file comment for why it must be id-order sensitive.
 Digest task_graph_hash(const TaskGraph& graph);
-
-/// The structural identity of a task graph plus the canonical node
-/// numbering that realizes it.
-struct GraphStructure {
-  /// Insertion-order-invariant digest of the graph's structure + model
-  /// content. Equal digests: structurally equal graphs (up to the
-  /// WL-signature approximation; random continuous attrs make accidental
-  /// signature collisions vanishingly unlikely, and `ambiguous` flags the
-  /// symmetric cases).
-  Digest digest;
-  /// Canonical rank of each node (a permutation of [0, n)): nodes sorted
-  /// by structural signature, ties broken by node id. Two labelings of
-  /// one structurally-unambiguous graph rank corresponding nodes equally,
-  /// so a mapping stored in canonical order translates between them.
-  std::vector<std::uint32_t> canonical_rank;
-  /// True when two distinct nodes share a structural signature (symmetric
-  /// twins, typically uniform hand-built graphs). Canonical ranks then
-  /// depend on the id tie-break, so cross-labeling translation is unsound
-  /// and the warm index falls back to exact-labeling matches only.
-  bool ambiguous = false;
-};
-
-/// Structural hash + canonical ranks; O(V log V + E log E).
-GraphStructure structural_task_graph_hash(const TaskGraph& graph);
 
 /// Content hash of a platform: per-device model fields in device-index
 /// order (mappings reference device indices, so index order is data, not

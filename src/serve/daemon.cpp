@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "graph/io.hpp"
@@ -176,7 +177,6 @@ Json Daemon::stats_body() const {
   body.set("cancelled", Json(stats.cancelled));
   body.set("cache_hits", Json(stats.cache_hits));
   body.set("cache_misses", Json(stats.cache_misses));
-  body.set("cache_warm", Json(stats.cache_warm));
   if (cache_ != nullptr) {
     const ResultCacheStats cache = cache_->stats();
     body.set("cache_resident_entries", Json(cache.entries));
@@ -410,21 +410,64 @@ TaskGraph graph_from_generate_spec(const Json& spec) {
   return materialize_workload(workload, rng);
 }
 
-std::shared_ptr<const TaskGraph> Daemon::resolve_graph(
-    const WireSubmit& request) {
-  if (request.graph.has_value()) {
-    return std::make_shared<const TaskGraph>(
-        task_graph_from_json(request.graph->dump()));
+std::pair<MapJob, MapRequest> Daemon::service_job(
+    std::uint64_t wire_id, const WireSubmit& request) {
+  // Eager validation: an unknown mapper name fails now (with the
+  // registry's did-you-mean diagnostic) instead of failing the job
+  // asynchronously. Option typos still surface via the job's kFailed
+  // path — they need a constructed Dag to validate against.
+  (void)MapperRegistry::instance().at(
+      MapperRegistry::split_spec(request.mapper_spec).first);
+  MapJob job;
+  job.graph = std::make_shared<const TaskGraph>(
+      request.graph.has_value() ? task_graph_from_json(request.graph->dump())
+                                : graph_from_generate_spec(*request.generate));
+  job.platform = request.platform.has_value()
+                     ? std::make_shared<const Platform>(
+                           platform_from_json(*request.platform).platform)
+                     : reference_platform_;
+  job.mapper_spec = request.mapper_spec;
+  job.inner_orders = 0;
+  job.reporting_orders = request.reporting_orders;
+  job.priority = request.priority;
+  if (request.construction_seed.has_value()) {
+    job.construction_rng = Rng(*request.construction_seed);
   }
-  return std::make_shared<const TaskGraph>(
-      graph_from_generate_spec(*request.generate));
-}
+  // Callbacks run on worker threads — or, for a cache hit, synchronously
+  // from try_submit on the IO thread: either way they only enqueue an
+  // event keyed by the wire id and wake the IO thread. The events are
+  // processed after the caller has registered the JobEntry.
+  job.on_terminal = [this, wire_id](std::uint64_t, JobStatus,
+                                    const MapJobResult&) {
+    Event event;
+    event.kind = Event::Kind::kTerminal;
+    event.job = wire_id;
+    push_event(std::move(event));
+  };
+  // Only the journal records starts. `journal_` is still null while
+  // init_journal re-enqueues, so test the journal mode itself.
+  if (!options_.journal_path.empty()) {
+    job.on_start = [this, wire_id](std::uint64_t) {
+      Event event;
+      event.kind = Event::Kind::kStarted;
+      event.job = wire_id;
+      push_event(std::move(event));
+    };
+  }
 
-std::shared_ptr<const Platform> Daemon::resolve_platform(
-    const WireSubmit& request) {
-  if (!request.platform.has_value()) return reference_platform_;
-  return std::make_shared<const Platform>(
-      platform_from_json(*request.platform).platform);
+  MapRequest run;
+  run.deadline_ms = request.deadline_ms;
+  run.max_evaluations = request.max_evaluations;
+  run.max_iterations = request.max_iterations;
+  run.seed = request.seed;
+  run.on_incumbent = [this, wire_id](const IncumbentRecord& record) {
+    Event event;
+    event.kind = Event::Kind::kIncumbent;
+    event.job = wire_id;
+    event.incumbent = record;
+    push_event(std::move(event));
+  };
+  return {std::move(job), std::move(run)};
 }
 
 SubmitOutcome Daemon::submit(std::uint64_t session,
@@ -448,15 +491,9 @@ SubmitOutcome Daemon::submit(std::uint64_t session,
   }
 
   MapJob job;
+  MapRequest run;
   try {
-    // Eager validation: an unknown mapper name fails the submit now (with
-    // the registry's did-you-mean diagnostic) instead of failing the job
-    // asynchronously. Option typos still surface via the job's kFailed
-    // path — they need a constructed Dag to validate against.
-    (void)MapperRegistry::instance().at(
-        MapperRegistry::split_spec(request.mapper_spec).first);
-    job.graph = resolve_graph(request);
-    job.platform = resolve_platform(request);
+    std::tie(job, run) = service_job(next_job_id_, request);
   } catch (const Error& ex) {
     outcome.code = WireErrorCode::kBadRequest;
     outcome.message = ex.what();
@@ -464,48 +501,6 @@ SubmitOutcome Daemon::submit(std::uint64_t session,
   }
 
   const std::uint64_t id = next_job_id_++;
-  job.mapper_spec = request.mapper_spec;
-  job.inner_orders = 0;
-  job.reporting_orders = request.reporting_orders;
-  job.priority = request.priority;
-  job.allow_warm_start = request.warm;
-  if (request.construction_seed.has_value()) {
-    job.construction_rng = Rng(*request.construction_seed);
-  }
-  // Callbacks run on worker threads — or, for a cache hit, synchronously
-  // from try_submit on this IO thread: either way they only enqueue an
-  // event keyed by the wire id (assigned above, before any worker can
-  // fire) and wake the IO thread. The events are processed after this
-  // submit returned and the JobEntry exists.
-  job.on_terminal = [this, id](std::uint64_t, JobStatus,
-                               const MapJobResult&) {
-    Event event;
-    event.kind = Event::Kind::kTerminal;
-    event.job = id;
-    push_event(std::move(event));
-  };
-  if (journal_ != nullptr) {
-    job.on_start = [this, id](std::uint64_t) {
-      Event event;
-      event.kind = Event::Kind::kStarted;
-      event.job = id;
-      push_event(std::move(event));
-    };
-  }
-
-  MapRequest run;
-  run.deadline_ms = request.deadline_ms;
-  run.max_evaluations = request.max_evaluations;
-  run.max_iterations = request.max_iterations;
-  run.seed = request.seed;
-  run.on_incumbent = [this, id](const IncumbentRecord& record) {
-    Event event;
-    event.kind = Event::Kind::kIncumbent;
-    event.job = id;
-    event.incumbent = record;
-    push_event(std::move(event));
-  };
-
   std::optional<MappingService::JobHandle> handle =
       service_->try_submit(std::move(job), std::move(run));
   if (!handle.has_value()) {
@@ -741,46 +736,7 @@ void Daemon::init_journal() {
     try {
       const WireSubmit request = wire_submit_from_json(job.submit);
       cls = request.priority_class;
-      (void)MapperRegistry::instance().at(
-          MapperRegistry::split_spec(request.mapper_spec).first);
-
-      MapJob mjob;
-      mjob.graph = resolve_graph(request);
-      mjob.platform = resolve_platform(request);
-      mjob.mapper_spec = request.mapper_spec;
-      mjob.inner_orders = 0;
-      mjob.reporting_orders = request.reporting_orders;
-      mjob.priority = request.priority;
-      mjob.allow_warm_start = request.warm;
-      if (request.construction_seed.has_value()) {
-        mjob.construction_rng = Rng(*request.construction_seed);
-      }
-      const std::uint64_t wire_id = id;
-      mjob.on_terminal = [this, wire_id](std::uint64_t, JobStatus,
-                                         const MapJobResult&) {
-        Event event;
-        event.kind = Event::Kind::kTerminal;
-        event.job = wire_id;
-        push_event(std::move(event));
-      };
-      mjob.on_start = [this, wire_id](std::uint64_t) {
-        Event event;
-        event.kind = Event::Kind::kStarted;
-        event.job = wire_id;
-        push_event(std::move(event));
-      };
-      MapRequest run;
-      run.deadline_ms = request.deadline_ms;
-      run.max_evaluations = request.max_evaluations;
-      run.max_iterations = request.max_iterations;
-      run.seed = request.seed;
-      run.on_incumbent = [this, wire_id](const IncumbentRecord& record) {
-        Event event;
-        event.kind = Event::Kind::kIncumbent;
-        event.job = wire_id;
-        event.incumbent = record;
-        push_event(std::move(event));
-      };
+      const auto [mjob, run] = service_job(id, request);
 
       // Recovery may momentarily hold more than max_queued jobs (what was
       // queued plus what was running at the crash); wait for queue space

@@ -70,6 +70,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/journal.hpp"
@@ -252,8 +253,11 @@ class Daemon : public SessionHost {
   /// Graduated per-class admission bound (see the header comment).
   std::size_t class_capacity(int priority) const;
 
-  std::shared_ptr<const TaskGraph> resolve_graph(const WireSubmit& request);
-  std::shared_ptr<const Platform> resolve_platform(const WireSubmit& request);
+  /// The service job and run bounds of a wire submit, its callbacks
+  /// keyed by `wire_id`. Checks the mapper name and resolves the graph and
+  /// platform eagerly; throws spmap::Error when the submit cannot run.
+  std::pair<MapJob, MapRequest> service_job(std::uint64_t wire_id,
+                                            const WireSubmit& request);
   Json status_body(std::uint64_t id, const JobEntry& entry) const
       SPMAP_REQUIRES(io_role_);
 

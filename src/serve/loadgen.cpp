@@ -132,7 +132,6 @@ struct SessionOutcome {
   bool connected = false;
   // Cache outcomes of completed requests (see LoadgenReport).
   std::size_t cache_hits = 0;
-  std::size_t cache_warm = 0;
   std::size_t cache_misses = 0;
   std::size_t cache_none = 0;
   // Chaos accounting (see LoadgenReport).
@@ -187,8 +186,6 @@ void record_done(const Json& done, const RequestSpec& spec, double latency_ms,
         done.contains("cache") ? done.at("cache").as_string() : "none";
     if (cache == "hit") {
       ++out.cache_hits;
-    } else if (cache == "warm") {
-      ++out.cache_warm;
     } else if (cache == "miss") {
       ++out.cache_misses;
     } else {
@@ -676,7 +673,6 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
     report.lost += out.lost;
     report.duplicated += out.duplicated;
     report.cache_hits += out.cache_hits;
-    report.cache_warm += out.cache_warm;
     report.cache_misses += out.cache_misses;
     report.cache_none += out.cache_none;
   }
@@ -739,7 +735,6 @@ Json loadgen_report_json(const LoadgenOptions& options,
   doc.set("verified", Json(report.verified));
   doc.set("mismatches", Json(report.mismatches));
   doc.set("cache_hits", Json(report.cache_hits));
-  doc.set("cache_warm", Json(report.cache_warm));
   doc.set("cache_misses", Json(report.cache_misses));
   doc.set("cache_none", Json(report.cache_none));
   doc.set("cache_hit_rate",

@@ -120,10 +120,9 @@ struct LoadgenReport {
   std::size_t verified = 0;
   std::size_t mismatches = 0;
   /// Cache outcomes reported in the done/status bodies of completed
-  /// requests (`cache: hit|warm|miss|none`; "none" also covers daemons
+  /// requests (`cache: hit|miss|none`; "none" also covers daemons
   /// predating the field).
   std::size_t cache_hits = 0;
-  std::size_t cache_warm = 0;
   std::size_t cache_misses = 0;
   std::size_t cache_none = 0;
   // Chaos-mode accounting (all zero outside chaos mode).

@@ -54,33 +54,18 @@ const char* to_string(JobStatus status) {
   return "unknown";
 }
 
-/// Everything submit precomputed about a cacheable job: the memo key,
-/// the warm-index key, and the structural translation data needed to
-/// store/read canonical-order warm mappings. Hashing happens outside
-/// every service lock (it is O(V log V + E log E) per submit).
-struct MappingService::CachePlan {
-  Digest exact_key;    ///< full computation identity (memo key)
-  Digest warm_key;     ///< problem identity (warm-index key)
-  Digest exact_graph;  ///< labeled graph hash (ambiguity fallback)
-  std::vector<std::uint32_t> canonical_rank;
-  bool ambiguous = false;
-  /// A warm seed was injected into this job's request: its result must
-  /// not enter the exact memo (the seed is not part of the key).
-  bool warm_injected = false;
-};
-
 /// Shared between the service, its workers and every handle copy. The
 /// per-job mutex/cv keeps handle operations independent of the service's
 /// queue lock (a wait() never blocks submissions).
 struct MappingService::JobState {
-  // Immutable after submit (id/job/request/rng/plan set once, then only
+  // Immutable after submit (id/job/request/rng/key set once, then only
   // read): no guard needed. `request.cancel` is internally atomic.
   std::uint64_t id = 0;
   MapJob job;
   MapRequest request;
   Rng construction_rng{0};
-  std::optional<CachePlan> cache_plan;
-  CacheOutcome cache_outcome = CacheOutcome::kNone;
+  /// Memo key of a cacheable job (full computation identity).
+  std::optional<Digest> cache_key;
 
   mutable Mutex mutex;
   CondVar terminal;
@@ -132,10 +117,8 @@ MappingService::~MappingService() {
 
 MappingService::JobHandle MappingService::submit(MapJob job,
                                                  MapRequest request) {
-  const bool may_block = options_.when_full == QueueFullPolicy::kBlock;
-  auto handle =
-      submit_locked(std::move(job), std::move(request), may_block,
-                    /*may_reject=*/!may_block);
+  auto handle = submit_locked(std::move(job), std::move(request),
+                              options_.when_full == QueueFullPolicy::kBlock);
   if (!handle.has_value()) {
     throw Error("MappingService: queue full (max_queued=" +
                 std::to_string(options_.max_queued) + ")");
@@ -146,19 +129,18 @@ MappingService::JobHandle MappingService::submit(MapJob job,
 std::optional<MappingService::JobHandle> MappingService::try_submit(
     MapJob job, MapRequest request) {
   return submit_locked(std::move(job), std::move(request),
-                       /*may_block=*/false, /*may_reject=*/true);
+                       /*may_block=*/false);
 }
 
 std::optional<MappingService::JobHandle> MappingService::submit_locked(
-    MapJob job, MapRequest request, bool may_block, bool may_reject) {
+    MapJob job, MapRequest request, bool may_block) {
   require(!job.mapper_spec.empty(), "MappingService: empty mapper spec");
   require(job.graph != nullptr, "MappingService: job without a graph");
   require(job.platform != nullptr, "MappingService: job without a platform");
 
   // ---- cache consult (outside every service lock: hashing is O(V+E)) ----
   ResultCache* cache = options_.cache.get();
-  std::optional<CachePlan> plan;
-  CacheOutcome outcome = CacheOutcome::kNone;
+  std::optional<Digest> cache_key;
   if (cache != nullptr && job.construction_rng.has_value()) {
     // Cacheable only if deterministic: canonical spec resolvable (a bad
     // spec stays uncacheable and fails in execute() with its usual
@@ -172,10 +154,6 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
     }
     if (canonical.has_value() && request.deadline_ms <= 0.0 &&
         canonical->find("deadline_ms=") == std::string::npos) {
-      plan.emplace();
-      const Digest graph_exact = task_graph_hash(*job.graph);
-      GraphStructure structure = structural_task_graph_hash(*job.graph);
-      const Digest platform = platform_hash(*job.platform);
       const bool has_reporting_pass =
           job.reporting != nullptr || job.reporting_orders.has_value();
       const std::size_t reporting_orders =
@@ -183,9 +161,8 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
               ? job.reporting->random_orders()
               : job.reporting_orders.value_or(0);
       ContentHasher key("spmap-memo-key/1");
-      key.digest(graph_exact)
-          .digest(structure.digest)
-          .digest(platform)
+      key.digest(task_graph_hash(*job.graph))
+          .digest(platform_hash(*job.platform))
           .str(*canonical)
           .u64(request.max_evaluations)
           .u64(request.max_iterations)
@@ -195,18 +172,12 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
           .boolean(has_reporting_pass)
           .u64(reporting_orders)
           .u64(job.construction_rng->fingerprint());
-      plan->exact_key = key.digest();
-      ContentHasher warm("spmap-warm-key/1");
-      warm.digest(structure.digest).digest(platform).u64(job.inner_orders);
-      plan->warm_key = warm.digest();
-      plan->exact_graph = graph_exact;
-      plan->canonical_rank = std::move(structure.canonical_rank);
-      plan->ambiguous = structure.ambiguous;
+      cache_key = key.digest();
     }
   }
 
-  if (plan.has_value()) {
-    if (std::optional<MapJobResult> hit = cache->lookup(plan->exact_key)) {
+  if (cache_key.has_value()) {
+    if (std::optional<MapJobResult> hit = cache->lookup(*cache_key)) {
       // O(1) fast path: terminal before submit returns, no queue slot
       // consumed (hits are admitted even when the queue is full), no
       // worker occupied, on_start never fired. Wall-clock fields carry
@@ -216,7 +187,6 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
       hit->report.cache = CacheOutcome::kHit;
       state->result = *std::move(hit);
       state->status = JobStatus::kDone;
-      state->cache_outcome = CacheOutcome::kHit;
       {
         MutexLock lock(mutex_);
         state->id = next_id_++;
@@ -236,38 +206,12 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
       }
       return JobHandle(state);
     }
-    outcome = CacheOutcome::kMiss;
-    if (job.allow_warm_start) {
-      if (std::optional<ResultCache::WarmEntry> warm =
-              cache->lookup_warm(plan->warm_key)) {
-        // Translate the canonical-order incumbent into this graph's
-        // labeling. Ambiguous structures (symmetric twins) only match
-        // their exact labeling: the id tie-break makes cross-labeling
-        // ranks unsound there (see problem_hash.hpp).
-        const std::size_t n = plan->canonical_rank.size();
-        bool usable = warm->canonical_mapping.size() == n;
-        if (usable && (warm->ambiguous || plan->ambiguous)) {
-          usable = warm->exact_graph == plan->exact_graph;
-        }
-        if (usable) {
-          auto seed = std::make_shared<Mapping>();
-          seed->device.resize(n);
-          for (std::size_t v = 0; v < n; ++v) {
-            seed->device[v] = warm->canonical_mapping[plan->canonical_rank[v]];
-          }
-          request.warm_start = std::move(seed);
-          plan->warm_injected = true;
-          outcome = CacheOutcome::kWarm;
-        }
-      }
-    }
   }
 
   auto state = std::make_shared<JobState>();
   state->job = std::move(job);
   state->request = std::move(request);
-  state->cache_plan = std::move(plan);
-  state->cache_outcome = outcome;
+  state->cache_key = cache_key;
   // Per-job cancellation scope: JobHandle::cancel fires only this job's
   // token; the caller's original token (the child's parent) still cancels
   // every job submitted with it.
@@ -279,7 +223,6 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
         while (queued_count_ >= options_.max_queued) queue_space_.wait(lock);
       } else {
         ++counters_.rejected;
-        (void)may_reject;
         return std::nullopt;
       }
     }
@@ -294,8 +237,7 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
     }
     ++unfinished_;
     ++counters_.submitted;
-    if (outcome != CacheOutcome::kNone) ++counters_.cache_misses;
-    if (outcome == CacheOutcome::kWarm) ++counters_.cache_warm;
+    if (cache_key.has_value()) ++counters_.cache_misses;
     ++queued_count_;
     queues_[state->job.priority].push_back(state);
   }
@@ -321,7 +263,6 @@ ServiceStats MappingService::stats() const {
   snapshot.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
   snapshot.cache_misses =
       counters_.cache_misses.load(std::memory_order_relaxed);
-  snapshot.cache_warm = counters_.cache_warm.load(std::memory_order_relaxed);
   return snapshot;
 }
 
@@ -421,7 +362,8 @@ JobStatus MappingService::execute(JobState& state) {
     } else {
       result.reported_makespan = result.report.predicted_makespan;
     }
-    result.report.cache = state.cache_outcome;
+    result.report.cache =
+        state.cache_key.has_value() ? CacheOutcome::kMiss : CacheOutcome::kNone;
   } catch (const std::exception& ex) {
     result.error = ex.what();
     final_status = JobStatus::kFailed;
@@ -431,26 +373,10 @@ JobStatus MappingService::execute(JobState& state) {
   // Only deterministic completions enter: kConverged/kBudgetExhausted are
   // pure functions of the key, while deadline- or cancel-truncated runs
   // depend on wall-clock racing and must never be replayed as answers.
-  if (state.cache_plan.has_value() && final_status == JobStatus::kDone &&
+  if (state.cache_key.has_value() && final_status == JobStatus::kDone &&
       (result.report.termination == TerminationReason::kConverged ||
        result.report.termination == TerminationReason::kBudgetExhausted)) {
-    ResultCache& cache = *options_.cache;
-    const CachePlan& plan = *state.cache_plan;
-    // Warm-started runs stay out of the exact memo: the injected seed
-    // changed the computation but is not part of the key.
-    if (!plan.warm_injected) cache.insert(plan.exact_key, result);
-    if (result.report.mapping.size() == plan.canonical_rank.size()) {
-      ResultCache::WarmEntry warm;
-      warm.exact_graph = plan.exact_graph;
-      warm.ambiguous = plan.ambiguous;
-      warm.predicted_makespan = result.report.predicted_makespan;
-      warm.canonical_mapping.resize(plan.canonical_rank.size());
-      for (std::size_t v = 0; v < plan.canonical_rank.size(); ++v) {
-        warm.canonical_mapping[plan.canonical_rank[v]] =
-            result.report.mapping.device[v];
-      }
-      cache.offer_warm(plan.warm_key, std::move(warm));
-    }
+    options_.cache->insert(*state.cache_key, result);
   }
 
   bool fire = false;

@@ -74,11 +74,7 @@
 /// fired, and `report.cache == CacheOutcome::kHit`. Misses run normally
 /// (reporting kMiss) and, when they finish deterministically (kDone with
 /// kConverged/kBudgetExhausted), are inserted. Uncacheable jobs report
-/// kNone. Jobs opting in via `MapJob::allow_warm_start` may additionally
-/// receive the best cached incumbent of the same *problem* (structural
-/// graph + platform) as their request's warm-start seed — those runs
-/// report kWarm and are never inserted into the exact memo (a warm seed
-/// changes the computation relative to the key).
+/// kNone.
 
 #include <atomic>
 #include <cstdint>
@@ -183,12 +179,6 @@ struct MapJob {
   /// against the same graph/platform so the reporting evaluator and the
   /// baseline are built once, not per job. Must match `graph`/`platform`.
   std::shared_ptr<const ReportingContext> reporting;
-  /// Opt into warm-start reuse: on an exact-memo miss with a cached
-  /// incumbent for the same problem (structural graph + platform), the
-  /// incumbent is fed to the run as `MapRequest::warm_start`. Off by
-  /// default because a warm seed changes results relative to a cold run
-  /// — only drivers that prefer speed over replay-exactness set it.
-  bool allow_warm_start = false;
   /// Construction rng for MapperRegistry::create (decomposition forests,
   /// unseeded mapper seeds). Unset: derived from the service seed and the
   /// job's submission index.
@@ -270,9 +260,6 @@ struct ServiceStats {
   // Cache counters (all zero when Options::cache is null).
   std::size_t cache_hits = 0;    ///< submissions answered from the memo
   std::size_t cache_misses = 0;  ///< cacheable jobs that had to execute
-                                 ///< (warm-started ones included)
-  std::size_t cache_warm = 0;    ///< executions seeded with a cached
-                                 ///< incumbent (subset of cache_misses)
 };
 
 class MappingService {
@@ -313,10 +300,9 @@ class MappingService {
 
  private:
   struct JobState;
-  struct CachePlan;
 
   std::optional<JobHandle> submit_locked(MapJob job, MapRequest request,
-                                         bool may_block, bool may_reject);
+                                         bool may_block);
   void worker_loop();
   JobStatus execute(JobState& state);
 
@@ -336,7 +322,6 @@ class MappingService {
     std::atomic<std::size_t> cancelled{0};
     std::atomic<std::size_t> cache_hits{0};
     std::atomic<std::size_t> cache_misses{0};
-    std::atomic<std::size_t> cache_warm{0};
   };
 
   mutable Mutex mutex_;

@@ -1,7 +1,6 @@
 #include "serve/result_cache.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace spmap {
 
@@ -80,42 +79,6 @@ void ResultCache::insert(const Digest& key, const MapJobResult& result) {
   ++shard.inserts;
 }
 
-std::optional<ResultCache::WarmEntry> ResultCache::lookup_warm(
-    const Digest& problem_key) {
-  Shard& shard = shard_for(problem_key);
-  MutexLock lock(shard.mutex);
-  auto it = shard.warm_index.find(problem_key);
-  if (it == shard.warm_index.end()) {
-    ++shard.warm_misses;
-    return std::nullopt;
-  }
-  ++shard.warm_hits;
-  shard.warm_lru.splice(shard.warm_lru.begin(), shard.warm_lru, it->second);
-  return it->second->entry;
-}
-
-void ResultCache::offer_warm(const Digest& problem_key, WarmEntry entry) {
-  Shard& shard = shard_for(problem_key);
-  MutexLock lock(shard.mutex);
-  auto it = shard.warm_index.find(problem_key);
-  if (it != shard.warm_index.end()) {
-    // Keep the best incumbent; first writer wins ties so the stored seed
-    // is stable under re-offers.
-    if (entry.predicted_makespan < it->second->entry.predicted_makespan) {
-      it->second->entry = std::move(entry);
-    }
-    shard.warm_lru.splice(shard.warm_lru.begin(), shard.warm_lru, it->second);
-    return;
-  }
-  if (shard_entry_budget_ != 0 &&
-      shard.warm_lru.size() + 1 > shard_entry_budget_) {
-    shard.warm_index.erase(shard.warm_lru.back().key);
-    shard.warm_lru.pop_back();
-  }
-  shard.warm_lru.push_front(WarmSlot{problem_key, std::move(entry)});
-  shard.warm_index.emplace(problem_key, shard.warm_lru.begin());
-}
-
 ResultCacheStats ResultCache::stats() const {
   ResultCacheStats out;
   for (const Shard& shard : shards_) {
@@ -124,8 +87,6 @@ ResultCacheStats ResultCache::stats() const {
     out.misses += shard.misses;
     out.inserts += shard.inserts;
     out.evictions += shard.evictions;
-    out.warm_hits += shard.warm_hits;
-    out.warm_misses += shard.warm_misses;
     out.entries += shard.lru.size();
     out.bytes += shard.bytes;
   }

@@ -1,7 +1,7 @@
 #pragma once
 /// \file result_cache.hpp
-/// Sharded LRU memo of finished MapJobResults + warm-start incumbent
-/// index — the "millions of users" lever of the ROADMAP.
+/// Sharded LRU memo of finished MapJobResults: a repeated deterministic
+/// submission is answered without running a mapper.
 ///
 /// ## What may be cached, and why hits are provably exact
 ///
@@ -17,26 +17,13 @@
 /// (deadline runs, cancelled runs, unpinned rng streams) bypasses the
 /// cache entirely and reports CacheOutcome::kNone.
 ///
-/// ## Warm-start index
-///
-/// Next to the exact memo, each shard keeps a best-incumbent-per-problem
-/// index keyed on the *structural* (insertion-order-invariant) graph hash
-/// + platform + inner protocol. A warm lookup returns the best known
-/// mapping for that problem regardless of mapper/bounds — the "near miss"
-/// reuse: the service offers it as MapRequest::warm_start to opt-in jobs.
-/// Mappings are stored in canonical node order and translated through
-/// GraphStructure::canonical_rank, so structurally-equal graphs share
-/// seeds across labelings; ambiguous structures (symmetric twins) only
-/// match their exact labeling (see problem_hash.hpp).
-///
 /// ## Bounds and eviction
 ///
 /// Both capacity bounds are enforced per shard (each shard gets an equal
 /// slice): inserting beyond `max_entries` or `max_bytes` evicts from the
 /// least-recently-used end until the new entry fits. Entries larger than
 /// a whole shard's byte budget are simply not admitted. Lookups refresh
-/// recency. The warm index shares the entry bound (its entries are small)
-/// but not the byte bound.
+/// recency.
 ///
 /// ## Thread-safety
 ///
@@ -53,7 +40,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "model/mapping.hpp"
 #include "serve/mapping_service.hpp"
 #include "util/content_hash.hpp"
 #include "util/mutex.hpp"
@@ -71,17 +57,14 @@ struct ResultCacheOptions {
   std::size_t max_bytes = 256u << 20;
 };
 
-/// Monotonic counters + current occupancy. hits/misses count exact-memo
-/// lookups; warm_hits/warm_misses the incumbent index.
+/// Monotonic counters + current occupancy.
 struct ResultCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
   std::size_t inserts = 0;
   std::size_t evictions = 0;
-  std::size_t warm_hits = 0;
-  std::size_t warm_misses = 0;
-  std::size_t entries = 0;  ///< exact-memo entries currently resident
-  std::size_t bytes = 0;    ///< estimated resident bytes (exact memo)
+  std::size_t entries = 0;  ///< entries currently resident
+  std::size_t bytes = 0;    ///< estimated resident bytes
 };
 
 class ResultCache {
@@ -91,37 +74,14 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Exact-memo lookup; refreshes LRU recency on hit.
+  /// Memo lookup; refreshes LRU recency on hit.
   std::optional<MapJobResult> lookup(const Digest& key);
 
-  /// Inserts (or refreshes) the exact memo entry for `key`, evicting LRU
+  /// Inserts (or refreshes) the memo entry for `key`, evicting LRU
   /// entries as needed. Oversized results (> the shard byte budget) are
   /// dropped. The caller guarantees `result` came from a deterministic
   /// run of the computation `key` identifies.
   void insert(const Digest& key, const MapJobResult& result);
-
-  /// A warm-start seed: the best known incumbent of one problem, stored
-  /// in canonical node order (see GraphStructure).
-  struct WarmEntry {
-    /// Exact (labeled) graph hash of the run that produced the mapping.
-    Digest exact_graph;
-    /// Mapping in canonical node order: device of the rank-i node.
-    std::vector<DeviceId> canonical_mapping;
-    /// The producing run's reported predicted makespan (its own
-    /// labeling/evaluator; comparable across labelings only as a
-    /// heuristic, which is all seeding needs).
-    double predicted_makespan = 0.0;
-    /// Producer's structure was ambiguous: only exact labelings may use
-    /// this entry.
-    bool ambiguous = false;
-  };
-
-  /// Best incumbent for `problem_key`, if any; refreshes recency.
-  std::optional<WarmEntry> lookup_warm(const Digest& problem_key);
-
-  /// Offers an incumbent; kept only if the problem is new or the offer
-  /// beats the stored makespan.
-  void offer_warm(const Digest& problem_key, WarmEntry entry);
 
   ResultCacheStats stats() const;
 
@@ -135,10 +95,6 @@ class ResultCache {
     MapJobResult result;
     std::size_t bytes = 0;
   };
-  struct WarmSlot {
-    Digest key;
-    WarmEntry entry;
-  };
   struct DigestHashFn {
     std::size_t operator()(const Digest& d) const {
       return static_cast<std::size_t>(d.lo);
@@ -151,16 +107,11 @@ class ResultCache {
     std::unordered_map<Digest, std::list<ExactEntry>::iterator, DigestHashFn>
         index SPMAP_GUARDED_BY(mutex);
     std::size_t bytes SPMAP_GUARDED_BY(mutex) = 0;
-    std::list<WarmSlot> warm_lru SPMAP_GUARDED_BY(mutex);
-    std::unordered_map<Digest, std::list<WarmSlot>::iterator, DigestHashFn>
-        warm_index SPMAP_GUARDED_BY(mutex);
     // Counters.
     std::size_t hits SPMAP_GUARDED_BY(mutex) = 0;
     std::size_t misses SPMAP_GUARDED_BY(mutex) = 0;
     std::size_t inserts SPMAP_GUARDED_BY(mutex) = 0;
     std::size_t evictions SPMAP_GUARDED_BY(mutex) = 0;
-    std::size_t warm_hits SPMAP_GUARDED_BY(mutex) = 0;
-    std::size_t warm_misses SPMAP_GUARDED_BY(mutex) = 0;
   };
 
   Shard& shard_for(const Digest& key) {

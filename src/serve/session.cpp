@@ -102,7 +102,6 @@ Json to_json(const WireSubmit& request) {
   }
   if (request.subscribe) body.set("subscribe", Json(true));
   if (request.want_mapping) body.set("return_mapping", Json(true));
-  if (request.warm) body.set("warm", Json(true));
   return body;
 }
 
@@ -112,7 +111,7 @@ WireSubmit wire_submit_from_json(const Json& body) {
       "submit",
       {"op", "tag", "mapper", "class", "graph", "generate", "platform",
        "deadline_ms", "max_evals", "max_iters", "seed", "construction_seed",
-       "reporting_orders", "subscribe", "return_mapping", "warm"});
+       "reporting_orders", "subscribe", "return_mapping"});
   require(body.contains("mapper") && body.at("mapper").is_string() &&
               !body.at("mapper").as_string().empty(),
           "\"mapper\" must be a non-empty registry spec string");
@@ -141,7 +140,6 @@ WireSubmit wire_submit_from_json(const Json& body) {
   request.reporting_orders = count_field(body, "reporting_orders", 0);
   request.subscribe = bool_field(body, "subscribe", false);
   request.want_mapping = bool_field(body, "return_mapping", false);
-  request.warm = bool_field(body, "warm", false);
   return request;
 }
 

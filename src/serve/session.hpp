@@ -82,12 +82,6 @@ struct WireSubmit {
   bool subscribe = false;
   /// Include the device assignment in the done/status payload.
   bool want_mapping = false;
-  /// Opt into warm-start reuse (MapJob::allow_warm_start): on a result-
-  /// cache near-miss the run is seeded with the best cached incumbent of
-  /// the same problem. Off by default because a warm seed changes results
-  /// relative to a cold run — clients that verify bit-identity leave it
-  /// off.
-  bool warm = false;
 };
 
 /// What the host answered a submit with.

@@ -36,14 +36,12 @@ namespace spmap {
 
 class Json;
 
-/// A 128-bit content digest. Value-comparable and ordered (for sorted
-/// signature multisets in the structural graph hash).
+/// A 128-bit content digest. Value-comparable.
 struct Digest {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
 
   bool operator==(const Digest&) const = default;
-  auto operator<=>(const Digest&) const = default;
 
   /// 32 lower-case hex characters (hi then lo), for logs and tests.
   std::string hex() const;

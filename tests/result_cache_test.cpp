@@ -6,8 +6,6 @@
 ///    off produce byte-equal results on a committed scenario);
 ///  * the LRU honors both the entry bound and the byte bound, evicting
 ///    in recency order, and never admits oversized entries;
-///  * warm-started runs report kWarm and never end worse than their seed
-///    (as priced by the run's own evaluator);
 ///  * uncacheable jobs (deadlines, unpinned rng) report kNone and never
 ///    enter the memo;
 ///  * the sharded cache survives concurrent hammering (run under
@@ -122,32 +120,6 @@ TEST(ResultCache, InsertRefreshesInsteadOfDuplicating) {
   EXPECT_EQ(entry->report.predicted_makespan, 2.0);
 }
 
-TEST(ResultCache, WarmIndexKeepsTheBestIncumbent) {
-  ResultCache cache({.shards = 1});
-  const Digest problem = key_of(7);
-  EXPECT_FALSE(cache.lookup_warm(problem).has_value());
-
-  ResultCache::WarmEntry first;
-  first.canonical_mapping.assign(4, DeviceId{0});
-  first.predicted_makespan = 10.0;
-  cache.offer_warm(problem, first);
-
-  ResultCache::WarmEntry worse = first;
-  worse.predicted_makespan = 12.0;
-  worse.canonical_mapping.assign(4, DeviceId{1});
-  cache.offer_warm(problem, worse);
-  auto kept = cache.lookup_warm(problem);
-  ASSERT_TRUE(kept.has_value());
-  EXPECT_EQ(kept->predicted_makespan, 10.0);
-
-  ResultCache::WarmEntry better = first;
-  better.predicted_makespan = 8.0;
-  cache.offer_warm(problem, better);
-  kept = cache.lookup_warm(problem);
-  ASSERT_TRUE(kept.has_value());
-  EXPECT_EQ(kept->predicted_makespan, 8.0);
-}
-
 // ---- MappingService integration ----
 
 TEST(ResultCacheService, RepeatedSubmitsHitWithBitIdenticalReports) {
@@ -235,63 +207,6 @@ TEST(ResultCacheService, HitsBypassTheQueueAndFireTerminalSynchronously) {
   EXPECT_TRUE(queued.done());
 }
 
-TEST(ResultCacheService, WarmStartReusesAndNeverEndsWorseThanItsSeed) {
-  const auto graph = make_graph(13);
-  const auto platform = make_platform();
-  const auto cache = std::make_shared<ResultCache>();
-  MappingService service({.workers = 1, .cache = cache});
-
-  // Populate: a decent run of one mapper.
-  const auto seed_handle =
-      service.submit(make_job(graph, platform, "anneal:iters=2000,seed=3"));
-  const MapJobResult& seed_run = seed_handle.wait();
-  ASSERT_TRUE(seed_run.error.empty()) << seed_run.error;
-  EXPECT_EQ(seed_run.report.cache, CacheOutcome::kMiss);
-
-  // Near miss: same problem, different mapper/bounds. Opting in receives
-  // the incumbent as the search seed and reports kWarm.
-  MapJob warm = make_job(graph, platform, "hillclimb:iters=50,seed=9");
-  warm.allow_warm_start = true;
-  const auto warm_handle = service.submit(std::move(warm));
-  const MapJobResult& warmed = warm_handle.wait();
-  ASSERT_TRUE(warmed.error.empty()) << warmed.error;
-  EXPECT_EQ(warmed.report.cache, CacheOutcome::kWarm);
-  // The local-search seed-wins-ties contract: a warm run's result never
-  // prices worse than its seed under the run's own (BFS) evaluator.
-  EXPECT_LE(warmed.report.predicted_makespan,
-            seed_run.report.predicted_makespan);
-
-  // Without the opt-in the same near miss runs cold.
-  const auto cold_handle =
-      service.submit(make_job(graph, platform, "hillclimb:iters=50,seed=9"));
-  EXPECT_EQ(cold_handle.wait().report.cache, CacheOutcome::kMiss);
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.cache_warm, 1u);
-  EXPECT_EQ(stats.cache_hits, 0u);
-}
-
-TEST(ResultCacheService, WarmRunsNeverEnterTheExactMemo) {
-  const auto graph = make_graph(14);
-  const auto platform = make_platform();
-  const auto cache = std::make_shared<ResultCache>();
-  MappingService service({.workers = 1, .cache = cache});
-  const auto populate =
-      service.submit(make_job(graph, platform, "anneal:iters=1000,seed=3"));
-  populate.wait();
-
-  MapJob warm = make_job(graph, platform, "hillclimb:iters=50,seed=9");
-  warm.allow_warm_start = true;
-  const auto warm_handle = service.submit(std::move(warm));
-  ASSERT_EQ(warm_handle.wait().report.cache, CacheOutcome::kWarm);
-
-  // The same spec resubmitted cold must MISS: had the warm run polluted
-  // the memo, this would "hit" a result a cold run cannot reproduce.
-  const auto cold_handle =
-      service.submit(make_job(graph, platform, "hillclimb:iters=50,seed=9"));
-  EXPECT_EQ(cold_handle.wait().report.cache, CacheOutcome::kMiss);
-}
-
 TEST(ResultCacheService, UncacheableJobsReportNoneAndNeverInsert) {
   const auto graph = make_graph(15, 15);
   const auto platform = make_platform();
@@ -372,28 +287,11 @@ TEST(ResultCacheStress, ConcurrentHammeringOfATinyShardedCache) {
       Rng rng(1000 + t);
       for (int op = 0; op < kOpsPerThread; ++op) {
         const Digest key = key_of(rng.below(64));
-        switch (rng.below(4)) {
-          case 0:
-            cache.insert(key, result_of(rng.uniform()));
-            break;
-          case 1: {
-            const auto entry = cache.lookup(key);
-            if (entry.has_value()) {
-              // Entries must always come back whole.
-              ASSERT_EQ(entry->report.mapping.size(), 8u);
-            }
-            break;
-          }
-          case 2: {
-            ResultCache::WarmEntry warm;
-            warm.canonical_mapping.assign(8, DeviceId{0});
-            warm.predicted_makespan = rng.uniform();
-            cache.offer_warm(key, std::move(warm));
-            break;
-          }
-          default:
-            (void)cache.lookup_warm(key);
-            break;
+        if (rng.below(2) == 0) {
+          cache.insert(key, result_of(rng.uniform()));
+        } else if (const auto entry = cache.lookup(key)) {
+          // Entries must always come back whole.
+          ASSERT_EQ(entry->report.mapping.size(), 8u);
         }
       }
     });
@@ -422,7 +320,6 @@ TEST(ResultCacheStress, ServiceWithTinyCacheUnderRepeatedSubmits) {
       for (int i = 0; i < 24; ++i) {
         MapJob job = make_job(graphs[(t + i) % graphs.size()], platform,
                               i % 2 == 0 ? "heft" : "spff");
-        job.allow_warm_start = i % 3 == 0;
         const auto handle = service.submit(std::move(job));
         if (!handle.wait().error.empty()) ++errors;
       }

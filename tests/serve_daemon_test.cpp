@@ -422,9 +422,15 @@ TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
     Json submit2 = Json::object();
     submit2.set("mapper", Json("spff"));
     submit2.set("class", Json("high"));
-    submit2.set("generate", std::move(generate));
+    submit2.set("generate", generate);
     submit2.set("seed", Json(std::uint64_t{3}));
     submit2.set("construction_seed", Json(std::uint64_t{4}));
+
+    // A body an older daemon accepted that no longer parses.
+    Json submit3 = Json::object();
+    submit3.set("mapper", Json("spff"));
+    submit3.set("generate", std::move(generate));
+    submit3.set("warm", Json(true));
 
     Journal journal(journal_path);
     journal.append(Json(Json::Object{{"type", Json("submitted")},
@@ -438,6 +444,10 @@ TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
     journal.append(Json(Json::Object{{"type", Json("submitted")},
                                      {"job", Json(std::uint64_t{2})},
                                      {"submit", std::move(submit2)}}),
+                   true);
+    journal.append(Json(Json::Object{{"type", Json("submitted")},
+                                     {"job", Json(std::uint64_t{3})},
+                                     {"submit", std::move(submit3)}}),
                    true);
   }
 
@@ -465,11 +475,23 @@ TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
   EXPECT_EQ(done->at("job").as_int(), 2);
   EXPECT_EQ(done->at("state").as_string(), "done");
 
+  // Job 3: its body no longer parses, so it answers as a failed job
+  // instead of running.
+  client.send(Json(Json::Object{{"op", Json("status")},
+                                {"job", Json(std::uint64_t{3})}}));
+  const auto drifted = client.recv(10000.0);
+  ASSERT_TRUE(drifted.has_value());
+  ASSERT_TRUE(drifted->at("ok").as_bool()) << drifted->dump();
+  EXPECT_EQ(drifted->at("state").as_string(), "failed");
+  const std::string error = drifted->at("error").as_string();
+  EXPECT_EQ(error.rfind("journal recovery: ", 0), 0u) << error;
+  EXPECT_NE(error.find("warm"), std::string::npos) << error;
+
   // New submissions never collide with recovered ids.
   client.send(submit_frame());
   const auto accepted = client.recv(10000.0);
   ASSERT_TRUE(accepted.has_value() && accepted->at("ok").as_bool());
-  EXPECT_GE(accepted->at("job").as_int(), 3);
+  EXPECT_GE(accepted->at("job").as_int(), 4);
 
   std::remove(journal_path.c_str());
 }

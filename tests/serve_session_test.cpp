@@ -353,6 +353,7 @@ TEST(SessionSubmit, TableDrivenBadRequests) {
       {"negative_deadline", submit_line(",\"deadline_ms\":-1")},
       {"negative_seed", submit_line(",\"seed\":-4")},
       {"unknown_key", submit_line(",\"bogus\":1")},
+      {"warm_start_removed", submit_line(",\"warm\":true")},
       {"graph_not_object", "{\"op\":\"submit\",\"mapper\":\"spff\","
                            "\"graph\":\"x\"}"},
       {"subscribe_not_bool", submit_line(",\"subscribe\":1")},

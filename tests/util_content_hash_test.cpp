@@ -4,9 +4,9 @@
 /// The hashes carry the cache's entire correctness argument: equal keys
 /// must mean equal computations (else the memo silently serves wrong
 /// results), and cosmetic respellings — JSON key order, float
-/// round-trips, node insertion order for the *structural* hash — must not
-/// change the digest (else the cache never hits). Both directions are
-/// fuzzed over hundreds of randomized graphs/platforms.
+/// round-trips, save/load — must not change the digest (else the cache
+/// never hits). Both directions are fuzzed over hundreds of randomized
+/// graphs/platforms.
 
 #include "util/content_hash.hpp"
 
@@ -183,15 +183,11 @@ TEST(TaskGraphHash, SaveLoadRoundTripIsStable) {
     const TaskGraph loaded =
         task_graph_from_json(to_json(graph.dag, graph.attrs));
     EXPECT_EQ(task_graph_hash(graph), task_graph_hash(loaded)) << seed;
-    EXPECT_EQ(structural_task_graph_hash(graph).digest,
-              structural_task_graph_hash(loaded).digest)
-        << seed;
   }
 }
 
-TEST(TaskGraphHash, ExactHashIsLabelingSensitiveStructuralIsNot) {
+TEST(TaskGraphHash, ExactHashIsLabelingSensitive) {
   Rng rng(99);
-  int structural_checked = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const TaskGraph graph = random_graph(seed);
     const std::size_t n = graph.dag.node_count();
@@ -202,65 +198,23 @@ TEST(TaskGraphHash, ExactHashIsLabelingSensitiveStructuralIsNot) {
     }
     const TaskGraph shuffled = relabel(graph, perm);
 
-    const GraphStructure a = structural_task_graph_hash(graph);
-    const GraphStructure b = structural_task_graph_hash(shuffled);
-    // The structural identity ignores the labeling...
-    EXPECT_EQ(a.digest, b.digest) << seed;
-    EXPECT_EQ(a.ambiguous, b.ambiguous) << seed;
-    // ...while the exact (computation) identity must not, whenever the
+    // The computation identity follows the labeling whenever the
     // permutation actually moved a node.
     bool moved = false;
     for (std::size_t v = 0; v < n; ++v) moved = moved || perm[v] != v;
     if (moved) {
       EXPECT_NE(task_graph_hash(graph), task_graph_hash(shuffled)) << seed;
     }
-    // Canonical ranks translate between the labelings: node v of the
-    // original and node perm[v] of the relabeled graph are the same
-    // structural node, so they must rank equally (unambiguous case).
-    if (!a.ambiguous) {
-      ++structural_checked;
-      for (std::size_t v = 0; v < n; ++v) {
-        EXPECT_EQ(a.canonical_rank[v], b.canonical_rank[perm[v]])
-            << seed << " node " << v;
-      }
-    }
-    // Ranks are always a permutation of [0, n).
-    std::vector<std::uint32_t> sorted = a.canonical_rank;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t v = 0; v < n; ++v) {
-      EXPECT_EQ(sorted[v], static_cast<std::uint32_t>(v)) << seed;
-    }
   }
-  // Random continuous attrs: ambiguity should be the rare exception.
-  EXPECT_GT(structural_checked, 30);
 }
 
-TEST(TaskGraphHash, UniformGraphsAreFlaggedAmbiguous) {
-  // A diamond with identical attrs everywhere: the two middle nodes are
-  // symmetric twins, so cross-labeling translation would be unsound.
-  TaskGraph tg;
-  tg.dag = Dag(4);
-  tg.dag.add_edge(NodeId(0), NodeId(1), 10.0);
-  tg.dag.add_edge(NodeId(0), NodeId(2), 10.0);
-  tg.dag.add_edge(NodeId(1), NodeId(3), 10.0);
-  tg.dag.add_edge(NodeId(2), NodeId(3), 10.0);
-  tg.attrs.resize(4);
-  for (std::size_t v = 0; v < 4; ++v) {
-    tg.attrs.complexity[v] = 5.0;
-    tg.attrs.streamability[v] = 1.0;
-    tg.attrs.area[v] = 1.0;
-  }
-  EXPECT_TRUE(structural_task_graph_hash(tg).ambiguous);
-}
-
-TEST(TaskGraphHash, FuzzSingleFieldMutationsChangeBothHashes) {
+TEST(TaskGraphHash, FuzzSingleFieldMutationsChangeTheHash) {
   // 500+ mutation probes: any single model-field change is a different
-  // computation AND a different problem, so both identities must move.
+  // computation, so the identity must move.
   int probes = 0;
   for (std::uint64_t seed = 1; probes < 500; ++seed) {
     const TaskGraph graph = random_graph(seed, 12);
     const Digest exact = task_graph_hash(graph);
-    const Digest structural = structural_task_graph_hash(graph).digest;
     Rng rng(seed * 7919 + 1);
     for (int m = 0; m < 8; ++m, ++probes) {
       TaskGraph mutated = graph;
@@ -287,8 +241,6 @@ TEST(TaskGraphHash, FuzzSingleFieldMutationsChangeBothHashes) {
         }
       }
       EXPECT_NE(task_graph_hash(mutated), exact) << seed << " probe " << m;
-      EXPECT_NE(structural_task_graph_hash(mutated).digest, structural)
-          << seed << " probe " << m;
     }
   }
 }

@@ -101,16 +101,15 @@ void print_summary(const LoadgenOptions& options,
     std::printf("verified=%zu mismatches=%zu\n", report.verified,
                 report.mismatches);
   }
-  if (options.distinct > 0 || report.cache_hits > 0 ||
-      report.cache_warm > 0) {
+  if (options.distinct > 0 || report.cache_hits > 0) {
     const double hit_rate =
         report.completed > 0
             ? static_cast<double>(report.cache_hits) /
                   static_cast<double>(report.completed)
             : 0.0;
-    std::printf("cache: hits=%zu warm=%zu miss=%zu none=%zu hit_rate=%.3f\n",
-                report.cache_hits, report.cache_warm, report.cache_misses,
-                report.cache_none, hit_rate);
+    std::printf("cache: hits=%zu miss=%zu none=%zu hit_rate=%.3f\n",
+                report.cache_hits, report.cache_misses, report.cache_none,
+                hit_rate);
   }
   if (options.chaos) {
     std::printf(
