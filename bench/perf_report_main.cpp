@@ -142,9 +142,10 @@ void report_incremental(Json& results, const char* config, const Dag& dag,
   const std::size_t n = dag.node_count();
   const CostModel cost(dag, attrs, platform);
   const Evaluator eval(cost);
+  EvalContext ctx;
   volatile double sink = 0.0;
   const double full_s = time_per_call(
-      min_seconds, [&] { sink = sink + eval.evaluate(mapping); });
+      min_seconds, [&] { sink = sink + eval.evaluate(mapping, ctx); });
 
   IncrementalEvaluator inc(eval);
   inc.reset(mapping);
@@ -242,10 +243,11 @@ int run(const Flags& flags) {
     const CostModel cost(c.dag, c.attrs, c.platform);
     const Evaluator eval(cost);
     ReferenceEvaluator reference(cost);
+    EvalContext ctx;
 
     volatile double sink = 0.0;
     const double flat_s = time_per_call(
-        min_seconds, [&] { sink = sink + eval.evaluate(c.mapping); });
+        min_seconds, [&] { sink = sink + eval.evaluate(c.mapping, ctx); });
     const double ref_s = time_per_call(
         min_seconds, [&] { sink = sink + reference.evaluate(c.mapping); });
 
@@ -286,17 +288,19 @@ int run(const Flags& flags) {
     for (std::size_t i = 0; i < batch_size; ++i) {
       batch.push_back(random_feasible_mapping(cost, rng));
     }
-    const std::vector<double> serial = eval.evaluate_batch(batch);
+    EvalContext ctx;
+    const std::vector<double> serial = eval.evaluate_batch(batch, ctx);
 
     double serial_s = 0.0;
     for (const std::size_t threads : {1u, 2u, 4u}) {
       ThreadPool pool(threads);
-      const std::vector<double> parallel = eval.evaluate_batch(batch, &pool);
+      const std::vector<double> parallel =
+          eval.evaluate_batch(batch, ctx, &pool);
       const bool identical = parallel == serial;  // bitwise double compare
       const bool exceeds = threads > hardware_threads;
       volatile std::size_t sink = 0;
       const double batch_s = time_per_call(min_seconds, [&] {
-        sink = sink + eval.evaluate_batch(batch, &pool).size();
+        sink = sink + eval.evaluate_batch(batch, ctx, &pool).size();
       });
       const double per_eval_s = batch_s / static_cast<double>(batch_size);
       if (threads == 1) serial_s = per_eval_s;

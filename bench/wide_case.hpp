@@ -3,9 +3,9 @@
 /// The shared wide-workflow benchmark configuration.
 ///
 /// One definition for the "wide_manycore" regime measured both by
-/// bench_micro_core (BM_EvaluateMakespanWide / BM_IncrementalReassignWide)
-/// and by bench_perf_report (the `incremental_reassign` rows of
-/// BENCH_eval.json), so the two surfaces cannot drift apart: a 16-wide
+/// bench_perf_report (the `incremental_reassign` rows of BENCH_eval.json)
+/// and by perfbench's `refine_wide` workload, so the two surfaces cannot
+/// drift apart: a 16-wide
 /// layered DAG (independent branch bundles with joins) on the many-core
 /// scale-out platform, starting from the all-CPU default mapping.
 /// Schedules here are dependency- rather than queue-bound — the regime

@@ -20,6 +20,9 @@
 #   5. No clock in src/sched/ — pricing and probe routing are pure
 #      functions of their inputs, so the same calls take the same paths
 #      and return the same values on every run.
+#   6. No `mutable` member in src/sched/ — the evaluators are shared
+#      read-only by concurrent runs; per-run pricing state lives in the
+#      caller's EvalContext or IncrementalEvaluator, never behind const.
 set -u
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -67,6 +70,12 @@ matches=$(grep -rn --include='*.hpp' --include='*.cpp' \
   -e '<chrono>' -e 'steady_clock' -e 'system_clock' -e 'WallTimer' \
   -e 'clock_gettime' src/sched/ || true)
 report "clocks are banned in src/sched/ (pricing and probe routing must be pure functions of their inputs)" "$matches"
+
+# Rule 6: no mutable member declarations in the evaluator layer. Only
+# code before any `//` counts, so prose saying "mutable" does not match.
+matches=$(grep -rnE --include='*.hpp' --include='*.cpp' \
+  '^[^/]*\bmutable[[:space:]]+[A-Za-z_:]' src/sched/ || true)
+report "mutable members are banned in src/sched/ (per-run state belongs in a caller-owned context)" "$matches"
 
 if [ "$failures" -ne 0 ]; then
   echo "lint_invariants: FAILED" >&2

@@ -12,9 +12,9 @@ MapReport CpuOnlyMapper::map(const Evaluator& eval,
   RunControl control(request);
   MapReport report;
   report.mapping = eval.default_mapping();
-  const std::size_t before = eval.evaluation_count();
-  report.predicted_makespan = eval.evaluate(report.mapping);
-  report.evaluations = eval.evaluation_count() - before;
+  EvalContext ctx;
+  report.predicted_makespan = eval.evaluate(report.mapping, ctx);
+  report.evaluations = ctx.evaluations();
   control.record_incumbent(report.predicted_makespan, 0);
   control.finalize(report);
   return report;

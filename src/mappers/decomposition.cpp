@@ -75,7 +75,7 @@ struct OpTable {
 /// prefix was priced.
 template <typename Consume>
 void sweep_frontier(const OpTable& ops, const Mapping& mapping,
-                    const Evaluator& eval, ThreadPool* pool,
+                    const Evaluator& eval, EvalContext& ctx, ThreadPool* pool,
                     const RunControl& control, Consume&& consume) {
   std::vector<std::size_t> op_of;
   std::vector<Mapping> candidates;
@@ -83,7 +83,7 @@ void sweep_frontier(const OpTable& ops, const Mapping& mapping,
   candidates.reserve(kBatchChunk);
   auto flush = [&]() {
     const std::vector<double> makespans =
-        eval.evaluate_batch(candidates, pool);
+        eval.evaluate_batch(candidates, ctx, pool);
     for (std::size_t i = 0; i < makespans.size(); ++i) {
       consume(op_of[i], makespans[i]);
     }
@@ -116,20 +116,22 @@ DecompositionMapper::DecompositionMapper(std::string name,
 MapReport DecompositionMapper::map(const Evaluator& eval,
                                    const MapRequest& request) {
   RunControl control(request);
+  EvalContext ctx;
   MapReport report = params_.variant == DecompositionVariant::Basic
-                         ? map_basic(eval, control)
-                         : map_threshold(eval, control);
+                         ? map_basic(eval, ctx, control)
+                         : map_threshold(eval, ctx, control);
   control.record_incumbent(report.predicted_makespan, report.iterations);
   control.finalize(report);
   return report;
 }
 
 MapReport DecompositionMapper::map_basic(const Evaluator& eval,
+                                         EvalContext& ctx,
                                          RunControl& control) const {
-  const std::size_t evals_before = eval.evaluation_count();
   const OpTable ops{&subgraphs_, eval.cost().platform().device_count()};
   const auto objective = [&](const Mapping& m) {
-    return params_.objective ? params_.objective(eval, m) : eval.evaluate(m);
+    return params_.objective ? params_.objective(eval, m, ctx)
+                             : eval.evaluate(m, ctx);
   };
   // A custom objective cannot go through the makespan batch API.
   const PoolLease lease(control.request(),
@@ -149,8 +151,7 @@ MapReport DecompositionMapper::map_basic(const Evaluator& eval,
   bool converged = false;
   std::vector<DeviceId> undo;
   while (iterations < cap) {
-    if (control.should_stop(iterations,
-                            eval.evaluation_count() - evals_before)) {
+    if (control.should_stop(iterations, ctx.evaluations())) {
       break;
     }
     std::size_t best_op = ops.count();
@@ -162,7 +163,7 @@ MapReport DecompositionMapper::map_basic(const Evaluator& eval,
       }
     };
     if (pool) {
-      sweep_frontier(ops, mapping, eval, pool, control, keep_best);
+      sweep_frontier(ops, mapping, eval, ctx, pool, control, keep_best);
     } else {
       for (std::size_t op = 0; op < ops.count(); ++op) {
         if (control.interrupted()) break;
@@ -183,24 +184,25 @@ MapReport DecompositionMapper::map_basic(const Evaluator& eval,
     ++iterations;
   }
   if (!converged) {
-    control.should_stop(iterations, eval.evaluation_count() - evals_before);
+    control.should_stop(iterations, ctx.evaluations());
   }
 
   MapReport report;
-  report.predicted_makespan = eval.evaluate(mapping);
+  report.predicted_makespan = eval.evaluate(mapping, ctx);
   report.mapping = std::move(mapping);
   report.iterations = iterations;
-  report.evaluations = eval.evaluation_count() - evals_before;
+  report.evaluations = ctx.evaluations();
   return report;
 }
 
 MapReport DecompositionMapper::map_threshold(const Evaluator& eval,
+                                             EvalContext& ctx,
                                              RunControl& control) const {
-  const std::size_t evals_before = eval.evaluation_count();
   const OpTable ops{&subgraphs_, eval.cost().platform().device_count()};
   const double gamma = std::max(params_.gamma, 1.0);
   const auto objective = [&](const Mapping& m) {
-    return params_.objective ? params_.objective(eval, m) : eval.evaluate(m);
+    return params_.objective ? params_.objective(eval, m, ctx)
+                             : eval.evaluate(m, ctx);
   };
   // A custom objective cannot go through the makespan batch API. The
   // heap-guided inner scan is inherently sequential; only the full-frontier
@@ -228,7 +230,7 @@ MapReport DecompositionMapper::map_threshold(const Evaluator& eval,
   auto recompute_all = [&](auto&& consume) {
     if (pool) {
       std::vector<double> improvement(ops.count(), -kInfeasible);
-      sweep_frontier(ops, mapping, eval, pool, control,
+      sweep_frontier(ops, mapping, eval, ctx, pool, control,
                      [&](std::size_t op, double ms) {
                        improvement[op] = current - ms;
                      });
@@ -257,8 +259,7 @@ MapReport DecompositionMapper::map_threshold(const Evaluator& eval,
   std::vector<bool> fresh(ops.count(), false);
 
   while (iterations < cap) {
-    if (control.should_stop(iterations,
-                            eval.evaluation_count() - evals_before)) {
+    if (control.should_stop(iterations, ctx.evaluations())) {
       break;
     }
     // Scan operations in order of expected improvement, re-evaluating each
@@ -313,14 +314,14 @@ MapReport DecompositionMapper::map_threshold(const Evaluator& eval,
     ++iterations;
   }
   if (!converged) {
-    control.should_stop(iterations, eval.evaluation_count() - evals_before);
+    control.should_stop(iterations, ctx.evaluations());
   }
 
   MapReport report;
-  report.predicted_makespan = eval.evaluate(mapping);
+  report.predicted_makespan = eval.evaluate(mapping, ctx);
   report.mapping = std::move(mapping);
   report.iterations = iterations;
-  report.evaluations = eval.evaluation_count() - evals_before;
+  report.evaluations = ctx.evaluations();
   return report;
 }
 

@@ -39,10 +39,12 @@ struct DecompositionParams {
   /// Cap on improvement iterations; 0 derives the paper's suggestion of one
   /// iteration per task (times a small safety factor).
   std::size_t max_iterations = 0;
-  /// Optional custom objective (smaller is better; +inf == infeasible).
-  /// Defaults to the evaluator's makespan. Used by the multi-objective
-  /// scalarization extension (multi_objective.hpp).
-  std::function<double(const Evaluator&, const Mapping&)> objective;
+  /// Optional custom objective (smaller is better; +inf == infeasible),
+  /// pricing through the run's context. Defaults to the evaluator's
+  /// makespan. Used by the multi-objective scalarization extension
+  /// (multi_objective.hpp).
+  std::function<double(const Evaluator&, const Mapping&, EvalContext&)>
+      objective;
   /// Worker threads for the full-frontier candidate sweeps (basic variant
   /// iterations; the threshold variant's initial fill and verification
   /// sweep). Goes through Evaluator::evaluate_batch — results are
@@ -63,8 +65,10 @@ class DecompositionMapper final : public Mapper {
   const SubgraphSet& subgraphs() const { return subgraphs_; }
 
  private:
-  MapReport map_basic(const Evaluator& eval, RunControl& control) const;
-  MapReport map_threshold(const Evaluator& eval, RunControl& control) const;
+  MapReport map_basic(const Evaluator& eval, EvalContext& ctx,
+                      RunControl& control) const;
+  MapReport map_threshold(const Evaluator& eval, EvalContext& ctx,
+                          RunControl& control) const;
 
   std::string name_;
   SubgraphSet subgraphs_;

@@ -107,9 +107,9 @@ MapReport HeftMapper::map(const Evaluator& eval, const MapRequest& request) {
   }
 
   MapReport report;
-  const std::size_t before = eval.evaluation_count();
-  report.predicted_makespan = eval.evaluate(mapping);
-  report.evaluations = eval.evaluation_count() - before;
+  EvalContext ctx;
+  report.predicted_makespan = eval.evaluate(mapping, ctx);
+  report.evaluations = ctx.evaluations();
   report.mapping = std::move(mapping);
   report.iterations = placed;
   control.record_incumbent(report.predicted_makespan, placed);

@@ -184,7 +184,6 @@ MapReport LocalSearchMapper::map(const Evaluator& eval,
   RunControl control(request);
   const std::size_t n = eval.dag().node_count();
   const std::size_t devices = eval.cost().platform().device_count();
-  const std::size_t evals_before = eval.evaluation_count();
 
   // The init run shares the deadline window, the cancel token and the
   // evaluation budget (a seed that overruns any of them must stop too;
@@ -220,7 +219,6 @@ MapReport LocalSearchMapper::map(const Evaluator& eval,
       control.stop(seed.termination);
     }
     report = std::move(seed);
-    report.evaluations = eval.evaluation_count() - evals_before;
     report.trajectory.clear();
     control.record_incumbent(report.predicted_makespan, 0);
     control.finalize(report);
@@ -242,9 +240,8 @@ MapReport LocalSearchMapper::map(const Evaluator& eval,
     budget = std::min(budget, request.max_iterations);
   }
   if (request.max_evaluations != 0) {
-    const std::size_t spent = eval.evaluation_count() - evals_before;
-    budget = std::min(budget, request.max_evaluations > spent
-                                  ? request.max_evaluations - spent
+    budget = std::min(budget, request.max_evaluations > seed.evaluations
+                                  ? request.max_evaluations - seed.evaluations
                                   : 0);
   }
   std::vector<std::size_t> allotment(params_.restarts, 0);
@@ -344,7 +341,8 @@ MapReport LocalSearchMapper::map(const Evaluator& eval,
   // (replayed here: parallel restarts must not interleave callbacks); a
   // final entry re-prices the returned mapping under the evaluator's own
   // metric so the last entry always equals the reported makespan.
-  const double searched = eval.evaluate(best->mapping);
+  EvalContext ctx;
+  const double searched = eval.evaluate(best->mapping, ctx);
   if (searched < seed.predicted_makespan) {
     report.mapping = best->mapping;
     report.predicted_makespan = searched;
@@ -374,7 +372,7 @@ MapReport LocalSearchMapper::map(const Evaluator& eval,
   report.iterations = executed;
   // One apply re-prices a candidate: the incremental counterpart of one
   // single-schedule evaluation, plus the init's and the final full sweeps.
-  report.evaluations = applies + (eval.evaluation_count() - evals_before);
+  report.evaluations = applies + seed.evaluations + ctx.evaluations();
   control.finalize(report);
   return report;
 }

@@ -196,9 +196,9 @@ MapReport LookaheadHeftMapper::map(const Evaluator& eval,
   }
 
   MapReport report;
-  const std::size_t before = eval.evaluation_count();
-  report.predicted_makespan = eval.evaluate(state.mapping);
-  report.evaluations = eval.evaluation_count() - before;
+  EvalContext ctx;
+  report.predicted_makespan = eval.evaluate(state.mapping, ctx);
+  report.evaluations = ctx.evaluations();
   report.mapping = std::move(state.mapping);
   report.iterations = placed;
   control.record_incumbent(report.predicted_makespan, placed);

@@ -151,11 +151,11 @@ MapReport finish(const Evaluator& eval, MilpMapperBase&, const Builder& b,
 
   MapReport report;
   report.iterations = mip.nodes;
-  const std::size_t before = eval.evaluation_count();
   report.mapping = mip.has_solution() ? b.extract_mapping(mip.x)
                                       : eval.default_mapping();
-  report.predicted_makespan = eval.evaluate(report.mapping);
-  report.evaluations = eval.evaluation_count() - before;
+  EvalContext ctx;
+  report.predicted_makespan = eval.evaluate(report.mapping, ctx);
+  report.evaluations = ctx.evaluations();
   control.record_incumbent(report.predicted_makespan, mip.nodes);
   control.finalize(report);
   return report;

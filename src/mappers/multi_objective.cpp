@@ -171,9 +171,10 @@ std::vector<ParetoPoint> MoNsga2Mapper::optimize(const Evaluator& eval) const {
     return mp;
   };
 
+  EvalContext ctx;
   auto evaluate = [&](MoIndividual& ind) {
     const Mapping mp = to_mapping(ind.genes);
-    ind.makespan = eval.evaluate(mp);
+    ind.makespan = eval.evaluate(mp, ctx);
     ind.energy = mapping_energy_joules(cost, mp, ind.makespan);
   };
 
@@ -251,8 +252,9 @@ std::vector<ParetoPoint> decomposition_pareto_sweep(
     DecompositionParams params;
     params.variant = DecompositionVariant::Threshold;
     params.gamma = 1.0;
-    params.objective = [w, ms0, e0](const Evaluator& ev, const Mapping& m) {
-      const double ms = ev.evaluate(m);
+    params.objective = [w, ms0, e0](const Evaluator& ev, const Mapping& m,
+                                    EvalContext& ctx) {
+      const double ms = ev.evaluate(m, ctx);
       if (ms >= kInfeasible) return kInfeasible;
       const double energy = mapping_energy_joules(ev.cost(), m, ms);
       return w * ms / ms0 + (1.0 - w) * energy / e0;

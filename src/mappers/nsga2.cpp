@@ -28,7 +28,7 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
   const Platform& platform = cost.platform();
   const std::size_t n = dag.node_count();
   const std::size_t m = platform.device_count();
-  const std::size_t evals_before = eval.evaluation_count();
+  EvalContext ctx;
 
   Rng rng(request.seed.value_or(params_.seed));
   const double mutation_rate =
@@ -84,7 +84,7 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
       mappings.push_back(to_mapping(ind.genes));
     }
     const std::vector<double> fitness =
-        eval.evaluate_batch(mappings, lease.get());
+        eval.evaluate_batch(mappings, ctx, lease.get());
     for (std::size_t i = 0; i < cohort.size(); ++i) {
       cohort[i].fitness = fitness[i];
     }
@@ -133,7 +133,7 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
   std::vector<Individual> offspring;
   std::size_t generations_run = 0;
   for (std::size_t gen = 0; gen < params_.generations; ++gen) {
-    if (control.should_stop(gen, eval.evaluation_count() - evals_before)) {
+    if (control.should_stop(gen, ctx.evaluations())) {
       break;
     }
     offspring.clear();
@@ -176,7 +176,7 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
   report.mapping = to_mapping(best->genes);
   report.predicted_makespan = best->fitness;
   report.iterations = generations_run;
-  report.evaluations = eval.evaluation_count() - evals_before;
+  report.evaluations = ctx.evaluations();
   control.finalize(report);
   return report;
 }

@@ -145,9 +145,9 @@ MapReport PeftMapper::map(const Evaluator& eval, const MapRequest& request) {
           "PEFT: scheduling did not cover all tasks");
 
   MapReport report;
-  const std::size_t before = eval.evaluation_count();
-  report.predicted_makespan = eval.evaluate(mapping);
-  report.evaluations = eval.evaluation_count() - before;
+  EvalContext ctx;
+  report.predicted_makespan = eval.evaluate(mapping, ctx);
+  report.evaluations = ctx.evaluations();
   report.mapping = std::move(mapping);
   report.iterations = scheduled;
   control.record_incumbent(report.predicted_makespan, scheduled);

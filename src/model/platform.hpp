@@ -67,7 +67,7 @@ struct ReferenceDevices {
 /// many-core dual-socket host (32 execution slots), a partitioned
 /// data-center GPU (8 slots) and a large FPGA card, on faster PCIe links.
 /// Device order matches reference_platform(). Used by the wide-workflow
-/// benchmarks (bench_micro_core, bench_perf_report): schedules on this
+/// benchmarks (bench_perf_report, perfbench): schedules on this
 /// machine are dependency- rather than queue-bound, the regime where
 /// incremental delta-evaluation shines.
 Platform manycore_platform();

@@ -126,62 +126,50 @@ double Evaluator::evaluate_order(const Mapping& mapping,
   return evaluate_plan(mapping, build_plan(order), ctx);
 }
 
+double Evaluator::evaluate(const Mapping& mapping) const {
+  EvalContext ctx;
+  return evaluate(mapping, ctx);
+}
+
 std::vector<double> Evaluator::evaluate_batch(std::span<const Mapping> mappings,
+                                              EvalContext& ctx,
                                               ThreadPool* pool) const {
   std::vector<double> result(mappings.size());
-  // Per-worker scratch persists across batch calls (a generation loop
-  // dispatches thousands of batches); part of why this is a single-caller
-  // API. The serial path uses worker 0's context, not scratch_, so batch
-  // evaluation never disturbs last_start_times()/last_finish_times().
-  const std::size_t workers =
-      pool == nullptr ? 1 : std::max<std::size_t>(1, pool->thread_count());
-  if (batch_contexts_.size() < workers) batch_contexts_.resize(workers);
-  std::size_t before = 0;
-  for (const EvalContext& ctx : batch_contexts_) before += ctx.evals_;
   if (pool == nullptr || pool->thread_count() <= 1 || mappings.size() <= 1) {
     for (std::size_t i = 0; i < mappings.size(); ++i) {
-      result[i] = evaluate(mappings[i], batch_contexts_[0]);
+      result[i] = evaluate(mappings[i], ctx);
     }
-  } else {
-    // Chunks of 8 dealt round-robin: small enough that a few expensive
-    // mappings (e.g. large-makespan outliers on a skewed cohort) spread
-    // across workers instead of serializing one block, large enough that
-    // dispatch overhead stays negligible.
-    //
-    // False-sharing audit of `result`: a chunk of 8 doubles is exactly one
-    // 64-byte cache line, so with chunked writes each worker owns whole
-    // lines except possibly the two lines straddling the vector's start
-    // and end (the allocator guarantees 16-byte alignment only). At most
-    // two boundary lines per chunk transition can ping-pong, independent
-    // of batch size — negligible next to the evaluation cost per item.
-    constexpr std::size_t kBatchChunk = 8;
-    pool->parallel_for_chunks(
-        mappings.size(), kBatchChunk,
-        [&](std::size_t begin, std::size_t end, std::size_t worker) {
-          EvalContext& ctx = batch_contexts_[worker];
-          for (std::size_t i = begin; i < end; ++i) {
-            result[i] = evaluate(mappings[i], ctx);
-          }
-        });
+    return result;
   }
-  std::size_t after = 0;
-  for (const EvalContext& ctx : batch_contexts_) after += ctx.evals_;
-  eval_count_ += after - before;
-  return result;
-}
-
-double Evaluator::evaluate(const Mapping& mapping) const {
-  const std::size_t before = scratch_.evals_;
-  const double result = evaluate(mapping, scratch_);
-  eval_count_ += scratch_.evals_ - before;
-  return result;
-}
-
-double Evaluator::evaluate_order(const Mapping& mapping,
-                                 const std::vector<NodeId>& order) const {
-  const std::size_t before = scratch_.evals_;
-  const double result = evaluate_order(mapping, order, scratch_);
-  eval_count_ += scratch_.evals_ - before;
+  // The caller runs as pool worker 0 and prices through `ctx`; worker w > 0
+  // through child context w - 1.
+  if (ctx.workers_.size() < pool->thread_count() - 1) {
+    ctx.workers_.resize(pool->thread_count() - 1);
+  }
+  // Chunks of 8 dealt round-robin: small enough that a few expensive
+  // mappings (e.g. large-makespan outliers on a skewed cohort) spread
+  // across workers instead of serializing one block, large enough that
+  // dispatch overhead stays negligible.
+  //
+  // False-sharing audit of `result`: a chunk of 8 doubles is exactly one
+  // 64-byte cache line, so with chunked writes each worker owns whole
+  // lines except possibly the two lines straddling the vector's start
+  // and end (the allocator guarantees 16-byte alignment only). At most
+  // two boundary lines per chunk transition can ping-pong, independent
+  // of batch size — negligible next to the evaluation cost per item.
+  constexpr std::size_t kBatchChunk = 8;
+  pool->parallel_for_chunks(
+      mappings.size(), kBatchChunk,
+      [&](std::size_t begin, std::size_t end, std::size_t worker) {
+        EvalContext& scratch = worker == 0 ? ctx : ctx.workers_[worker - 1];
+        for (std::size_t i = begin; i < end; ++i) {
+          result[i] = evaluate(mappings[i], scratch);
+        }
+      });
+  for (EvalContext& child : ctx.workers_) {
+    ctx.evals_ += child.evals_;
+    child.evals_ = 0;
+  }
   return result;
 }
 

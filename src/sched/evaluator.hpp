@@ -43,22 +43,20 @@
 ///
 /// ## Thread-safety contract
 ///
-/// The evaluator itself is immutable after construction. All simulation
-/// scratch lives in an explicit `EvalContext`:
-///  * `evaluate(mapping, ctx)` / `evaluate_order(mapping, order, ctx)` are
-///    const and safe to call concurrently as long as each thread uses its
-///    own context;
-///  * the context-free convenience overloads (`evaluate(mapping)`, ...)
-///    share one internal scratch context plus the `evaluation_count()` /
-///    `last_*_times()` counters, and are therefore NOT thread-safe — they
-///    exist for the single-threaded call sites (mappers' serial paths,
-///    schedule extraction, tests);
-///  * `evaluate_batch` runs the context overload with one persistent
-///    private context per worker and a deterministic static partition, so
-///    its results are bit-identical for every thread count, including the
-///    serial path. It is itself a single-caller API (internally parallel,
-///    but it shares the counters above): never call it concurrently with
-///    itself or the convenience overloads.
+/// The evaluator is immutable after construction and holds no scratch:
+/// every sweep writes into a caller-owned `EvalContext`, which also counts
+/// the evaluations made through it. So:
+///  * `evaluate(mapping, ctx)`, `evaluate_order(mapping, order, ctx)` and
+///    `evaluate_batch(mappings, ctx, pool)` are const and safe to call
+///    concurrently on one evaluator as long as each thread (each run) uses
+///    its own context — a mapper owns one context per run and reports
+///    `ctx.evaluations()` as its evaluation count;
+///  * `evaluate_batch` prices on the calling thread through `ctx` and on
+///    every other pool worker through a child context kept inside `ctx`,
+///    with a deterministic static partition, so its results are
+///    bit-identical for every thread count, including the serial path;
+///  * the one-shot `evaluate(mapping)` prices through a fresh local context
+///    (an allocation per call): for single calls, not for search loops.
 
 #include <cstdint>
 #include <limits>
@@ -82,9 +80,10 @@ struct EvalParams {
 /// Value returned for infeasible mappings.
 inline constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 
-/// Per-thread (or per-call) simulation scratch. Reused across evaluations;
-/// buffers grow on first use with a given evaluator. A context may only be
-/// used with one evaluator at a time and by one thread at a time.
+/// Per-run simulation scratch and evaluation counter. Reused across
+/// evaluations; buffers grow on first use with a given evaluator. A
+/// context may only be used with one evaluator at a time and by one thread
+/// at a time (`evaluate_batch` hands its workers child contexts of its own).
 ///
 /// All four per-sweep arrays (start, finish, slot_ready, link_ready) live
 /// as plain-double segments of one arena allocation, in that order. The
@@ -95,12 +94,19 @@ inline constexpr double kInfeasible = std::numeric_limits<double>::infinity();
 /// offsets are rounded up to a cache line (8 doubles) so segments never
 /// share a line with each other, and slot_ready/link_ready are adjacent so
 /// the per-evaluation reset is a single fill. Segments are addressed by
-/// offset, not pointer, so contexts copy and move safely (the pool's
-/// per-worker context vector relies on this).
+/// offset, not pointer, so contexts copy and move safely (the vector of
+/// batch-worker children relies on this).
 class EvalContext {
  public:
-  /// Single-order evaluations performed through this context.
+  /// Single-order evaluations performed through this context, including
+  /// those its batch-worker children made for it.
   std::size_t evaluations() const { return evals_; }
+
+  /// Per-task start/finish times of the most recent single-order sweep
+  /// through this context itself (schedule extraction; see
+  /// sched/schedule.hpp). Empty before the first sweep.
+  std::span<const double> start_times() const { return {start(), nodes_}; }
+  std::span<const double> finish_times() const { return {finish(), nodes_}; }
 
  private:
   friend class Evaluator;
@@ -122,6 +128,10 @@ class EvalContext {
   std::size_t finish_off_ = 0, slot_off_ = 0, link_off_ = 0;
   std::size_t reset_len_ = 0;  // doubles to zero from slot_ready() per eval
   std::size_t evals_ = 0;
+  /// Scratch of `evaluate_batch` pool workers 1..T-1 (the caller, worker
+  /// 0, prices through this context). Kept here so a generation loop's
+  /// thousands of batches reuse them.
+  std::vector<EvalContext> workers_;
 };
 
 class Evaluator {
@@ -134,12 +144,12 @@ class Evaluator {
   const Dag& dag() const { return cost_->dag(); }
   const FlatGraph& flat_graph() const { return tables_.flat; }
 
-  // ---- thread-safe evaluation (explicit context) ----
-
   /// Makespan of `mapping`: minimum over the prepared schedule orders.
-  /// +infinity if infeasible. Safe to call concurrently with distinct
-  /// contexts.
+  /// +infinity if infeasible.
   double evaluate(const Mapping& mapping, EvalContext& ctx) const;
+
+  /// One-shot `evaluate` through a fresh local context.
+  double evaluate(const Mapping& mapping) const;
 
   /// Makespan of `mapping` under one given topological order. Orders taken
   /// from `orders()` use the precomputed walk plan; foreign orders pay a
@@ -148,27 +158,18 @@ class Evaluator {
                         const std::vector<NodeId>& order,
                         EvalContext& ctx) const;
 
-  // ---- single-threaded convenience (shared internal scratch) ----
-
-  /// Makespans of a batch of mappings, in order. With a pool the batch is
-  /// split into fixed-size chunks dealt round-robin to the workers (each
-  /// item still evaluated independently with a persistent per-worker
-  /// context), so one expensive region of the batch cannot serialize the
+  /// Makespans of a batch of mappings, in order, counted in `ctx`. With a
+  /// pool the batch is split into fixed-size chunks dealt round-robin to
+  /// the workers (each item still evaluated independently, through `ctx`
+  /// on the calling thread and a child context of `ctx` on every other
+  /// worker), so one expensive region of the batch cannot serialize the
   /// call on a single worker; the chunk→worker map depends only on the
   /// batch size, so results are bit-identical to the serial path for every
   /// thread count. `pool == nullptr` (or a 1-thread pool) runs serially on
-  /// the caller. The batch is internally parallel but a *single-caller*
-  /// API: it reuses internal scratch and aggregates into
-  /// evaluation_count(), so do not call it (or the other convenience
-  /// overloads) concurrently from several threads.
+  /// the caller.
   std::vector<double> evaluate_batch(std::span<const Mapping> mappings,
+                                     EvalContext& ctx,
                                      ThreadPool* pool = nullptr) const;
-
-  /// As the context overloads, but using the evaluator's internal scratch
-  /// context. NOT thread-safe; see the contract above.
-  double evaluate(const Mapping& mapping) const;
-  double evaluate_order(const Mapping& mapping,
-                        const std::vector<NodeId>& order) const;
 
   /// Makespan with every task on the platform's default device — the
   /// baseline of the paper's "relative improvement" metric.
@@ -176,22 +177,6 @@ class Evaluator {
 
   /// The default (all-CPU) mapping itself.
   Mapping default_mapping() const;
-
-  /// Number of single-order evaluations performed so far through the
-  /// convenience overloads and evaluate_batch (profiling aid). Evaluations
-  /// through caller-owned contexts are counted in EvalContext::evaluations.
-  std::size_t evaluation_count() const { return eval_count_; }
-
-  /// Per-task start/finish times of the most recent *convenience-overload*
-  /// evaluate_order()/evaluate() call (schedule extraction; see
-  /// sched/schedule.hpp). Context and batch evaluations do not touch
-  /// these. Empty before the first such call.
-  std::span<const double> last_start_times() const {
-    return {scratch_.start(), scratch_.nodes_};
-  }
-  std::span<const double> last_finish_times() const {
-    return {scratch_.finish(), scratch_.nodes_};
-  }
 
   const std::vector<std::vector<NodeId>>& orders() const { return orders_; }
 
@@ -213,10 +198,6 @@ class Evaluator {
   SweepTables tables_;
   std::vector<std::vector<NodeId>> orders_;  // [0] = breadth-first
   std::vector<WalkPlan> plans_;              // plans_[i] walks orders_[i]
-
-  mutable EvalContext scratch_;  // backs the convenience overloads
-  mutable std::vector<EvalContext> batch_contexts_;  // per-worker, reused
-  mutable std::size_t eval_count_ = 0;
 };
 
 }  // namespace spmap

@@ -106,24 +106,25 @@ void Schedule::validate(const Dag& dag, const Platform& platform,
 Schedule extract_schedule(const Evaluator& eval, const Mapping& mapping) {
   require(eval.cost().area_feasible(mapping),
           "extract_schedule: mapping is area-infeasible");
-  // Find the best prepared order, then re-simulate it so the evaluator's
+  // Find the best prepared order, then re-simulate it so the context's
   // start/finish buffers hold exactly that schedule.
+  EvalContext ctx;
   const std::vector<NodeId>* best_order = nullptr;
   double best = kInfeasible;
   for (const auto& order : eval.orders()) {
-    const double ms = eval.evaluate_order(mapping, order);
+    const double ms = eval.evaluate_order(mapping, order, ctx);
     if (ms < best) {
       best = ms;
       best_order = &order;
     }
   }
   require(best_order != nullptr, "extract_schedule: no schedule orders");
-  eval.evaluate_order(mapping, *best_order);
+  eval.evaluate_order(mapping, *best_order, ctx);
 
   Schedule schedule;
   schedule.makespan = best;
-  const auto& start = eval.last_start_times();
-  const auto& finish = eval.last_finish_times();
+  const std::span<const double> start = ctx.start_times();
+  const std::span<const double> finish = ctx.finish_times();
   for (std::size_t i = 0; i < start.size(); ++i) {
     schedule.tasks.push_back(
         ScheduledTask{NodeId(i), mapping[NodeId(i)], start[i], finish[i]});

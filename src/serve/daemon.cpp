@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -90,7 +89,6 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   service_options.workers = options_.workers;
   service_options.seed = options_.seed;
   service_options.max_queued = options_.max_queued;
-  service_options.when_full = QueueFullPolicy::kReject;
   service_options.cache = cache_;
   service_ = std::make_unique<MappingService>(service_options);
 
@@ -369,13 +367,6 @@ void Daemon::retain_completed(std::uint64_t job) {
 
 // ---- SessionHost -----------------------------------------------------------
 
-std::size_t Daemon::class_capacity(int priority) const {
-  const std::size_t m = options_.max_queued;
-  if (priority >= 2) return m;
-  if (priority == 1) return std::max<std::size_t>(1, (3 * m) / 4);
-  return std::max<std::size_t>(1, m / 2);
-}
-
 TaskGraph graph_from_generate_spec(const Json& spec) {
   require(spec.is_object(), "generate must be an object");
   spec.require_keys("generate", {"type", "tasks", "extra_edges", "seed",
@@ -473,23 +464,6 @@ std::pair<MapJob, MapRequest> Daemon::service_job(
 SubmitOutcome Daemon::submit(std::uint64_t session,
                              const WireSubmit& request) {
   SubmitOutcome outcome;
-
-  // Graduated per-class admission, checked against a live queue snapshot.
-  // Only the IO thread submits, and workers can only *shrink* the queue
-  // between this check and the try_submit below, so the check cannot
-  // admit past the bound; try_submit is the belt-and-braces backstop.
-  if (options_.max_queued > 0) {
-    const ServiceStats stats = service_->stats();
-    const std::size_t capacity = class_capacity(request.priority);
-    if (stats.queued >= capacity) {
-      outcome.code = WireErrorCode::kOverloaded;
-      outcome.message = "queue full for class " + request.priority_class +
-                        " (queued " + std::to_string(stats.queued) +
-                        ", class capacity " + std::to_string(capacity) + ")";
-      return outcome;
-    }
-  }
-
   MapJob job;
   MapRequest run;
   try {
@@ -500,15 +474,17 @@ SubmitOutcome Daemon::submit(std::uint64_t session,
     return outcome;
   }
 
-  const std::uint64_t id = next_job_id_++;
   std::optional<MappingService::JobHandle> handle =
       service_->try_submit(std::move(job), std::move(run));
   if (!handle.has_value()) {
     outcome.code = WireErrorCode::kOverloaded;
-    outcome.message = "queue full (max_queued " +
-                      std::to_string(options_.max_queued) + ")";
+    outcome.message = "queue full for class " + request.priority_class +
+                      " (max_queued " + std::to_string(options_.max_queued) +
+                      ")";
     return outcome;
   }
+  // A refused submit consumes no wire id.
+  const std::uint64_t id = next_job_id_++;
 
   JobEntry entry;
   entry.handle = *std::move(handle);
@@ -738,19 +714,10 @@ void Daemon::init_journal() {
       cls = request.priority_class;
       const auto [mjob, run] = service_job(id, request);
 
-      // Recovery may momentarily hold more than max_queued jobs (what was
-      // queued plus what was running at the crash); wait for queue space
-      // instead of dropping acknowledged work.
-      std::optional<MappingService::JobHandle> handle =
-          service_->try_submit(mjob, run);
-      for (int i = 0; !handle.has_value() && i < 3000; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        handle = service_->try_submit(mjob, run);
-      }
-      require(handle.has_value(),
-              "journal recovery: queue stayed full for 30s");
-
-      entry.handle = *std::move(handle);
+      // Acknowledged work is never shed: recovery may hold more than
+      // max_queued jobs (what was queued plus what was running at the
+      // crash), so it submits past the class bounds.
+      entry.handle = service_->submit(mjob, run);
       entry.priority_class = request.priority_class;
       entry.want_mapping = request.want_mapping;
       ++outstanding_;

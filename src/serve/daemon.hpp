@@ -21,13 +21,15 @@
 ///
 /// ## Admission
 ///
-/// The service queue is bounded by `max_queued` (running jobs excluded).
-/// Submissions are admitted per priority class against *graduated*
-/// thresholds — high may fill the whole queue, normal 3/4 of it, low
-/// half — so under overload the daemon sheds its least urgent traffic
-/// first while high-priority clients still get through. A rejected
-/// submit answers `{"ok":false,"error":{"code":"overloaded",...}}`; the
-/// connection survives and may retry.
+/// The embedded service decides admission (`MappingService::try_submit`):
+/// its queue is bounded by `max_queued` (running jobs excluded), per
+/// priority class against *graduated* thresholds — high may fill the
+/// whole queue, normal 3/4 of it, low half — so under overload the daemon
+/// sheds its least urgent traffic first while high-priority clients still
+/// get through. Cache hits take no queue slot and are always admitted. A
+/// refused submit answers `{"ok":false,"error":{"code":"overloaded",...}}`
+/// and counts in `stats` `rejected`; the connection survives and may
+/// retry. Journal recovery re-enqueues acknowledged jobs past the bound.
 ///
 /// ## Drain
 ///
@@ -250,8 +252,6 @@ class Daemon : public SessionHost {
   void reap_connections(double now) SPMAP_REQUIRES(io_role_);
 
   void start_drain(double now) SPMAP_REQUIRES(io_role_);
-  /// Graduated per-class admission bound (see the header comment).
-  std::size_t class_capacity(int priority) const;
 
   /// The service job and run bounds of a wire submit, its callbacks
   /// keyed by `wire_id`. Checks the mapper name and resolves the graph and

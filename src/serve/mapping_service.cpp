@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <limits>
 #include <utility>
 
 #include "mappers/registry.hpp"
@@ -37,10 +38,7 @@ const ReportingContext::Built& ReportingContext::built() const {
 }
 
 double ReportingContext::evaluate(const Mapping& mapping) const {
-  // Thread-safe path: a per-call context instead of the evaluator's
-  // shared internal scratch (jobs of one context run concurrently).
-  EvalContext ctx;
-  return built().evaluator.evaluate(mapping, ctx);
+  return built().evaluator.evaluate(mapping);
 }
 
 const char* to_string(JobStatus status) {
@@ -117,23 +115,25 @@ MappingService::~MappingService() {
 
 MappingService::JobHandle MappingService::submit(MapJob job,
                                                  MapRequest request) {
-  auto handle = submit_locked(std::move(job), std::move(request),
-                              options_.when_full == QueueFullPolicy::kBlock);
-  if (!handle.has_value()) {
-    throw Error("MappingService: queue full (max_queued=" +
-                std::to_string(options_.max_queued) + ")");
-  }
-  return *std::move(handle);
+  return *submit_locked(std::move(job), std::move(request),
+                        /*bounded=*/false);
 }
 
 std::optional<MappingService::JobHandle> MappingService::try_submit(
     MapJob job, MapRequest request) {
-  return submit_locked(std::move(job), std::move(request),
-                       /*may_block=*/false);
+  return submit_locked(std::move(job), std::move(request), /*bounded=*/true);
+}
+
+std::size_t MappingService::class_capacity(int priority) const {
+  const std::size_t m = options_.max_queued;
+  if (m == 0) return std::numeric_limits<std::size_t>::max();
+  if (priority >= 2) return m;
+  if (priority == 1) return std::max<std::size_t>(1, (3 * m) / 4);
+  return std::max<std::size_t>(1, m / 2);
 }
 
 std::optional<MappingService::JobHandle> MappingService::submit_locked(
-    MapJob job, MapRequest request, bool may_block) {
+    MapJob job, MapRequest request, bool bounded) {
   require(!job.mapper_spec.empty(), "MappingService: empty mapper spec");
   require(job.graph != nullptr, "MappingService: job without a graph");
   require(job.platform != nullptr, "MappingService: job without a platform");
@@ -218,13 +218,9 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
   state->request.cancel = state->request.cancel.child();
   {
     MutexLock lock(mutex_);
-    if (options_.max_queued > 0 && queued_count_ >= options_.max_queued) {
-      if (may_block) {
-        while (queued_count_ >= options_.max_queued) queue_space_.wait(lock);
-      } else {
-        ++counters_.rejected;
-        return std::nullopt;
-      }
+    if (bounded && queued_count_ >= class_capacity(state->job.priority)) {
+      ++counters_.rejected;
+      return std::nullopt;
     }
     state->id = next_id_++;
     // The per-job rng stream depends only on the submission index, never
@@ -302,7 +298,6 @@ void MappingService::worker_loop() {
         ++counters_.cancelled;
       }
     }
-    queue_space_.notify_one();
 
     if (run) {
       if (state->job.on_start) state->job.on_start(state->id);

@@ -44,16 +44,17 @@
 ///
 /// ## Admission and priorities
 ///
-/// `Options::max_queued` bounds the number of jobs *waiting* for a worker
-/// (running jobs do not count). A full queue makes `submit` follow
-/// `Options::when_full` — throw spmap::Error (kReject, the serving
-/// default) or block until a worker frees a slot (kBlock, the batch
-/// default) — while `try_submit` never blocks and returns std::nullopt
-/// instead. `MapJob::priority` orders the queue: workers always pick the
-/// highest waiting priority, FIFO within one priority, so a saturated
-/// service keeps serving its most urgent class first. `stats()` snapshots
-/// the admission counters for observability (the daemon's backpressure
-/// decisions read it).
+/// Admission is decided here and nowhere else. `submit` always admits.
+/// `try_submit` is the bounded door: `Options::max_queued` bounds the jobs
+/// *waiting* for a worker (running jobs do not count), per priority class
+/// against *graduated* thresholds — priority >= 2 may fill the whole
+/// bound, priority 1 three quarters of it, lower priorities half (each at
+/// least 1) — so under overload the least urgent traffic is shed first.
+/// A refused job returns std::nullopt and is counted in
+/// `stats().rejected`; cache hits never take a queue slot, so the bound
+/// never refuses one. `MapJob::priority` also orders the queue: workers
+/// always pick the highest waiting priority, FIFO within one priority, so
+/// a saturated service keeps serving its most urgent class first.
 ///
 /// ## Result cache
 ///
@@ -113,10 +114,10 @@ const char* to_string(JobStatus status);
 /// first accessor call pays the build (under std::call_once, so the first
 /// *job* to need it builds it on its worker and siblings reuse it; a
 /// submit thread fanning out hundreds of jobs never serializes on it).
-/// Immutable once built; jobs price their results through the
-/// thread-safe explicit-context overload, so any number of concurrent
-/// workers may share one context (the scenario runner shares one across
-/// a repetition's whole mapper line-up).
+/// Immutable once built and priced through the evaluator's stateless
+/// one-shot `evaluate`, so any number of concurrent workers may share one
+/// context (the scenario runner shares one across a repetition's whole
+/// mapper line-up).
 class ReportingContext {
  public:
   ReportingContext(std::shared_ptr<const TaskGraph> graph,
@@ -184,8 +185,9 @@ struct MapJob {
   /// job's submission index.
   std::optional<Rng> construction_rng;
   /// Queue priority: workers pick the highest waiting priority first,
-  /// FIFO within one priority. 0 is the normal class; the daemon maps its
-  /// wire classes low/normal/high to 0/1/2.
+  /// FIFO within one priority; `try_submit` bounds each class (see the
+  /// header comment). 0 is the default; the daemon maps its wire classes
+  /// low/normal/high to 0/1/2.
   int priority = 0;
   /// Fired exactly once when the job turns terminal (kDone / kFailed /
   /// kCancelled), from the worker that finished it — or from the
@@ -221,19 +223,14 @@ struct MapJobResult {
   std::string error;
 };
 
-/// What a full queue makes `submit` do (see the header comment).
-enum class QueueFullPolicy { kReject, kBlock };
-
 struct MappingServiceOptions {
   /// Worker threads executing jobs (>= 1; 0 is promoted to 1).
   std::size_t workers = 1;
   /// Base seed of the derived per-job construction rng streams.
   std::uint64_t seed = 0x5e9e5eed;
-  /// Bound on *waiting* jobs (running jobs excluded); 0 = unbounded.
+  /// Bound on *waiting* jobs (running jobs excluded) that `try_submit`
+  /// enforces per priority class; 0 = unbounded.
   std::size_t max_queued = 0;
-  /// Applied by `submit` when the queue is full; `try_submit` always
-  /// rejects (returns std::nullopt) regardless of this policy.
-  QueueFullPolicy when_full = QueueFullPolicy::kReject;
   /// Result cache consulted by submit (see the header comment). May be
   /// shared between services; null disables caching entirely.
   std::shared_ptr<ResultCache> cache;
@@ -249,7 +246,7 @@ struct MappingServiceOptions {
 /// counted separately and never got a JobHandle.
 struct ServiceStats {
   std::size_t submitted = 0;  ///< accepted submissions (all time)
-  std::size_t rejected = 0;   ///< bounced by the admission bound
+  std::size_t rejected = 0;   ///< refused by try_submit's class bound
   std::size_t queued = 0;     ///< currently waiting for a worker
   std::size_t running = 0;    ///< currently executing
   std::size_t done = 0;       ///< terminal: completed (incl. cancelled-
@@ -280,13 +277,12 @@ class MappingService {
   /// as in Mapper::map; its CancelToken is replaced by a per-job child, so
   /// `JobHandle::cancel` stays local to one job while cancelling the
   /// caller's original token still cancels every job submitted with it.
-  /// A full bounded queue makes this throw spmap::Error (kReject) or wait
-  /// for a slot (kBlock).
+  /// Always admits, whatever `Options::max_queued` says.
   JobHandle submit(MapJob job, MapRequest request = {});
 
-  /// Non-blocking admission: std::nullopt when the bounded queue is full
-  /// (counted in `stats().rejected`), a live handle otherwise. Never
-  /// blocks, independent of `Options::when_full`.
+  /// Bounded admission: as `submit`, but std::nullopt (counted in
+  /// `stats().rejected`) when the job's priority class has no queue room
+  /// left (see the header comment). Never blocks.
   std::optional<JobHandle> try_submit(MapJob job, MapRequest request = {});
 
   /// Blocks until every job submitted so far is terminal.
@@ -302,7 +298,9 @@ class MappingService {
   struct JobState;
 
   std::optional<JobHandle> submit_locked(MapJob job, MapRequest request,
-                                         bool may_block);
+                                         bool bounded);
+  /// Waiting jobs a `try_submit` of `priority` may find and still enqueue.
+  std::size_t class_capacity(int priority) const;
   void worker_loop();
   JobStatus execute(JobState& state);
 
@@ -327,7 +325,6 @@ class MappingService {
   mutable Mutex mutex_;
   CondVar work_ready_;   // workers wait for jobs / stop
   CondVar job_done_;     // waiters in wait_all
-  CondVar queue_space_;  // blocked submitters (kBlock)
   /// Waiting jobs by priority, highest served first, FIFO within one.
   std::map<int, std::deque<std::shared_ptr<JobState>>, std::greater<int>>
       queues_ SPMAP_GUARDED_BY(mutex_);

@@ -1,9 +1,13 @@
 /// Thread-count invariance of the search mappers: a mapper configured with
 /// threads=k must produce the exact same mapping and predicted makespan as
 /// its serial (threads=1) configuration — the parallel batch evaluation is
-/// an implementation detail, never a semantic one.
+/// an implementation detail, never a semantic one. Runs sharing one
+/// Evaluator from several threads must not see each other either.
 
 #include <gtest/gtest.h>
+
+#include <latch>
+#include <thread>
 
 #include "bench/scenario.hpp"
 #include "graph/generators.hpp"
@@ -126,6 +130,48 @@ TEST(MapperThreads, CommittedLocalSearchScenarioInvariant) {
     EXPECT_EQ(serial.predicted_makespan, parallel.predicted_makespan)
         << m.spec;
     EXPECT_EQ(serial.evaluations, parallel.evaluations) << m.spec;
+  }
+}
+
+// The Evaluator holds no per-run state (each run prices through its own
+// EvalContext), so runs started together on one shared Evaluator report
+// exactly what each reports alone — evaluation counts included.
+TEST(MapperThreads, SharedEvaluatorRunsMatchSoloRuns) {
+  Rng graph_rng(310);
+  const Dag dag = generate_sp_dag(200, graph_rng);
+  const TaskAttrs attrs = random_task_attrs(dag, graph_rng);
+  const Platform platform = reference_platform();
+  const CostModel cost(dag, attrs, platform);
+  const Evaluator eval(cost);
+
+  const std::vector<std::string> specs = {
+      "sp", "snff", "nsga:generations=40,pop=40,seed=3",
+      "anneal:iters=4000,seed=9"};
+  const auto run = [&](const std::string& spec) {
+    Rng rng(1);
+    return MapperRegistry::instance().create(spec, dag, rng)->map(eval);
+  };
+  std::vector<MapperResult> solo;
+  for (const std::string& spec : specs) solo.push_back(run(spec));
+
+  for (int round = 0; round < 3; ++round) {
+    std::vector<MapperResult> shared(specs.size());
+    std::latch start(static_cast<std::ptrdiff_t>(specs.size()));
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      threads.emplace_back([&, i] {
+        start.arrive_and_wait();
+        shared[i] = run(specs[i]);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(shared[i].mapping, solo[i].mapping) << specs[i];
+      EXPECT_EQ(shared[i].predicted_makespan, solo[i].predicted_makespan)
+          << specs[i];
+      EXPECT_EQ(shared[i].iterations, solo[i].iterations) << specs[i];
+      EXPECT_EQ(shared[i].evaluations, solo[i].evaluations) << specs[i];
+    }
   }
 }
 

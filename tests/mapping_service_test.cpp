@@ -299,57 +299,38 @@ TEST(MappingService, CancelIsPerJobEvenWithASharedRequest) {
   EXPECT_EQ(d.wait().report.termination, TerminationReason::kCancelled);
 }
 
-TEST(MappingService, BoundedQueueRejectsWhenFull) {
+TEST(MappingService, TrySubmitBoundsEachClassAndSubmitAlwaysAdmits) {
   const auto graph = make_graph(71, 15);
   const auto platform = make_platform();
-  MappingService service({.workers = 1, .max_queued = 1});
+  MappingService service({.workers = 1, .max_queued = 4});
   MapRequest slow;
   slow.deadline_ms = 60000.0;
   auto running = service.submit(
       make_job(graph, platform, "anneal:iters=500000000"), slow);
   while (running.status() == JobStatus::kQueued) std::this_thread::yield();
 
-  auto queued = service.submit(make_job(graph, platform, "heft"));
-  EXPECT_THROW(service.submit(make_job(graph, platform, "heft")), Error);
-  EXPECT_FALSE(
-      service.try_submit(make_job(graph, platform, "heft")).has_value());
+  // Graduated class bounds of max_queued=4: priority 0 may find up to 2
+  // waiting jobs, priority 1 up to 3, priority 2 up to 4.
+  std::vector<MappingService::JobHandle> queued;
+  for (const int priority : {0, 0, 0, 1, 1, 2, 2}) {
+    MapJob job = make_job(graph, platform, "heft");
+    job.priority = priority;
+    auto handle = service.try_submit(std::move(job));
+    if (handle.has_value()) queued.push_back(*std::move(handle));
+  }
+  EXPECT_EQ(queued.size(), 4u);
+  // submit is not bounded.
+  queued.push_back(service.submit(make_job(graph, platform, "heft")));
 
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.rejected, 2u);
-  EXPECT_EQ(stats.queued, 1u);
+  EXPECT_EQ(stats.submitted, 6u);
+  EXPECT_EQ(stats.rejected, 3u);
+  EXPECT_EQ(stats.queued, 5u);
   EXPECT_EQ(stats.running, 1u);
 
   running.cancel();
   service.wait_all();
-  EXPECT_TRUE(queued.done());
-}
-
-TEST(MappingService, BlockPolicyWaitsForASlot) {
-  const auto graph = make_graph(72, 15);
-  const auto platform = make_platform();
-  MappingService service({.workers = 1,
-                          .max_queued = 1,
-                          .when_full = QueueFullPolicy::kBlock});
-  MapRequest slow;
-  slow.deadline_ms = 60000.0;
-  auto running = service.submit(
-      make_job(graph, platform, "anneal:iters=500000000"), slow);
-  while (running.status() == JobStatus::kQueued) std::this_thread::yield();
-  auto queued = service.submit(make_job(graph, platform, "heft"));
-
-  // The queue is full: this submit must block until the worker frees a
-  // slot (triggered by cancelling the running job).
-  MappingService::JobHandle blocked;
-  std::thread submitter([&] {
-    blocked = service.submit(make_job(graph, platform, "heft"));
-  });
-  running.cancel();
-  submitter.join();
-  service.wait_all();
-  EXPECT_EQ(queued.status(), JobStatus::kDone);
-  EXPECT_EQ(blocked.status(), JobStatus::kDone);
-  EXPECT_EQ(service.stats().rejected, 0u);
+  for (const auto& handle : queued) EXPECT_TRUE(handle.done());
 }
 
 TEST(MappingService, WorkersServeHigherPrioritiesFirst) {

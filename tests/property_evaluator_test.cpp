@@ -68,8 +68,9 @@ TEST_P(EvaluatorProperty, DeterministicAcrossCalls) {
 TEST_P(EvaluatorProperty, MinOverOrdersIsMinimum) {
   const Mapping m = random_mapping();
   const double best = eval_->evaluate(m);
+  EvalContext ctx;
   for (const auto& order : eval_->orders()) {
-    EXPECT_LE(best, eval_->evaluate_order(m, order) + 1e-12);
+    EXPECT_LE(best, eval_->evaluate_order(m, order, ctx) + 1e-12);
   }
 }
 

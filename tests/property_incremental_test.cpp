@@ -51,14 +51,16 @@ class IncrementalProperty : public ::testing::TestWithParam<IncCase> {
   void expect_agreement(const IncrementalEvaluator& inc,
                         const Mapping& expected_mapping) {
     ASSERT_EQ(inc.mapping(), expected_mapping);
-    const double flat = eval_->evaluate_order(expected_mapping, inc.order());
+    EvalContext ctx;
+    const double flat =
+        eval_->evaluate_order(expected_mapping, inc.order(), ctx);
     const double naive = ref_->evaluate_order(expected_mapping, inc.order());
     EXPECT_EQ(inc.order_makespan(), flat);
     EXPECT_EQ(inc.order_makespan(), naive);
-    // Per-task times, not just the max: the convenience overload above
-    // leaves them in the evaluator scratch.
-    const auto& start = eval_->last_start_times();
-    const auto& finish = eval_->last_finish_times();
+    // Per-task times, not just the max: the sweep above leaves them in
+    // the context.
+    const auto start = ctx.start_times();
+    const auto finish = ctx.finish_times();
     for (std::size_t v = 0; v < expected_mapping.size(); ++v) {
       ASSERT_EQ(inc.start_times()[v], start[v]) << "node " << v;
       ASSERT_EQ(inc.finish_times()[v], finish[v]) << "node " << v;

@@ -203,9 +203,10 @@ TEST(Evaluator, EvaluationCountTracksCalls) {
   const Platform p = tiny_platform();
   const CostModel cost(d, attrs, p);
   const Evaluator eval(cost, {.random_orders = 4});
-  EXPECT_EQ(eval.evaluation_count(), 0u);
-  eval.evaluate(Mapping(2, kCpu));
-  EXPECT_EQ(eval.evaluation_count(), 5u);  // BFS + 4 random orders
+  EvalContext ctx;
+  EXPECT_EQ(ctx.evaluations(), 0u);
+  eval.evaluate(Mapping(2, kCpu), ctx);
+  EXPECT_EQ(ctx.evaluations(), 5u);  // BFS + 4 random orders
 }
 
 // ---- IncrementalEvaluator probe routing ----

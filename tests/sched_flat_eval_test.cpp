@@ -40,8 +40,9 @@ void expect_flat_matches_reference(const Dag& dag, const TaskAttrs& attrs,
     const double b = reference.evaluate(m);
     ASSERT_LT(a, kInfeasible);
     EXPECT_EQ(a, b);
+    EvalContext ctx;
     for (std::size_t o = 0; o < flat.orders().size(); ++o) {
-      EXPECT_EQ(flat.evaluate_order(m, flat.orders()[o]),
+      EXPECT_EQ(flat.evaluate_order(m, flat.orders()[o], ctx),
                 reference.evaluate_order(m, reference.orders()[o]));
     }
   }
@@ -104,9 +105,10 @@ TEST(FlatEvalEquivalence, ForeignOrderFallback) {
   const Evaluator flat(cost);  // breadth-first order only
   ReferenceEvaluator reference(cost);
   const Mapping m = random_feasible_mapping(cost, rng);
+  EvalContext ctx;
   for (int rep = 0; rep < 3; ++rep) {
     const std::vector<NodeId> order = random_topological_order(dag, rng);
-    EXPECT_DOUBLE_EQ(flat.evaluate_order(m, order),
+    EXPECT_DOUBLE_EQ(flat.evaluate_order(m, order, ctx),
                      reference.evaluate_order(m, order));
   }
 }
@@ -123,11 +125,13 @@ TEST(EvaluateBatch, BitIdenticalAcrossThreadCounts) {
   for (int i = 0; i < 37; ++i) {
     batch.push_back(random_feasible_mapping(cost, rng));
   }
-  const std::vector<double> serial = eval.evaluate_batch(batch);
+  EvalContext ctx;
+  const std::vector<double> serial = eval.evaluate_batch(batch, ctx);
   ASSERT_EQ(serial.size(), batch.size());
   for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
     ThreadPool pool(threads);
-    const std::vector<double> parallel = eval.evaluate_batch(batch, &pool);
+    const std::vector<double> parallel =
+        eval.evaluate_batch(batch, ctx, &pool);
     // Bitwise equality, not approximate: the partition is static and each
     // item's arithmetic is identical on every worker.
     EXPECT_EQ(parallel, serial) << "threads=" << threads;
@@ -146,7 +150,8 @@ TEST(EvaluateBatch, MatchesSingleEvaluations) {
     batch.push_back(random_feasible_mapping(cost, rng));
   }
   ThreadPool pool(4);
-  const std::vector<double> results = eval.evaluate_batch(batch, &pool);
+  EvalContext ctx;
+  const std::vector<double> results = eval.evaluate_batch(batch, ctx, &pool);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_DOUBLE_EQ(results[i], eval.evaluate(batch[i]));
   }
@@ -159,10 +164,15 @@ TEST(EvaluateBatch, CountsEvaluations) {
   const Platform platform = reference_platform();
   const CostModel cost(dag, attrs, platform);
   const Evaluator eval(cost, {.random_orders = 2});  // 3 orders total
-  std::vector<Mapping> batch(5, eval.default_mapping());
+  // 20 mappings are three chunks, one per worker: the caller's context
+  // and both child contexts price some.
+  std::vector<Mapping> batch(20, eval.default_mapping());
   ThreadPool pool(3);
-  eval.evaluate_batch(batch, &pool);
-  EXPECT_EQ(eval.evaluation_count(), 15u);  // 5 mappings x 3 orders
+  EvalContext ctx;
+  eval.evaluate_batch(batch, ctx, &pool);
+  EXPECT_EQ(ctx.evaluations(), 60u);  // 20 mappings x 3 orders
+  eval.evaluate_batch(batch, ctx, &pool);
+  EXPECT_EQ(ctx.evaluations(), 120u);  // each child's count is folded once
 }
 
 TEST(EvalContext, ConcurrentContextsIndependent) {

@@ -10,10 +10,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
@@ -131,17 +133,13 @@ TEST(ServeDaemon, SubscribeAfterTerminalReplaysDone) {
   EXPECT_EQ(static_cast<std::uint64_t>(done->at("job").as_int()), job);
 }
 
-TEST(ServeDaemon, OverloadRejectionIsStructuredAndSurvivable) {
-  // workers=1 + max_queued=1: one running, one queued, the rest refused.
-  DaemonFixture fixture({.workers = 1, .max_queued = 1});
-  WireClient client(fixture.daemon->endpoint());
-
-  // An effectively endless anneal occupies the only worker; a second one
-  // fills the queue slot.
+/// Fills a workers=1, max_queued=1 daemon: an effectively endless anneal
+/// occupies the only worker and a second one the only queue slot. Appends
+/// both job ids to `jobs`.
+void saturate(WireClient& client, std::vector<std::uint64_t>& jobs) {
   Json slow = submit_frame(24);
   slow.set("mapper", Json("anneal:iters=500000000"));
   slow.set("deadline_ms", Json(60000.0));
-  std::vector<std::uint64_t> jobs;
   for (int i = 0; i < 2; ++i) {
     client.send(slow);
     const auto ok = client.recv(10000.0);
@@ -162,6 +160,22 @@ TEST(ServeDaemon, OverloadRejectionIsStructuredAndSurvivable) {
       }
     }
   }
+}
+
+/// The daemon's `stats` verb body.
+Json wire_stats(WireClient& client) {
+  client.send(Json(Json::Object{{"op", Json("stats")}}));
+  const auto stats = client.recv(10000.0);
+  EXPECT_TRUE(stats.has_value() && stats->at("ok").as_bool());
+  return stats.has_value() ? *stats : Json::object();
+}
+
+TEST(ServeDaemon, OverloadRejectionIsStructuredAndSurvivable) {
+  // workers=1 + max_queued=1: one running, one queued, the rest refused.
+  DaemonFixture fixture({.workers = 1, .max_queued = 1});
+  WireClient client(fixture.daemon->endpoint());
+  std::vector<std::uint64_t> jobs;
+  ASSERT_NO_FATAL_FAILURE(saturate(client, jobs));
 
   // Low-priority traffic is shed first (graduated thresholds): rejected
   // with the structured overloaded error, connection intact.
@@ -176,9 +190,12 @@ TEST(ServeDaemon, OverloadRejectionIsStructuredAndSurvivable) {
   EXPECT_FALSE(rejected->at("error").at("message").as_string().empty());
   EXPECT_EQ(rejected->at("tag").as_string(), "shed-me");
 
-  // Admission shed the request before the service saw it: only the two
-  // accepted jobs were ever submitted.
+  // The service made the refusal, so it counts it: only the two accepted
+  // jobs were submitted, and the shed one reads as rejected.
   EXPECT_EQ(fixture.daemon->service_stats().submitted, 2u);
+  const Json stats = wire_stats(client);
+  EXPECT_EQ(stats.at("submitted").as_int(), 2);
+  EXPECT_EQ(stats.at("rejected").as_int(), 1);
 
   // The connection survived: cancel both heavy jobs, twice (idempotent).
   for (const std::uint64_t job : jobs) {
@@ -190,6 +207,38 @@ TEST(ServeDaemon, OverloadRejectionIsStructuredAndSurvivable) {
       EXPECT_TRUE(ok->at("ok").as_bool()) << ok->dump();
     }
   }
+}
+
+TEST(ServeDaemon, CacheHitIsAdmittedWhenTheClassQueueIsFull) {
+  DaemonFixture fixture({.workers = 1, .max_queued = 1});
+  WireClient client(fixture.daemon->endpoint());
+
+  // A pinned construction seed makes the job cacheable; its first run
+  // fills the cache.
+  Json pinned = submit_frame();
+  pinned.set("construction_seed", Json(std::size_t{5}));
+  pinned.set("subscribe", Json(true));
+  client.send(pinned);
+  const auto first = client.recv(10000.0);
+  ASSERT_TRUE(first.has_value() && first->at("ok").as_bool())
+      << first->dump();
+  ASSERT_TRUE(client.recv_event("done", 30000.0).has_value());
+
+  std::vector<std::uint64_t> jobs;
+  ASSERT_NO_FATAL_FAILURE(saturate(client, jobs));
+
+  // The normal-class queue is full, yet the resubmit is answered from the
+  // cache without taking a queue slot.
+  client.send(pinned);
+  const auto again = client.recv(10000.0);
+  ASSERT_TRUE(again.has_value());
+  ASSERT_TRUE(again->at("ok").as_bool()) << again->dump();
+  const auto done = client.recv_event("done", 10000.0);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->at("state").as_string(), "done");
+  const Json stats = wire_stats(client);
+  EXPECT_EQ(stats.at("cache_hits").as_int(), 1);
+  EXPECT_EQ(stats.at("rejected").as_int(), 0);
 }
 
 TEST(ServeDaemon, UnknownMapperIsRejectedEagerly) {
