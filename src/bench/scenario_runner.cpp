@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "serve/mapping_service.hpp"
-#include "serve/result_cache.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -34,7 +33,7 @@ std::vector<CellResult> run_point(const Scenario& scenario,
                                   const std::vector<std::shared_ptr<const TaskGraph>>& cases,
                                   const std::vector<Rng>& rngs,
                                   const std::shared_ptr<const Platform>& platform,
-                                  MappingService& service, bool log_jobs) {
+                                  MappingService& service) {
   const std::size_t mapper_count = scenario.mappers.size();
   std::vector<MappingService::JobHandle> handles;
   handles.reserve(cases.size() * mapper_count);
@@ -54,12 +53,6 @@ std::vector<CellResult> run_point(const Scenario& scenario,
       job.reporting = reporting;
       job.construction_rng = rngs[c * mapper_count + m];
       handles.push_back(service.submit(std::move(job)));
-      if (log_jobs) {
-        std::fprintf(stderr,
-                     "[serve] job %llu queued: mapper=%s repetition=%zu\n",
-                     static_cast<unsigned long long>(handles.back().id()),
-                     scenario.mappers[m].spec.c_str(), c);
-      }
     }
   }
 
@@ -81,16 +74,6 @@ std::vector<CellResult> run_point(const Scenario& scenario,
       cell.improvement = (cell.baseline - cell.makespan) / cell.baseline;
     }
     cell.seconds = result.wall_seconds;
-    if (log_jobs) {
-      std::fprintf(
-          stderr,
-          "[serve] job %llu %s: mapper=%s makespan=%.6f "
-          "termination=%s wall_ms=%.3f\n",
-          static_cast<unsigned long long>(handles[i].id()),
-          to_string(handles[i].status()),
-          scenario.mappers[i % mapper_count].spec.c_str(), cell.makespan,
-          to_string(result.report.termination), 1e3 * cell.seconds);
-    }
   }
   return cells;
 }
@@ -133,14 +116,9 @@ Json point_to_json(const Scenario& scenario,
 
 Json run_scenario(const Scenario& scenario, const SweepRunOptions& options) {
   require(!scenario.mappers.empty(), "run_scenario: no mappers");
-  std::shared_ptr<ResultCache> cache;
-  if (options.cache_entries > 0) {
-    ResultCacheOptions cache_options;
-    cache_options.max_entries = options.cache_entries;
-    if (options.cache_bytes > 0) cache_options.max_bytes = options.cache_bytes;
-    cache = std::make_shared<ResultCache>(cache_options);
-  }
-  MappingService service({.workers = options.threads, .cache = cache});
+  MappingServiceOptions service_options;
+  service_options.workers = options.threads;
+  MappingService service(service_options);
   const auto platform =
       std::make_shared<const Platform>(scenario.platform.platform);
   Rng rng(scenario.seed);
@@ -176,8 +154,8 @@ Json run_scenario(const Scenario& scenario, const SweepRunOptions& options) {
         std::fprintf(stderr, "[%s] %zu repetitions...\n", tag, cases.size());
       }
     }
-    const std::vector<CellResult> cells = run_point(
-        scenario, cases, rngs, platform, service, options.log_jobs);
+    const std::vector<CellResult> cells =
+        run_point(scenario, cases, rngs, platform, service);
     Json point = point_to_json(scenario, cells);
     if (scenario.sweep.enabled()) {
       // Prepend the sweep value so it leads the object.
@@ -203,20 +181,6 @@ Json run_scenario(const Scenario& scenario, const SweepRunOptions& options) {
   doc.set("threads", service.worker_count());
   if (scenario.sweep.enabled()) {
     doc.set("sweep_parameter", scenario.sweep.parameter);
-  }
-  if (cache) {
-    // Flat keys, all starting with "cache", so a byte-diff against a
-    // cache-off run only needs to strip `"cache` lines (CI does exactly
-    // that) — never a nested object.
-    const ServiceStats service_stats = service.stats();
-    const ResultCacheStats cache_stats = cache->stats();
-    doc.set("cache_entries_limit", options.cache_entries);
-    doc.set("cache_hits", service_stats.cache_hits);
-    doc.set("cache_misses", service_stats.cache_misses);
-    doc.set("cache_inserts", cache_stats.inserts);
-    doc.set("cache_evictions", cache_stats.evictions);
-    doc.set("cache_resident_entries", cache_stats.entries);
-    doc.set("cache_resident_bytes", cache_stats.bytes);
   }
   doc.set("results", std::move(results));
   return doc;

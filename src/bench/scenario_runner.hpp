@@ -40,19 +40,6 @@ struct SweepRunOptions {
   std::size_t threads = 1;
   /// Per-point progress lines on stderr.
   bool progress = true;
-  /// Per-job lifecycle lines on stderr ("[serve] job 3 done: ..."), the
-  /// `spmap_cli serve` view of the run.
-  bool log_jobs = false;
-  /// Result-cache entry capacity for the run's MappingService (0 = cache
-  /// off, the default — so the default results document is byte-stable).
-  /// When on, flat `cache_*` counters are appended to the document; every
-  /// job pins its construction rng so all jobs are cacheable, but within
-  /// one run every key is distinct — hits only appear across repeated
-  /// identities (e.g. re-submitted scenarios sharing a cache).
-  std::size_t cache_entries = 0;
-  /// Result-cache byte budget (only meaningful with cache_entries > 0;
-  /// 0 leaves the ResultCacheOptions default).
-  std::size_t cache_bytes = 0;
 };
 
 /// Runs the scenario and returns the results document

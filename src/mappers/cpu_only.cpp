@@ -10,14 +10,7 @@ MapReport CpuOnlyMapper::map(const Evaluator& eval,
   // The default mapping IS the incumbent, so there is nothing a budget or
   // cancellation could truncate: the run always converges.
   RunControl control(request);
-  MapReport report;
-  report.mapping = eval.default_mapping();
-  EvalContext ctx;
-  report.predicted_makespan = eval.evaluate(report.mapping, ctx);
-  report.evaluations = ctx.evaluations();
-  control.record_incumbent(report.predicted_makespan, 0);
-  control.finalize(report);
-  return report;
+  return one_shot_report(eval, control, eval.default_mapping(), 0);
 }
 
 void detail::register_cpu_only_mapper(MapperRegistry& registry) {

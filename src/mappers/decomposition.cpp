@@ -325,28 +325,6 @@ MapReport DecompositionMapper::map_threshold(const Evaluator& eval,
   return report;
 }
 
-std::unique_ptr<DecompositionMapper> make_single_node_mapper(const Dag& dag,
-                                                             bool first_fit) {
-  DecompositionParams params;
-  params.variant = first_fit ? DecompositionVariant::Threshold
-                             : DecompositionVariant::Basic;
-  params.gamma = 1.0;
-  return std::make_unique<DecompositionMapper>(
-      first_fit ? "SNFirstFit" : "SingleNode",
-      single_node_subgraphs(dag.node_count()), params);
-}
-
-std::unique_ptr<DecompositionMapper> make_series_parallel_mapper(
-    const Dag& dag, Rng& rng, bool first_fit, CutPolicy policy) {
-  DecompositionParams params;
-  params.variant = first_fit ? DecompositionVariant::Threshold
-                             : DecompositionVariant::Basic;
-  params.gamma = 1.0;
-  return std::make_unique<DecompositionMapper>(
-      first_fit ? "SPFirstFit" : "SeriesParallel",
-      series_parallel_subgraphs(dag, rng, policy), params);
-}
-
 namespace {
 
 CutPolicy cut_policy_option(const MapperOptions& options) {

@@ -23,7 +23,6 @@
 /// Both variants never return a mapping worse than the default one.
 
 #include <functional>
-#include <memory>
 
 #include "mappers/mapper.hpp"
 #include "sp/subgraph_set.hpp"
@@ -74,15 +73,5 @@ class DecompositionMapper final : public Mapper {
   SubgraphSet subgraphs_;
   DecompositionParams params_;
 };
-
-/// SingleNode / SNFirstFit (paper Sections III-B, IV): singleton subgraphs.
-std::unique_ptr<DecompositionMapper> make_single_node_mapper(
-    const Dag& dag, bool first_fit);
-
-/// SeriesParallel / SPFirstFit (paper Sections III-C, IV): subgraphs from
-/// the Algorithm 1 decomposition forest of `dag`.
-std::unique_ptr<DecompositionMapper> make_series_parallel_mapper(
-    const Dag& dag, Rng& rng, bool first_fit,
-    CutPolicy policy = CutPolicy::Random);
 
 }  // namespace spmap

@@ -8,33 +8,18 @@
 /// child EFT instead of the task's own EFT.
 ///
 /// One level of lookahead multiplies scheduling cost by roughly the device
-/// count times the average out-degree. The per-task candidate frontier
-/// (one tentative child schedule per device) is embarrassingly parallel:
-/// with `threads > 1` the candidates are scored on a ThreadPool, each with
-/// a private scheduler-state copy, and the winner is reduced in device
-/// order — so the result is bit-identical to the serial path for every
-/// thread count.
+/// count times the average out-degree. Each tentative child schedule runs
+/// on a copy of the shared ListSchedule (list_schedule.hpp).
 
 #include "mappers/mapper.hpp"
 
 namespace spmap {
 
-struct LookaheadHeftParams {
-  /// Worker threads for scoring the per-task device candidates; 1 = serial.
-  std::size_t threads = 1;
-};
-
 class LookaheadHeftMapper final : public Mapper {
  public:
-  explicit LookaheadHeftMapper(LookaheadHeftParams params = {})
-      : params_(params) {}
-
   using Mapper::map;
   std::string name() const override { return "LookaheadHEFT"; }
   MapReport map(const Evaluator& eval, const MapRequest& request) override;
-
- private:
-  LookaheadHeftParams params_;
 };
 
 }  // namespace spmap

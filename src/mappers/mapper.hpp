@@ -51,4 +51,20 @@ class Mapper {
   MapRequest default_request_;
 };
 
+/// Ends a one-shot run (cpu, the list schedulers, the MILPs): prices
+/// `mapping` once through a fresh context, records it as the run's only
+/// incumbent at `iterations` and finalizes the report.
+inline MapReport one_shot_report(const Evaluator& eval, RunControl& control,
+                                 Mapping mapping, std::size_t iterations) {
+  MapReport report;
+  EvalContext ctx;
+  report.predicted_makespan = eval.evaluate(mapping, ctx);
+  report.evaluations = ctx.evaluations();
+  report.mapping = std::move(mapping);
+  report.iterations = iterations;
+  control.record_incumbent(report.predicted_makespan, iterations);
+  control.finalize(report);
+  return report;
+}
+
 }  // namespace spmap

@@ -149,16 +149,10 @@ MapReport finish(const Evaluator& eval, MilpMapperBase&, const Builder& b,
     }
   }
 
-  MapReport report;
-  report.iterations = mip.nodes;
-  report.mapping = mip.has_solution() ? b.extract_mapping(mip.x)
-                                      : eval.default_mapping();
-  EvalContext ctx;
-  report.predicted_makespan = eval.evaluate(report.mapping, ctx);
-  report.evaluations = ctx.evaluations();
-  control.record_incumbent(report.predicted_makespan, mip.nodes);
-  control.finalize(report);
-  return report;
+  return one_shot_report(eval, control,
+                         mip.has_solution() ? b.extract_mapping(mip.x)
+                                            : eval.default_mapping(),
+                         mip.nodes);
 }
 
 /// Adds start-time variables, big-M precedence rows, the makespan variable

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "graph/algorithms.hpp"
-
 namespace spmap {
 
 bool dominates(const ParetoPoint& a, const ParetoPoint& b) {
@@ -37,7 +35,7 @@ std::vector<ParetoPoint> pareto_filter(std::vector<ParetoPoint> points) {
 namespace {
 
 struct MoIndividual {
-  std::vector<DeviceId> genes;
+  Genome::Genes genes;
   double makespan = kInfeasible;
   double energy = kInfeasible;
   int rank = 0;
@@ -131,92 +129,31 @@ bool nsga_less(const MoIndividual& a, const MoIndividual& b) {
 
 std::vector<ParetoPoint> MoNsga2Mapper::optimize(const Evaluator& eval) const {
   const CostModel& cost = eval.cost();
-  const Dag& dag = cost.dag();
-  const Platform& platform = cost.platform();
-  const std::size_t n = dag.node_count();
-  const std::size_t m = platform.device_count();
-
+  const Genome genome(cost, params_);
   Rng rng(params_.seed);
-  const double mutation_rate =
-      params_.mutation_rate > 0.0
-          ? params_.mutation_rate
-          : 1.0 / static_cast<double>(std::max<std::size_t>(n, 1));
-  const std::vector<NodeId> gene_node = bfs_order(dag);
-
-  auto repair = [&](std::vector<DeviceId>& genes) {
-    for (const DeviceId f : platform.fpga_devices()) {
-      const double budget = platform.device(f).area_budget;
-      for (;;) {
-        double used = 0.0;
-        std::size_t worst = n;
-        double worst_area = -1.0;
-        for (std::size_t g = 0; g < n; ++g) {
-          if (genes[g] != f) continue;
-          const double a = cost.area(gene_node[g]);
-          used += a;
-          if (a > worst_area) {
-            worst_area = a;
-            worst = g;
-          }
-        }
-        if (used <= budget || worst == n) break;
-        genes[worst] = platform.default_device();
-      }
-    }
-  };
-
-  auto to_mapping = [&](const std::vector<DeviceId>& genes) {
-    Mapping mp(n, platform.default_device());
-    for (std::size_t g = 0; g < n; ++g) mp[gene_node[g]] = genes[g];
-    return mp;
-  };
 
   EvalContext ctx;
   auto evaluate = [&](MoIndividual& ind) {
-    const Mapping mp = to_mapping(ind.genes);
+    const Mapping mp = genome.to_mapping(ind.genes);
     ind.makespan = eval.evaluate(mp, ctx);
     ind.energy = mapping_energy_joules(cost, mp, ind.makespan);
   };
 
   std::vector<MoIndividual> pop(params_.population);
   for (std::size_t p = 0; p < pop.size(); ++p) {
-    pop[p].genes.resize(n);
-    for (std::size_t g = 0; g < n; ++g) {
-      pop[p].genes[g] =
-          p == 0 ? platform.default_device() : DeviceId(rng.below(m));
-    }
-    repair(pop[p].genes);
+    pop[p].genes = genome.initial(p, rng);
     evaluate(pop[p]);
   }
   non_dominated_sort(pop);
   assign_crowding(pop);
 
-  auto tournament = [&]() -> const MoIndividual& {
-    const MoIndividual* best = &pop[rng.below(pop.size())];
-    for (std::size_t t = 1; t < params_.tournament; ++t) {
-      const MoIndividual& challenger = pop[rng.below(pop.size())];
-      if (nsga_less(challenger, *best)) best = &challenger;
-    }
-    return *best;
-  };
-
   for (std::size_t gen = 0; gen < params_.generations; ++gen) {
     std::vector<MoIndividual> offspring;
     while (offspring.size() < params_.population) {
-      const MoIndividual& pa = tournament();
-      const MoIndividual& pb = tournament();
+      const MoIndividual& pa = genome.tournament(pop, rng, nsga_less);
+      const MoIndividual& pb = genome.tournament(pop, rng, nsga_less);
       MoIndividual child;
-      child.genes = pa.genes;
-      if (rng.chance(params_.crossover_rate) && n > 1) {
-        const std::size_t cut = 1 + rng.below(n - 1);
-        for (std::size_t g = cut; g < n; ++g) child.genes[g] = pb.genes[g];
-      }
-      for (std::size_t g = 0; g < n; ++g) {
-        if (rng.chance(mutation_rate)) {
-          child.genes[g] = DeviceId(rng.below(m));
-        }
-      }
-      repair(child.genes);
+      child.genes = genome.breed(pa.genes, pb.genes, rng);
       evaluate(child);
       offspring.push_back(std::move(child));
     }
@@ -231,7 +168,7 @@ std::vector<ParetoPoint> MoNsga2Mapper::optimize(const Evaluator& eval) const {
   for (const MoIndividual& ind : pop) {
     if (ind.rank != 0) continue;
     points.push_back(
-        ParetoPoint{to_mapping(ind.genes), ind.makespan, ind.energy});
+        ParetoPoint{genome.to_mapping(ind.genes), ind.makespan, ind.energy});
   }
   return pareto_filter(std::move(points));
 }

@@ -11,65 +11,92 @@
 
 namespace spmap {
 
+Genome::Genome(const CostModel& cost, const Nsga2Params& params)
+    : cost_(&cost),
+      gene_node_(bfs_order(cost.dag())),
+      crossover_rate_(params.crossover_rate),
+      mutation_rate_(params.mutation_rate > 0.0
+                         ? params.mutation_rate
+                         : 1.0 / static_cast<double>(std::max<std::size_t>(
+                                     gene_node_.size(), 1))),
+      tournament_(params.tournament) {}
+
+Genome::Genes Genome::initial(std::size_t i, Rng& rng) const {
+  const Platform& platform = cost_->platform();
+  Genes genes(gene_node_.size());
+  for (DeviceId& gene : genes) {
+    gene = i == 0 ? platform.default_device()
+                  : DeviceId(rng.below(platform.device_count()));
+  }
+  repair(genes);
+  return genes;
+}
+
+Genome::Genes Genome::breed(const Genes& a, const Genes& b, Rng& rng) const {
+  const std::size_t n = gene_node_.size();
+  Genes child = a;
+  if (rng.chance(crossover_rate_) && n > 1) {
+    const std::size_t cut = 1 + rng.below(n - 1);
+    for (std::size_t g = cut; g < n; ++g) child[g] = b[g];
+  }
+  for (DeviceId& gene : child) {
+    if (rng.chance(mutation_rate_)) {
+      gene = DeviceId(rng.below(cost_->platform().device_count()));
+    }
+  }
+  repair(child);
+  return child;
+}
+
+Mapping Genome::to_mapping(const Genes& genes) const {
+  Mapping mp(genes.size(), cost_->platform().default_device());
+  for (std::size_t g = 0; g < genes.size(); ++g) mp[gene_node_[g]] = genes[g];
+  return mp;
+}
+
+void Genome::repair(Genes& genes) const {
+  const Platform& platform = cost_->platform();
+  const std::size_t n = genes.size();
+  for (const DeviceId f : platform.fpga_devices()) {
+    const double budget = platform.device(f).area_budget;
+    for (;;) {
+      double used = 0.0;
+      std::size_t worst = n;
+      double worst_area = -1.0;
+      for (std::size_t g = 0; g < n; ++g) {
+        if (genes[g] != f) continue;
+        const double a = cost_->area(gene_node_[g]);
+        used += a;
+        if (a > worst_area) {
+          worst_area = a;
+          worst = g;
+        }
+      }
+      if (used <= budget || worst == n) break;
+      genes[worst] = platform.default_device();
+    }
+  }
+}
+
 namespace {
 
-/// An individual: genome (device per topological gene position) + fitness.
+/// An individual: genome + fitness.
 struct Individual {
-  std::vector<DeviceId> genes;
+  Genome::Genes genes;
   double fitness = kInfeasible;
 };
+
+bool fitter(const Individual& a, const Individual& b) {
+  return a.fitness < b.fitness;
+}
 
 }  // namespace
 
 MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
   RunControl control(request);
-  const CostModel& cost = eval.cost();
-  const Dag& dag = cost.dag();
-  const Platform& platform = cost.platform();
-  const std::size_t n = dag.node_count();
-  const std::size_t m = platform.device_count();
+  const Genome genome(eval.cost(), params_);
   EvalContext ctx;
-
   Rng rng(request.seed.value_or(params_.seed));
-  const double mutation_rate =
-      params_.mutation_rate > 0.0 ? params_.mutation_rate
-                                  : 1.0 / static_cast<double>(std::max<
-                                        std::size_t>(n, 1));
-
-  // Genome positions follow a breadth-first topological order so that
-  // single-point crossover cuts the graph into a "front" and a "back" part
-  // (the paper's "topologically sorted genome").
-  const std::vector<NodeId> gene_node = bfs_order(dag);
-
-  // Repair: move the largest-area FPGA tasks back to the default device
-  // until every FPGA fits its budget.
-  auto repair = [&](std::vector<DeviceId>& genes) {
-    for (const DeviceId f : platform.fpga_devices()) {
-      const double budget = platform.device(f).area_budget;
-      for (;;) {
-        double used = 0.0;
-        std::size_t worst = n;
-        double worst_area = -1.0;
-        for (std::size_t g = 0; g < n; ++g) {
-          if (genes[g] != f) continue;
-          const double a = cost.area(gene_node[g]);
-          used += a;
-          if (a > worst_area) {
-            worst_area = a;
-            worst = g;
-          }
-        }
-        if (used <= budget || worst == n) break;
-        genes[worst] = platform.default_device();
-      }
-    }
-  };
-
-  auto to_mapping = [&](const std::vector<DeviceId>& genes) {
-    Mapping mp(n, platform.default_device());
-    for (std::size_t g = 0; g < n; ++g) mp[gene_node[g]] = genes[g];
-    return mp;
-  };
 
   // Fitness of a whole cohort at once through the parallel batch API.
   // Evaluation consumes no rng state, so batching a cohort leaves the GA's
@@ -81,7 +108,7 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
     std::vector<Mapping> mappings;
     mappings.reserve(cohort.size());
     for (const Individual& ind : cohort) {
-      mappings.push_back(to_mapping(ind.genes));
+      mappings.push_back(genome.to_mapping(ind.genes));
     }
     const std::vector<double> fitness =
         eval.evaluate_batch(mappings, ctx, lease.get());
@@ -90,16 +117,9 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
     }
   };
 
-  // Initial population: the all-default individual plus random genomes.
   std::vector<Individual> population(params_.population);
   for (std::size_t p = 0; p < population.size(); ++p) {
-    auto& ind = population[p];
-    ind.genes.resize(n);
-    for (std::size_t g = 0; g < n; ++g) {
-      ind.genes[g] = p == 0 ? platform.default_device()
-                            : DeviceId(rng.below(m));
-    }
-    repair(ind.genes);
+    population[p].genes = genome.initial(p, rng);
   }
   evaluate_cohort(population);
 
@@ -118,15 +138,6 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
   };
   track_incumbent(0);
 
-  auto tournament = [&]() -> const Individual& {
-    const Individual* best = &population[rng.below(population.size())];
-    for (std::size_t t = 1; t < params_.tournament; ++t) {
-      const Individual& challenger = population[rng.below(population.size())];
-      if (challenger.fitness < best->fitness) best = &challenger;
-    }
-    return *best;
-  };
-
   // Honest anytime loop: deadline/cancellation and the request budget are
   // checked between generations (one generation consumes `population`
   // evaluations), and the elitist population always holds the incumbent.
@@ -138,29 +149,15 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
     }
     offspring.clear();
     while (offspring.size() < params_.population) {
-      const Individual& pa = tournament();
-      const Individual& pb = tournament();
-      Individual child;
-      child.genes = pa.genes;
-      if (rng.chance(params_.crossover_rate) && n > 1) {
-        // Single-point crossover on the topological genome.
-        const std::size_t cut = 1 + rng.below(n - 1);
-        for (std::size_t g = cut; g < n; ++g) child.genes[g] = pb.genes[g];
-      }
-      for (std::size_t g = 0; g < n; ++g) {
-        if (rng.chance(mutation_rate)) child.genes[g] = DeviceId(rng.below(m));
-      }
-      repair(child.genes);
-      offspring.push_back(std::move(child));
+      const Individual& pa = genome.tournament(population, rng, fitter);
+      const Individual& pb = genome.tournament(population, rng, fitter);
+      offspring.push_back({genome.breed(pa.genes, pb.genes, rng)});
     }
     evaluate_cohort(offspring);
     // Elitist (mu + lambda) survival: best `population` of parents +
     // offspring (single-objective NSGA-II truncation).
     for (auto& child : offspring) population.push_back(std::move(child));
-    std::stable_sort(population.begin(), population.end(),
-                     [](const Individual& a, const Individual& b) {
-                       return a.fitness < b.fitness;
-                     });
+    std::stable_sort(population.begin(), population.end(), fitter);
     population.resize(params_.population);
     ++generations_run;
     track_incumbent(generations_run);
@@ -173,7 +170,7 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
     if (ind.fitness < best->fitness) best = &ind;
   }
   MapReport report;
-  report.mapping = to_mapping(best->genes);
+  report.mapping = genome.to_mapping(best->genes);
   report.predicted_makespan = best->fitness;
   report.iterations = generations_run;
   report.evaluations = ctx.evaluations();

@@ -4,8 +4,8 @@
 
 #include "graph/algorithms.hpp"
 #include "mappers/builtin_registrations.hpp"
+#include "mappers/list_schedule.hpp"
 #include "mappers/registry.hpp"
-#include "sched/timeline.hpp"
 
 namespace spmap {
 
@@ -67,16 +67,7 @@ MapReport PeftMapper::map(const Evaluator& eval, const MapRequest& request) {
     if (pending[i] == 0) ready.push_back(NodeId(i));
   }
 
-  std::vector<std::size_t> slot_offset(m + 1, 0);
-  for (std::size_t d = 0; d < m; ++d) {
-    slot_offset[d + 1] =
-        slot_offset[d] +
-        std::max<std::size_t>(1, platform.device(DeviceId(d)).slots);
-  }
-  std::vector<DeviceTimeline> timelines(slot_offset.back());
-  std::vector<double> finish(n, 0.0);
-  Mapping mapping(n, platform.default_device());
-  std::vector<double> fpga_area_used(m, 0.0);
+  ListSchedule schedule(cost);
 
   // One-shot list scheduler: one "iteration" places one ready task. A
   // truncated run leaves the rest on the default device (valid mapping).
@@ -97,45 +88,11 @@ MapReport PeftMapper::map(const Evaluator& eval, const MapRequest& request) {
     ready[pick] = ready.back();
     ready.pop_back();
 
-    DeviceId best_dev = platform.default_device();
-    double best_oeft = kInfeasible;
-    double best_start = 0.0;
-    double best_eft = 0.0;
-    std::size_t best_slot = 0;
-    for (std::size_t d = 0; d < m; ++d) {
-      const DeviceId dev(d);
-      const Device& device = platform.device(dev);
-      if (device.is_fpga() && fpga_area_used[d] + cost.area(v) >
-                                  device.area_budget) {
-        continue;
-      }
-      double est = 0.0;
-      for (const EdgeId e : dag.in_edges(v)) {
-        const NodeId u = dag.src(e);
-        est = std::max(est,
-                       finish[u.v] + cost.transfer_time(e, mapping[u], dev));
-      }
-      const double exec = cost.exec_time(v, dev);
-      for (std::size_t s = slot_offset[d]; s < slot_offset[d + 1]; ++s) {
-        const double start = timelines[s].earliest_start(est, exec);
-        const double eft = start + exec;
-        // PEFT's lookahead: optimistic EFT = EFT + OCT.
-        const double oeft = eft + oct[v.v * m + d];
-        if (oeft < best_oeft) {
-          best_oeft = oeft;
-          best_dev = dev;
-          best_start = start;
-          best_eft = eft;
-          best_slot = s;
-        }
-      }
-    }
-    mapping[v] = best_dev;
-    finish[v.v] = best_eft;
-    timelines[best_slot].reserve(best_start, best_eft - best_start);
-    if (platform.device(best_dev).is_fpga()) {
-      fpga_area_used[best_dev.v] += cost.area(v);
-    }
+    // PEFT's lookahead: the optimistic EFT, EFT + OCT, compared per slot.
+    const double* oct_v = &oct[v.v * m];
+    schedule.commit(v, schedule.best(v, [oct_v](const Placement& p) {
+      return p.eft + oct_v[p.device.v];
+    }));
     ++scheduled;
     for (const EdgeId e : dag.out_edges(v)) {
       if (--pending[dag.dst(e).v] == 0) ready.push_back(dag.dst(e));
@@ -143,16 +100,8 @@ MapReport PeftMapper::map(const Evaluator& eval, const MapRequest& request) {
   }
   require(scheduled == n || control.stopped(),
           "PEFT: scheduling did not cover all tasks");
-
-  MapReport report;
-  EvalContext ctx;
-  report.predicted_makespan = eval.evaluate(mapping, ctx);
-  report.evaluations = ctx.evaluations();
-  report.mapping = std::move(mapping);
-  report.iterations = scheduled;
-  control.record_incumbent(report.predicted_makespan, scheduled);
-  control.finalize(report);
-  return report;
+  return one_shot_report(eval, control, schedule.release_mapping(),
+                         scheduled);
 }
 
 void detail::register_peft_mapper(MapperRegistry& registry) {

@@ -515,15 +515,21 @@ void IncrementalEvaluator::snapshot_checkpoint(std::size_t c) {
   std::copy(cur_link_.begin(), cur_link_.end(), ck + s_total_);
 }
 
+double IncrementalEvaluator::area_after(std::uint32_t device,
+                                        double delta) const {
+  const double used = area_used_[device] + delta;
+  if (std::abs(used - budget_[device]) <= area_eps_) {
+    // Boundary tie: resync against the exact node-order sum so the verdict
+    // is identical to CostModel::area_feasible.
+    return eval_->cost().mapped_area(mapping_, DeviceId(device));
+  }
+  return used;
+}
+
 void IncrementalEvaluator::update_area(std::uint32_t device, double delta) {
   const double budget = budget_[device];
   const bool was_over = area_used_[device] > budget;
-  area_used_[device] += delta;
-  if (std::abs(area_used_[device] - budget) <= area_eps_) {
-    // Boundary tie: resync against the exact node-order sum so the verdict
-    // is identical to CostModel::area_feasible.
-    area_used_[device] = eval_->cost().mapped_area(mapping_, DeviceId(device));
-  }
+  area_used_[device] = area_after(device, delta);
   const bool now_over = area_used_[device] > budget;
   if (was_over != now_over) over_budget_count_ += now_over ? 1 : -1;
 }
@@ -630,7 +636,7 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
   const std::uint32_t old_dev = mapping_.device[move.node.v].v;
   if (move.device.v == old_dev) return makespan();
 
-  // Area verdict, trace-free: replicate move_area/update_area on locals.
+  // Area verdict, trace-free: update_area's arithmetic on a local count.
   int over = over_budget_count_;
   mapping_.device[move.node.v] = move.device;
   const std::uint8_t* is_fpga = t_->is_fpga.data();
@@ -640,13 +646,9 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
          {std::pair<std::uint32_t, double>{old_dev, -area},
           std::pair<std::uint32_t, double>{move.device.v, area}}) {
       if (!is_fpga[dev]) continue;
-      const double budget = budget_[dev];
-      const bool was_over = area_used_[dev] > budget;
-      double used = area_used_[dev] + delta;
-      if (std::abs(used - budget) <= area_eps_) {
-        used = eval_->cost().mapped_area(mapping_, DeviceId(dev));
-      }
-      if (was_over != (used > budget)) over += used > budget ? 1 : -1;
+      const bool was_over = area_used_[dev] > budget_[dev];
+      const bool now_over = area_after(dev, delta) > budget_[dev];
+      if (was_over != now_over) over += now_over ? 1 : -1;
     }
   }
 

@@ -238,6 +238,9 @@ class IncrementalEvaluator {
   /// unused from p on).
   void patch_tail_checkpoints(std::size_t p);
   void move_area(NodeId node, std::uint32_t from, std::uint32_t to);
+  /// `device`'s area in use after adding `delta` (the current mapping
+  /// already moved), resynced exactly on the budget boundary.
+  double area_after(std::uint32_t device, double delta) const;
   void update_area(std::uint32_t device, double delta);
   /// Adjusts the committed use counts (see block_*_uses_) by +/-1.
   void bump_slot_use(std::size_t p, std::uint32_t device, bool add);

@@ -1,7 +1,7 @@
 #pragma once
 /// \file timeline.hpp
-/// Per-device busy-interval timeline for insertion-based list scheduling
-/// (the scheduling phase of HEFT and PEFT).
+/// Busy-interval timeline of one execution slot for insertion-based list
+/// scheduling (held per slot by ListSchedule, mappers/list_schedule.hpp).
 
 #include <vector>
 

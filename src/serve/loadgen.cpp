@@ -17,6 +17,7 @@
 #include "serve/mapping_service.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace spmap {
@@ -518,15 +519,6 @@ void run_open_session(const LoadgenOptions& options,
   }
 }
 
-double percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
 /// Re-runs every completed request through a local MappingService with
 /// the identical job construction and demands bit-identical makespans.
 /// With --distinct, repeated identities are re-executed locally only
@@ -647,7 +639,7 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
   report.wall_seconds = wall.seconds();
 
   bool any_connected = false;
-  std::map<std::string, std::vector<double>> latencies;
+  std::map<std::string, Samples> latencies;
   std::vector<Sample> samples;
   for (SessionOutcome& out : outcomes) {
     any_connected = any_connected || out.connected;
@@ -659,7 +651,7 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
       total.failed += stats.failed;
     }
     for (Sample& sample : out.samples) {
-      latencies[sample.spec.cls].push_back(sample.latency_ms);
+      latencies[sample.spec.cls].add(sample.latency_ms);
       samples.push_back(std::move(sample));
     }
     for (std::string& error : out.errors) {
@@ -680,16 +672,13 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
           "loadgen: no session could connect to " +
               options.endpoint.to_string());
 
-  for (auto& [cls, values] : latencies) {
-    std::sort(values.begin(), values.end());
+  for (const auto& [cls, values] : latencies) {
     LoadgenClassStats& stats = report.classes[cls];
-    stats.p50_ms = percentile(values, 0.50);
-    stats.p95_ms = percentile(values, 0.95);
-    stats.p99_ms = percentile(values, 0.99);
-    stats.max_ms = values.back();
-    double sum = 0.0;
-    for (const double v : values) sum += v;
-    stats.mean_ms = sum / static_cast<double>(values.size());
+    stats.p50_ms = values.quantile(0.50);
+    stats.p95_ms = values.quantile(0.95);
+    stats.p99_ms = values.quantile(0.99);
+    stats.max_ms = values.max();
+    stats.mean_ms = values.mean();
   }
   for (const auto& [cls, stats] : report.classes) {
     (void)cls;

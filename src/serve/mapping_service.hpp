@@ -11,8 +11,7 @@
 /// `reporting_orders > 0`) re-prices the result with the paper's reporting
 /// protocol (min over BFS + random schedules) plus the all-CPU baseline —
 /// exactly what the scenario runner always computed inline. The scenario
-/// runner is now a client of this layer, and `spmap_cli serve` exposes it
-/// directly.
+/// runner (`spmap_cli sweep`) and the daemon are its clients.
 ///
 /// ## Determinism
 ///

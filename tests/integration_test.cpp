@@ -9,11 +9,11 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "mappers/cpu_only.hpp"
-#include "mappers/decomposition.hpp"
 #include "mappers/heft.hpp"
 #include "mappers/lookahead_heft.hpp"
 #include "mappers/multi_objective.hpp"
 #include "mappers/peft.hpp"
+#include "mappers/registry.hpp"
 #include "sched/schedule.hpp"
 #include "sp/recognizer.hpp"
 #include "workflows/workflows.hpp"
@@ -39,7 +39,7 @@ TEST(Integration, FullPipelineOnWorkflow) {
   ASSERT_GT(baseline, 0.0);
 
   // 4. Map with the headline algorithm.
-  auto mapper = make_series_parallel_mapper(tg.dag, rng, true);
+  auto mapper = MapperRegistry::instance().create("spff", tg.dag, rng);
   const MapperResult r = mapper->map(eval);
   EXPECT_LE(r.predicted_makespan, baseline);
 
@@ -78,7 +78,7 @@ TEST(Integration, AllMappersAgreeOnTrivialGraph) {
   LookaheadHeftMapper laheft;
   PeftMapper peft;
   Rng rng(1);
-  auto sp = make_series_parallel_mapper(dag, rng, true);
+  auto sp = MapperRegistry::instance().create("spff", dag, rng);
   for (Mapper* m : std::initializer_list<Mapper*>{&cpu, &heft, &laheft,
                                                   &peft, sp.get()}) {
     const MapperResult r = m->map(eval);
@@ -134,8 +134,8 @@ TEST(Integration, DecompositionBeatsListSchedulingOnStreamChains) {
   const double baseline = eval.default_mapping_makespan();
 
   HeftMapper heft;
-  auto sn = make_single_node_mapper(dag, true);
-  auto sp = make_series_parallel_mapper(dag, rng, true);
+  auto sn = MapperRegistry::instance().create("snff", dag, rng);
+  auto sp = MapperRegistry::instance().create("spff", dag, rng);
   const double heft_ms = eval.evaluate(heft.map(eval).mapping);
   const double sn_ms = eval.evaluate(sn->map(eval).mapping);
   const double sp_ms = eval.evaluate(sp->map(eval).mapping);
@@ -191,7 +191,7 @@ TEST(Integration, ScalarizedSweepBracketsSingleObjectiveResult) {
   const auto front = decomposition_pareto_sweep(eval, dag, sweep_rng, {1.0});
   ASSERT_EQ(front.size(), 1u);
   Rng direct_rng(99);
-  auto direct = make_series_parallel_mapper(dag, direct_rng, true);
+  auto direct = MapperRegistry::instance().create("spff", dag, direct_rng);
   const MapperResult r = direct->map(eval);
   EXPECT_NEAR(front.front().makespan, r.predicted_makespan, 1e-9);
 }

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
-#include "mappers/decomposition.hpp"
 #include "mappers/heft.hpp"
 #include "mappers/nsga2.hpp"
 #include "mappers/peft.hpp"
@@ -224,11 +223,10 @@ TEST(MapperRegistry, MatchesDirectConstruction) {
   const CostModel cost(dag, attrs, platform);
   const Evaluator eval(cost);
 
-  const auto expect_same = [&](const char* spec, Mapper& direct,
-                               Rng direct_rng, Rng registry_rng) {
+  const auto expect_same = [&](const char* spec, Mapper& direct) {
+    Rng registry_rng(9);
     auto from_registry =
         MapperRegistry::instance().create(spec, dag, registry_rng);
-    (void)direct_rng;
     const MapperResult a = direct.map(eval);
     const MapperResult b = from_registry->map(eval);
     EXPECT_EQ(a.mapping.device, b.mapping.device) << spec;
@@ -237,25 +235,16 @@ TEST(MapperRegistry, MatchesDirectConstruction) {
   };
 
   HeftMapper heft;
-  expect_same("heft", heft, Rng(9), Rng(9));
+  expect_same("heft", heft);
 
   PeftMapper peft;
-  expect_same("peft", peft, Rng(9), Rng(9));
-
-  auto snff = make_single_node_mapper(dag, /*first_fit=*/true);
-  expect_same("snff", *snff, Rng(9), Rng(9));
-
-  // The SP mapper draws from the rng while decomposing, so direct and
-  // registry construction must start from identical rng state.
-  Rng direct_rng(13);
-  auto spff = make_series_parallel_mapper(dag, direct_rng, /*first_fit=*/true);
-  expect_same("spff", *spff, Rng(13), Rng(13));
+  expect_same("peft", peft);
 
   Nsga2Params ga;
   ga.generations = 5;
   ga.seed = 77;
   Nsga2Mapper nsga(ga);
-  expect_same("nsga:generations=5,seed=77", nsga, Rng(9), Rng(9));
+  expect_same("nsga:generations=5,seed=77", nsga);
 }
 
 TEST(MapperRegistry, DuplicateRegistrationThrows) {

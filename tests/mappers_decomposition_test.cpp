@@ -4,6 +4,7 @@
 
 #include "graph/generators.hpp"
 #include "mappers/cpu_only.hpp"
+#include "mappers/registry.hpp"
 #include "test_support.hpp"
 
 namespace spmap {
@@ -12,6 +13,11 @@ namespace {
 using testing::chain_dag;
 using testing::cpu_fpga_platform;
 using testing::serial_streamable_attrs;
+
+/// A registry-built mapper, the way every experiment constructs one.
+std::unique_ptr<Mapper> create(const char* spec, const Dag& d, Rng& rng) {
+  return MapperRegistry::instance().create(spec, d, rng);
+}
 
 TEST(CpuOnlyMapper, MatchesDefaultMapping) {
   const Dag d = chain_dag(4);
@@ -33,7 +39,8 @@ TEST(DecompositionMapper, SingleNodeAcceleratesChainWithCheapTransfers) {
   const Platform p = cpu_fpga_platform();
   const CostModel cost(d, attrs, p);
   const Evaluator eval(cost);
-  auto mapper = make_single_node_mapper(d, /*first_fit=*/false);
+  Rng rng(1);
+  auto mapper = create("sn", d, rng);
   const MapperResult r = mapper->map(eval);
   EXPECT_LT(r.predicted_makespan, eval.default_mapping_makespan());
   EXPECT_GT(r.iterations, 0u);
@@ -51,14 +58,14 @@ TEST(DecompositionMapper, SingleNodeStuckInLocalMinimumOnCostlyTransfers) {
   const Evaluator eval(cost);
   const double base = eval.default_mapping_makespan();
 
-  auto sn = make_single_node_mapper(d, false);
+  Rng rng(1);
+  auto sn = create("sn", d, rng);
   const MapperResult rs = sn->map(eval);
   EXPECT_NEAR(rs.predicted_makespan, base, 1e-9);
 
   // ...while the series-parallel decomposition can move the whole chain at
   // once, unlocking FPGA streaming (Section III-C).
-  Rng rng(1);
-  auto sp = make_series_parallel_mapper(d, rng, false);
+  auto sp = create("sp", d, rng);
   const MapperResult rp = sp->map(eval);
   EXPECT_LT(rp.predicted_makespan, 0.5 * base);
 }
@@ -73,9 +80,9 @@ TEST(DecompositionMapper, NeverWorseThanDefaultMapping) {
     const Evaluator eval(cost);
     const double base = eval.default_mapping_makespan();
     for (const bool first_fit : {false, true}) {
-      auto sn = make_single_node_mapper(d, first_fit);
+      auto sn = create(first_fit ? "snff" : "sn", d, rng);
       EXPECT_LE(sn->map(eval).predicted_makespan, base + 1e-9);
-      auto sp = make_series_parallel_mapper(d, rng, first_fit);
+      auto sp = create(first_fit ? "spff" : "sp", d, rng);
       EXPECT_LE(sp->map(eval).predicted_makespan, base + 1e-9);
     }
   }
@@ -96,10 +103,10 @@ TEST(DecompositionMapper, FirstFitQualityCloseToBasic) {
     const Platform p = reference_platform();
     const CostModel cost(d, attrs, p);
     const Evaluator eval(cost);
-    auto basic = make_series_parallel_mapper(d, rng, false);
+    auto basic = create("sp", d, rng);
     Rng rng2 = rng;  // same decomposition stream is not required; sets differ
     const MapperResult rb = basic->map(eval);
-    auto ff = make_series_parallel_mapper(d, rng2, true);
+    auto ff = create("spff", d, rng2);
     const MapperResult rf = ff->map(eval);
     basic_total += rb.predicted_makespan;
     ff_total += rf.predicted_makespan;
@@ -120,8 +127,9 @@ TEST(DecompositionMapper, RespectsFpgaAreaBudget) {
   const Platform p = cpu_fpga_platform(1.0, /*fpga_area_budget=*/25.0);
   const CostModel cost(d, attrs, p);
   const Evaluator eval(cost);
+  Rng rng(1);
   for (const bool first_fit : {false, true}) {
-    auto sn = make_single_node_mapper(d, first_fit);
+    auto sn = create(first_fit ? "snff" : "sn", d, rng);
     const MapperResult r = sn->map(eval);
     EXPECT_TRUE(cost.area_feasible(r.mapping));
     EXPECT_LT(r.predicted_makespan, kInfeasible);
@@ -170,7 +178,7 @@ TEST(DecompositionMapper, PredictedMakespanMatchesEvaluator) {
   const Platform p = reference_platform();
   const CostModel cost(d, attrs, p);
   const Evaluator eval(cost);
-  auto sp = make_series_parallel_mapper(d, rng, true);
+  auto sp = create("spff", d, rng);
   const MapperResult r = sp->map(eval);
   EXPECT_NEAR(r.predicted_makespan, eval.evaluate(r.mapping), 1e-12);
 }

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "mappers/heft.hpp"
 #include "mappers/peft.hpp"
+#include "mappers/registry.hpp"
+#include "model/platform_io.hpp"
 #include "test_support.hpp"
 
 namespace spmap {
@@ -125,6 +130,84 @@ TEST(ListScheduling, BothHandleSingleTask) {
   PeftMapper peft;
   EXPECT_NO_THROW(heft.map(eval));
   EXPECT_NO_THROW(peft.map(eval));
+}
+
+// ---- exact results ----
+// The list schedulers are deterministic, so each (mapper, graph, platform)
+// triple below pins its mapping (by digest) and its makespan bit for bit:
+// a change to the shared scheduling core that moves any placement fails
+// here, naming the new values.
+
+/// "sp60": a 60-task SP graph; "almost-sp80": an 80-task SP graph with 16
+/// extra edges (the Fig. 7 shape).
+TaskGraph pinned_graph(const std::string& name) {
+  TaskGraph tg;
+  if (name == "sp60") {
+    Rng rng(11);
+    tg.dag = generate_sp_dag(60, rng);
+    tg.attrs = random_task_attrs(tg.dag, rng);
+  } else {
+    Rng rng(23);
+    tg.dag = add_random_edges(generate_sp_dag(80, rng), 16, rng);
+    tg.attrs = random_task_attrs(tg.dag, rng);
+  }
+  return tg;
+}
+
+struct PinnedRun {
+  const char* spec;
+  const char* graph;
+  const char* platform;  // file under scenarios/platforms/
+  const char* digest;    // testing::mapping_digest of the mapping
+  double makespan;
+};
+
+TEST(ListScheduling, PinnedExactResults) {
+  const PinnedRun runs[] = {
+      {"heft", "sp60", "paper_cpu_gpu_fpga",
+       "1706f10da9705cb249d452f3033c7131", 7.3080489278931982},
+      {"heft", "sp60", "dual_fpga",
+       "ae14a0281586defb4fae2bb75f248084", 9.4157708283183599},
+      {"heft", "almost-sp80", "paper_cpu_gpu_fpga",
+       "dd94fa0e7af36f895a351367acf51177", 16.173211145193513},
+      {"heft", "almost-sp80", "dual_fpga",
+       "9932a6688faee593e7f5d88e39e5041e", 17.160517314175124},
+      {"peft", "sp60", "paper_cpu_gpu_fpga",
+       "fe8c66c76b5f1bb7398aa12e4b33a052", 7.6128402765433574},
+      {"peft", "sp60", "dual_fpga",
+       "2b2890990a156709bdc9bd5c6307f709", 8.9437561302685094},
+      {"peft", "almost-sp80", "paper_cpu_gpu_fpga",
+       "88229daeb0b1d3ab87852b7294738a2d", 16.36124046720882},
+      {"peft", "almost-sp80", "dual_fpga",
+       "a451758404d9091fe8f7be599a00fea7", 15.264077396752704},
+      {"laheft", "sp60", "paper_cpu_gpu_fpga",
+       "2cf2c040de4356b15c19c6661d401e57", 7.4704752184866017},
+      {"laheft", "sp60", "dual_fpga",
+       "169e6e02c0571865c45c150ab1f86a23", 8.6881277607151119},
+      {"laheft", "almost-sp80", "paper_cpu_gpu_fpga",
+       "46ead811f83a45e3c8ebfe094145fea4", 16.103821620013171},
+      {"laheft", "almost-sp80", "dual_fpga",
+       "f1476845995c9b4525fb3435030502da", 16.961428492182726},
+  };
+  for (const PinnedRun& run : runs) {
+    const TaskGraph tg = pinned_graph(run.graph);
+    const Platform platform =
+        load_platform_file(std::string(SPMAP_SCENARIO_DIR) + "/platforms/" +
+                           run.platform + ".json")
+            .platform;
+    const CostModel cost(tg.dag, tg.attrs, platform);
+    const Evaluator eval(cost);
+    Rng rng(1);
+    auto mapper = MapperRegistry::instance().create(run.spec, tg.dag, rng);
+    const MapperResult r = mapper->map(eval);
+    const std::string where = std::string(run.spec) + " on " + run.graph +
+                              " / " + run.platform + ": digest " +
+                              testing::mapping_digest(r.mapping) +
+                              ", makespan " +
+                              testing::exact(r.predicted_makespan);
+    EXPECT_EQ(testing::mapping_digest(r.mapping), run.digest) << where;
+    EXPECT_EQ(r.predicted_makespan, run.makespan) << where;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "mappers/registry.hpp"
+#include "model/platform_io.hpp"
 #include "test_support.hpp"
 
 namespace spmap {
@@ -99,6 +101,30 @@ TEST(Nsga2, EvaluationCountScalesWithGenerations) {
   const MapperResult r = mapper.map(eval);
   // init pop + generations * offspring.
   EXPECT_EQ(r.evaluations, 10u + 5u * 10u);
+}
+
+TEST(Nsga2, PinnedExactResult) {
+  // The GA's whole trajectory follows from its rng stream, so one pinned
+  // run fixes the draw order of initialization, tournaments, crossover,
+  // mutation and repair: any change there moves this mapping. The two
+  // small FPGAs of the dual-FPGA platform keep the repair busy.
+  Rng graph_rng(17);
+  const Dag d = generate_sp_dag(40, graph_rng);
+  const TaskAttrs attrs = random_task_attrs(d, graph_rng);
+  const Platform p = load_platform_file(std::string(SPMAP_SCENARIO_DIR) +
+                                        "/platforms/dual_fpga.json")
+                         .platform;
+  const CostModel cost(d, attrs, p);
+  const Evaluator eval(cost);
+  Rng rng(1);
+  auto mapper = MapperRegistry::instance().create(
+      "nsga:generations=20,pop=30", d, rng);
+  const MapperResult r = mapper->map(eval);
+  EXPECT_EQ(testing::mapping_digest(r.mapping),
+            "afdc5ae4f951fe392ec996b19c284a8d");
+  EXPECT_EQ(r.predicted_makespan, 7.4000863094000158)
+      << testing::exact(r.predicted_makespan);
+  EXPECT_EQ(r.evaluations, 30u + 20u * 30u);
 }
 
 }  // namespace

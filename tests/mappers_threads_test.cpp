@@ -72,10 +72,6 @@ TEST(MapperThreads, SpFirstFitInvariant) {
   expect_thread_invariant("spff:gamma=2", 305);
 }
 
-TEST(MapperThreads, LookaheadHeftInvariant) {
-  expect_thread_invariant("laheft", 306);
-}
-
 TEST(MapperThreads, HillClimbInvariant) {
   expect_thread_invariant("hillclimb:init=heft,iters=400,restarts=4,seed=9",
                           307);

@@ -165,6 +165,23 @@ TEST_F(MultiObjectiveTest, Nsga2FindsTradeoffs) {
   }
 }
 
+TEST_F(MultiObjectiveTest, Nsga2FrontIsPinned) {
+  // The whole front (every mapping, makespan and energy, in front order)
+  // follows from the GA's rng stream; pin it bit for bit.
+  Nsga2Params params;
+  params.population = 30;
+  params.generations = 30;
+  const auto front = MoNsga2Mapper(params).optimize(*eval_);
+  ContentHasher h("test-front");
+  for (const ParetoPoint& point : front) {
+    h.str(testing::mapping_digest(point.mapping))
+        .f64(point.makespan)
+        .f64(point.energy);
+  }
+  EXPECT_EQ(front.size(), 4u);
+  EXPECT_EQ(h.digest().hex(), "f31465cab4b543f376049eea273cf2c9");
+}
+
 TEST_F(MultiObjectiveTest, ScalarizedDecompositionSweep) {
   const auto front = decomposition_pareto_sweep(*eval_, dag_, rng_);
   ASSERT_FALSE(front.empty());

@@ -7,10 +7,10 @@
 
 #include "graph/generators.hpp"
 #include "mappers/cpu_only.hpp"
-#include "mappers/decomposition.hpp"
 #include "mappers/heft.hpp"
 #include "mappers/nsga2.hpp"
 #include "mappers/peft.hpp"
+#include "mappers/registry.hpp"
 #include "model/platform.hpp"
 
 namespace spmap {
@@ -28,10 +28,9 @@ std::unique_ptr<Mapper> build_mapper(const std::string& name, const Dag& dag,
   if (name == "cpu") return std::make_unique<CpuOnlyMapper>();
   if (name == "heft") return std::make_unique<HeftMapper>();
   if (name == "peft") return std::make_unique<PeftMapper>();
-  if (name == "sn") return make_single_node_mapper(dag, false);
-  if (name == "snff") return make_single_node_mapper(dag, true);
-  if (name == "sp") return make_series_parallel_mapper(dag, rng, false);
-  if (name == "spff") return make_series_parallel_mapper(dag, rng, true);
+  if (name == "sn" || name == "snff" || name == "sp" || name == "spff") {
+    return MapperRegistry::instance().create(name, dag, rng);
+  }
   if (name == "nsga") {
     Nsga2Params params;
     params.population = 20;

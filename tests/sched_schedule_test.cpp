@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
-#include "mappers/decomposition.hpp"
+#include "mappers/registry.hpp"
 #include "test_support.hpp"
 
 namespace spmap {
@@ -37,7 +37,7 @@ TEST(Schedule, MakespanMatchesEvaluator) {
   const Platform p = reference_platform();
   const CostModel cost(d, attrs, p);
   const Evaluator eval(cost, {.random_orders = 20});
-  auto mapper = make_series_parallel_mapper(d, rng, true);
+  auto mapper = MapperRegistry::instance().create("spff", d, rng);
   const MapperResult r = mapper->map(eval);
   const Schedule s = extract_schedule(eval, r.mapping);
   EXPECT_NEAR(s.makespan, eval.evaluate(r.mapping), 1e-12);

@@ -1,10 +1,16 @@
 #pragma once
 /// Shared fixtures for mapper tests: a deterministic two-device platform
-/// and uniform task attributes with easy-to-hand-check costs.
+/// and uniform task attributes with easy-to-hand-check costs, plus the
+/// digest the exact-result pins compare mappings by.
+
+#include <cstdio>
+#include <string>
 
 #include "graph/dag.hpp"
 #include "graph/task_attrs.hpp"
+#include "model/mapping.hpp"
 #include "model/platform.hpp"
+#include "util/content_hash.hpp"
 
 namespace spmap::testing {
 
@@ -53,6 +59,22 @@ inline Dag chain_dag(std::size_t n) {
     d.add_edge(NodeId(i), NodeId(i + 1), 100.0);
   }
   return d;
+}
+
+/// Hex digest of a mapping's device sequence: one short string that pins a
+/// whole mapping in a table-driven test.
+inline std::string mapping_digest(const Mapping& mapping) {
+  ContentHasher h("test-mapping");
+  for (const DeviceId d : mapping.device) h.u64(d.v);
+  return h.digest().hex();
+}
+
+/// `v` with 17 significant digits: enough to round-trip, so a failing
+/// exact-result pin prints the value to paste.
+inline std::string exact(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
 }
 
 }  // namespace spmap::testing

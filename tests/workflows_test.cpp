@@ -5,7 +5,7 @@
 #include <set>
 
 #include "graph/algorithms.hpp"
-#include "mappers/decomposition.hpp"
+#include "mappers/registry.hpp"
 #include "model/platform.hpp"
 #include "sched/evaluator.hpp"
 #include "sp/recognizer.hpp"
@@ -83,7 +83,7 @@ TEST(Workflows, NegativeControlsResistAcceleration) {
     const CostModel cost(inst.dag, inst.attrs, platform);
     const Evaluator eval(cost);
     const double base = eval.default_mapping_makespan();
-    auto sp = make_series_parallel_mapper(inst.dag, rng, true);
+    auto sp = MapperRegistry::instance().create("spff", inst.dag, rng);
     const MapperResult r = sp->map(eval);
     const double improvement = (base - r.predicted_makespan) / base;
     EXPECT_LT(improvement, 0.08) << workflow_family_name(family);
@@ -100,7 +100,7 @@ TEST(Workflows, AcceleratableFamiliesImprove) {
     const CostModel cost(inst.dag, inst.attrs, platform);
     const Evaluator eval(cost);
     const double base = eval.default_mapping_makespan();
-    auto sp = make_series_parallel_mapper(inst.dag, rng, true);
+    auto sp = MapperRegistry::instance().create("spff", inst.dag, rng);
     const MapperResult r = sp->map(eval);
     const double improvement = (base - r.predicted_makespan) / base;
     EXPECT_GT(improvement, 0.05) << workflow_family_name(family);

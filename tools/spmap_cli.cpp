@@ -13,10 +13,6 @@
 ///   sweep         Run a declarative scenario file (platform + workload +
 ///                 mapper line-up; see docs/FORMATS.md) and write a
 ///                 machine-readable results file.
-///   serve         Run a scenario through the async MappingService job
-///                 layer: --jobs N workers, per-job lifecycle lines on
-///                 stderr, same results document as sweep (bit-identical
-///                 to the serial runner).
 ///   daemon        Serve mapping jobs over a socket: listens on
 ///                 unix:PATH or tcp:HOST:PORT speaking spmap-wire/1
 ///                 (newline-delimited JSON; see docs/SERVING.md), with
@@ -37,7 +33,6 @@
 ///   spmap_cli map --in g.json --mapper nsga:generations=50,pop=100
 ///   spmap_cli evaluate --in g.json --mapping 0,0,1,2,0,...
 ///   spmap_cli sweep --scenario scenarios/examples/fig4_small.json --out r.json
-///   spmap_cli serve --scenario scenarios/examples/fig4_small.json --jobs 4
 ///   spmap_cli map --in g.json --mapper anneal:iters=1000000 --deadline-ms 50
 ///   spmap_cli daemon --listen unix:/tmp/spmap.sock --workers 4
 ///   spmap_cli list-mappers
@@ -113,7 +108,7 @@ class DelayedCancel {
 int usage() {
   std::fprintf(stderr,
                "usage: spmap_cli "
-               "<generate|import|decompose|map|evaluate|sweep|serve|daemon|"
+               "<generate|import|decompose|map|evaluate|sweep|daemon|"
                "list-mappers> [flags]\n"
                "  import       --wf FILE [--seed S] [--out FILE]   "
                "(WfCommons wfformat -> spmap JSON)\n"
@@ -128,13 +123,8 @@ int usage() {
                "  evaluate     --in FILE --mapping 0,1,2,... "
                "[--random-orders N]\n"
                "  sweep        --scenario FILE [--out FILE] [--threads N] "
-               "[--seed S] [--repetitions N] [--cache-entries N] "
-               "[--cache-bytes N] [--quiet]   (run a declarative "
+               "[--seed S] [--repetitions N] [--quiet]   (run a declarative "
                "scenario; see docs/FORMATS.md)\n"
-               "  serve        --scenario FILE --jobs N [--out FILE] "
-               "[--seed S] [--repetitions N] [--cache-entries N] "
-               "[--cache-bytes N] [--quiet]   (run a scenario "
-               "through the MappingService job layer)\n"
                "  daemon       --listen unix:PATH|tcp:HOST:PORT "
                "[--workers N] [--max-queued N] [--idle-timeout-s S] "
                "[--grace-ms MS] [--seed S] [--journal FILE] "
@@ -337,41 +327,26 @@ int cmd_map(int argc, char** argv) {
   return kExitOk;
 }
 
-/// Shared body of `sweep` and `serve`: both run a declarative scenario
-/// through the MappingService-backed runner and emit the same
-/// `spmap-sweep-results/1` document; serve sizes the worker pool with
-/// --jobs and narrates each job's lifecycle on stderr.
-int run_scenario_command(int argc, char** argv, bool serve) {
-  const char* cmd = serve ? "serve" : "sweep";
+/// Runs a declarative scenario through the MappingService-backed runner
+/// and emits its `spmap-sweep-results/1` document.
+int cmd_sweep(int argc, char** argv) {
   const Flags flags(argc, argv,
-                    {"scenario", "out", serve ? "jobs" : "threads", "seed",
-                     "repetitions", "cache-entries", "cache-bytes", "quiet"});
+                    {"scenario", "out", "threads", "seed", "repetitions",
+                     "quiet"});
   Scenario scenario = load_scenario_file(flags.get_required("scenario"));
   if (flags.has("seed")) {
     scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   }
   if (flags.has("repetitions")) {
     const auto reps = flags.get_int("repetitions", 1);
-    require(reps >= 1,
-            std::string(cmd) + ": --repetitions must be >= 1");
+    require(reps >= 1, "sweep: --repetitions must be >= 1");
     scenario.repetitions = static_cast<std::size_t>(reps);
   }
   SweepRunOptions options;
-  const auto workers = flags.get_int(serve ? "jobs" : "threads", 1);
-  require(workers >= 1, std::string(cmd) + (serve ? ": --jobs must be >= 1"
-                                                  : ": --threads must be >= 1"));
-  options.threads = static_cast<std::size_t>(workers);
+  const auto threads = flags.get_int("threads", 1);
+  require(threads >= 1, "sweep: --threads must be >= 1");
+  options.threads = static_cast<std::size_t>(threads);
   options.progress = !flags.get_bool("quiet", false);
-  options.log_jobs = serve && !flags.get_bool("quiet", false);
-  // Result cache is off by default so the default results document stays
-  // byte-stable (no cache_* keys).
-  const std::int64_t cache_entries = flags.get_int("cache-entries", 0);
-  require(cache_entries >= 0,
-          std::string(cmd) + ": --cache-entries must be >= 0");
-  options.cache_entries = static_cast<std::size_t>(cache_entries);
-  const std::int64_t cache_bytes = flags.get_int("cache-bytes", 0);
-  require(cache_bytes >= 0, std::string(cmd) + ": --cache-bytes must be >= 0");
-  options.cache_bytes = static_cast<std::size_t>(cache_bytes);
 
   const Json results = run_scenario(scenario, options);
   const std::string out = flags.get("out", "");
@@ -384,14 +359,6 @@ int run_scenario_command(int argc, char** argv, bool serve) {
     std::fprintf(stderr, "wrote %s\n", out.c_str());
   }
   return kExitOk;
-}
-
-int cmd_sweep(int argc, char** argv) {
-  return run_scenario_command(argc, argv, /*serve=*/false);
-}
-
-int cmd_serve(int argc, char** argv) {
-  return run_scenario_command(argc, argv, /*serve=*/true);
 }
 
 int cmd_evaluate(int argc, char** argv) {
@@ -501,7 +468,6 @@ int main(int argc, char** argv) {
     if (cmd == "map") return cmd_map(argc - 1, argv + 1);
     if (cmd == "evaluate") return cmd_evaluate(argc - 1, argv + 1);
     if (cmd == "sweep") return cmd_sweep(argc - 1, argv + 1);
-    if (cmd == "serve") return cmd_serve(argc - 1, argv + 1);
     if (cmd == "daemon") return cmd_daemon(argc - 1, argv + 1);
     if (cmd == "list-mappers") return cmd_list_mappers(argc - 1, argv + 1);
   } catch (const UsageError& ex) {
