@@ -49,11 +49,20 @@
 ///                                         // pass of the 1024-move stream
 ///        "avg_replayed_incremental": ..., // positions/probe, each path
 ///        "avg_swept_fallback": ...},      // counted separately
+///       {"name": "evaluate_moves", "frontier": "single_node"|"sp_forest",
+///        "nodes": N, "candidates": K, "ns_per_candidate": ...,
+///        "ns_per_candidate_apply_evaluate": ..., "speedup": ...,
+///        "mean_first_position": ...,       // first moved task / V
+///        "bit_identical_to_evaluate": true},  // must always be true
 ///       {"name": "local_search", "mapper": "hillclimb:...", "nodes": N,
 ///        "init_makespan": ..., "makespan": ...,
 ///        "improvement_vs_init": ..., "seconds": ...}
 ///     ]
 ///   }
+///
+/// The `evaluate_moves` rows price a decomposition mapper's full frontier
+/// on the scattered mapping through Evaluator::evaluate_moves and through
+/// apply/evaluate/revert per candidate (docs/FORMATS.md).
 ///
 /// The `incremental_reassign` rows measure the local-search probe
 /// primitive (a trace-free probe() of one random single-task
@@ -80,6 +89,7 @@
 #include "sched/evaluator.hpp"
 #include "sched/incremental_evaluator.hpp"
 #include "sched/reference_evaluator.hpp"
+#include "sp/subgraph_set.hpp"
 #include "util/flags.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
@@ -215,6 +225,66 @@ void report_incremental(Json& results, const char* config, const Dag& dag,
   }
 }
 
+/// Appends the `evaluate_moves` row of the frontier of `set` (every
+/// (subgraph, device) operation that changes the case's mapping); returns
+/// whether both pricings agree bit for bit.
+bool report_moves(Json& results, const char* frontier, const Case& c,
+                  const SubgraphSet& set, double min_seconds) {
+  const std::size_t n = c.dag.node_count();
+  const CostModel cost(c.dag, c.attrs, c.platform);
+  const Evaluator eval(cost);
+  std::vector<std::size_t> pos(n);
+  for (std::size_t p = 0; p < n; ++p) pos[eval.orders()[0][p].v] = p;
+  std::vector<Move> moves;
+  double first_sum = 0.0;
+  for (const std::vector<NodeId>& nodes : set.subgraphs) {
+    for (std::size_t d = 0; d < c.platform.device_count(); ++d) {
+      std::size_t first = n;
+      for (const NodeId v : nodes) {
+        if (c.mapping[v] != DeviceId(d)) first = std::min(first, pos[v.v]);
+      }
+      if (first == n) continue;  // a no-op
+      moves.push_back({nodes, DeviceId(d)});
+      first_sum += static_cast<double>(first) / static_cast<double>(n);
+    }
+  }
+
+  EvalContext ctx;
+  Mapping scratch = c.mapping;
+  std::vector<double> expected(moves.size());
+  volatile double sink = 0.0;
+  const double moves_s = time_per_call(min_seconds, [&] {
+    sink = sink + eval.evaluate_moves(c.mapping, moves, ctx).front();
+  });
+  const double full_s = time_per_call(min_seconds, [&] {
+    for (std::size_t i = 0; i < moves.size(); ++i) {
+      for (const NodeId v : moves[i].nodes) scratch[v] = moves[i].device;
+      expected[i] = eval.evaluate(scratch, ctx);
+      for (const NodeId v : moves[i].nodes) scratch[v] = c.mapping[v];
+    }
+  });
+  const auto got = eval.evaluate_moves(c.mapping, moves, ctx);
+  const bool identical = std::equal(got.begin(), got.end(), expected.begin());
+  const auto k = static_cast<double>(moves.size());
+  Json entry = Json::object();
+  entry.set("name", "evaluate_moves");
+  entry.set("frontier", frontier);
+  entry.set("nodes", n);
+  entry.set("candidates", moves.size());
+  entry.set("ns_per_candidate", moves_s / k * 1e9);
+  entry.set("ns_per_candidate_apply_evaluate", full_s / k * 1e9);
+  entry.set("speedup", full_s / moves_s);
+  entry.set("mean_first_position", first_sum / k);
+  entry.set("bit_identical_to_evaluate", identical);
+  results.push_back(std::move(entry));
+
+  std::printf("evaluate_moves  n=%-5zu %-11s %8.0f ns/candidate  (apply/"
+              "evaluate %8.0f ns, %.2fx, first at %.2f V, identical=%d)\n",
+              n, frontier, moves_s / k * 1e9, full_s / k * 1e9,
+              full_s / moves_s, first_sum / k, identical);
+  return identical;
+}
+
 /// The report proper; main() maps exceptions to the exit-code contract.
 int run(const Flags& flags) {
   const bool smoke = flags.get_bool("smoke", false);
@@ -348,6 +418,19 @@ int run(const Flags& flags) {
               "x < 2.5x vs serial");
         }
       }
+    }
+  }
+
+  // ---- decomposition frontiers priced on a shared prefix ----
+  for (const std::int64_t size : sizes) {
+    const Case c(static_cast<std::size_t>(size), seed);
+    Rng rng(seed + 5);
+    if (!report_moves(results, "single_node", c,
+                      single_node_subgraphs(c.dag.node_count()), min_seconds) ||
+        !report_moves(results, "sp_forest", c,
+                      series_parallel_subgraphs(c.dag, rng), min_seconds)) {
+      std::fprintf(stderr, "FATAL: evaluate_moves differs from evaluate\n");
+      return cli::kExitFailure;
     }
   }
 

@@ -15,8 +15,9 @@ namespace {
 
 constexpr double kTiny = 1e-15;
 
-/// Candidate mappings materialized per evaluate_batch call. Bounds the
-/// memory of a full-frontier sweep to kBatchChunk * node_count devices.
+/// Operations priced per Evaluator::evaluate_moves call. The deadline and
+/// cancellation are polled between calls, so the chunk bounds a
+/// full-frontier scan's interruption latency to kBatchChunk suffix sweeps.
 constexpr std::size_t kBatchChunk = 512;
 
 /// One mapping operation: move all nodes of a subgraph onto one device.
@@ -45,63 +46,74 @@ struct OpTable {
     const DeviceId d = device(op);
     for (const NodeId n : nodes(op)) mapping[n] = d;
   }
-
-  /// Applies `op` to `mapping`, saving the previous devices into `undo`.
-  void apply_with_undo(std::size_t op, Mapping& mapping,
-                       std::vector<DeviceId>& undo) const {
-    const auto& ns = nodes(op);
-    undo.resize(ns.size());
-    const DeviceId d = device(op);
-    for (std::size_t k = 0; k < ns.size(); ++k) {
-      undo[k] = mapping[ns[k]];
-      mapping[ns[k]] = d;
-    }
-  }
-
-  void revert(std::size_t op, Mapping& mapping,
-              const std::vector<DeviceId>& undo) const {
-    const auto& ns = nodes(op);
-    for (std::size_t k = 0; k < ns.size(); ++k) mapping[ns[k]] = undo[k];
-  }
 };
 
-/// Runs `consume(op, makespan)` for every non-noop operation in ascending
-/// op order, with the makespans computed through Evaluator::evaluate_batch
-/// in chunks (parallel across `pool`'s workers). The ascending consume
-/// order makes the caller's running-best selection identical to the serial
-/// apply/evaluate/revert loop; the batch itself is bit-identical for every
-/// thread count. Deadline/cancellation interrupts (`control.interrupted()`)
-/// truncate the scan at the next op; the caller then acts on whatever
-/// prefix was priced.
-template <typename Consume>
-void sweep_frontier(const OpTable& ops, const Mapping& mapping,
-                    const Evaluator& eval, EvalContext& ctx, ThreadPool* pool,
-                    const RunControl& control, Consume&& consume) {
-  std::vector<std::size_t> op_of;
-  std::vector<Mapping> candidates;
-  op_of.reserve(kBatchChunk);
-  candidates.reserve(kBatchChunk);
-  auto flush = [&]() {
-    const std::vector<double> makespans =
-        eval.evaluate_batch(candidates, ctx, pool);
-    for (std::size_t i = 0; i < makespans.size(); ++i) {
-      consume(op_of[i], makespans[i]);
-    }
-    op_of.clear();
-    candidates.clear();
-  };
-  for (std::size_t op = 0; op < ops.count(); ++op) {
-    if (control.interrupted()) break;
-    if (ops.is_noop(op, mapping)) continue;
-    candidates.push_back(mapping);
-    ops.apply(op, candidates.back());
-    op_of.push_back(op);
-    if (candidates.size() == kBatchChunk) flush();
-  }
-  if (!candidates.empty()) flush();
-}
-
 }  // namespace
+
+/// One run's state, shared by both variants: the operation table, the
+/// current mapping with its objective value, and how candidates are priced.
+struct DecompositionMapper::Search {
+  const Evaluator& eval;
+  EvalContext& ctx;
+  RunControl& control;
+  const decltype(DecompositionParams::objective)& objective;
+  ThreadPool* pool;  // nullptr with a custom objective
+  OpTable ops;
+  Mapping mapping;
+  Mapping trial;  // == mapping, but while `price` applies a candidate
+  double current = 0.0;  // objective of `mapping`
+  std::size_t cap = 0, iterations = 0;
+  std::vector<Move> moves{};  // a scan's chunk and each move's op
+  std::vector<std::size_t> op_of{};
+
+  double value(const Mapping& m) {
+    return objective ? objective(eval, m, ctx) : eval.evaluate(m, ctx);
+  }
+
+  /// Objective of the current mapping with `op` applied.
+  double price(std::size_t op) {
+    ops.apply(op, trial);
+    const double v = value(trial);
+    for (const NodeId n : ops.nodes(op)) trial[n] = mapping[n];
+    return v;
+  }
+
+  void accept(std::size_t op) {
+    ops.apply(op, mapping);
+    ops.apply(op, trial);
+    ++iterations;
+  }
+
+  /// Runs `consume(op, value)` for every non-noop operation in ascending
+  /// op order, as a one-at-a-time scan would: the makespan through
+  /// Evaluator::evaluate_moves, kBatchChunk operations per call; a custom
+  /// objective through `price`. An interrupt, polled between calls (or
+  /// operations), truncates the scan to the prefix priced.
+  template <typename Consume>
+  void scan(Consume&& consume) {
+    if (objective) {
+      for (std::size_t op = 0; op < ops.count(); ++op) {
+        if (control.interrupted()) break;
+        if (!ops.is_noop(op, mapping)) consume(op, price(op));
+      }
+      return;
+    }
+    for (std::size_t op = 0; op < ops.count() && !control.interrupted();) {
+      moves.clear();
+      op_of.clear();
+      for (; op < ops.count() && moves.size() < kBatchChunk; ++op) {
+        if (ops.is_noop(op, mapping)) continue;
+        moves.push_back({ops.nodes(op), ops.device(op)});
+        op_of.push_back(op);
+      }
+      const std::span<const double> makespans =
+          eval.evaluate_moves(mapping, moves, ctx, pool);
+      for (std::size_t i = 0; i < makespans.size(); ++i) {
+        consume(op_of[i], makespans[i]);
+      }
+    }
+  }
+};
 
 DecompositionMapper::DecompositionMapper(std::string name,
                                          SubgraphSet subgraphs,
@@ -117,132 +129,82 @@ MapReport DecompositionMapper::map(const Evaluator& eval,
                                    const MapRequest& request) {
   RunControl control(request);
   EvalContext ctx;
-  MapReport report = params_.variant == DecompositionVariant::Basic
-                         ? map_basic(eval, ctx, control)
-                         : map_threshold(eval, ctx, control);
+  // A custom objective cannot go through the makespan frontier API.
+  const PoolLease lease(request, params_.objective ? 1 : params_.threads);
+  Search s{.eval = eval, .ctx = ctx, .control = control,
+           .objective = params_.objective,
+           .pool = params_.objective ? nullptr : lease.get(),
+           .ops = {&subgraphs_, eval.cost().platform().device_count()},
+           .mapping = eval.default_mapping(),
+           .trial = eval.default_mapping()};
+  s.current = s.value(s.mapping);
+  s.cap = params_.max_iterations
+              ? params_.max_iterations
+              : std::max<std::size_t>(16, 2 * s.mapping.size());
+  const bool converged = params_.variant == DecompositionVariant::Basic
+                             ? search_basic(s)
+                             : search_threshold(s);
+  if (!converged) control.should_stop(s.iterations, ctx.evaluations());
+
+  MapReport report;
+  report.predicted_makespan = eval.evaluate(s.mapping, ctx);
+  report.mapping = std::move(s.mapping);
+  report.iterations = s.iterations;
+  report.evaluations = ctx.evaluations();
   control.record_incumbent(report.predicted_makespan, report.iterations);
   control.finalize(report);
   return report;
 }
 
-MapReport DecompositionMapper::map_basic(const Evaluator& eval,
-                                         EvalContext& ctx,
-                                         RunControl& control) const {
-  const OpTable ops{&subgraphs_, eval.cost().platform().device_count()};
-  const auto objective = [&](const Mapping& m) {
-    return params_.objective ? params_.objective(eval, m, ctx)
-                             : eval.evaluate(m, ctx);
-  };
-  // A custom objective cannot go through the makespan batch API.
-  const PoolLease lease(control.request(),
-                        params_.objective ? 1 : params_.threads);
-  ThreadPool* pool = params_.objective ? nullptr : lease.get();
-
-  Mapping mapping = eval.default_mapping();
-  double current = objective(mapping);
-  const std::size_t cap = params_.max_iterations
-                              ? params_.max_iterations
-                              : std::max<std::size_t>(16, 2 * mapping.size());
-
-  // Budgets are checked between improvement iterations (a sweep prices up
+bool DecompositionMapper::search_basic(Search& s) const {
+  // Budgets are checked between improvement iterations (a scan prices up
   // to ops.count() candidates at once); deadline/cancellation truncate the
   // candidate scans themselves.
-  std::size_t iterations = 0;
-  bool converged = false;
-  std::vector<DeviceId> undo;
-  while (iterations < cap) {
-    if (control.should_stop(iterations, ctx.evaluations())) {
-      break;
+  while (s.iterations < s.cap) {
+    if (s.control.should_stop(s.iterations, s.ctx.evaluations())) {
+      return false;
     }
-    std::size_t best_op = ops.count();
-    double best_makespan = current;
-    auto keep_best = [&](std::size_t op, double ms) {
+    std::size_t best_op = s.ops.count();
+    double best_makespan = s.current;
+    s.scan([&](std::size_t op, double ms) {
       if (ms < best_makespan - kTiny) {
         best_makespan = ms;
         best_op = op;
       }
-    };
-    if (pool) {
-      sweep_frontier(ops, mapping, eval, ctx, pool, control, keep_best);
-    } else {
-      for (std::size_t op = 0; op < ops.count(); ++op) {
-        if (control.interrupted()) break;
-        if (ops.is_noop(op, mapping)) continue;
-        ops.apply_with_undo(op, mapping, undo);
-        const double ms = objective(mapping);
-        ops.revert(op, mapping, undo);
-        keep_best(op, ms);
-      }
-    }
-    if (best_op == ops.count()) {
+    });
+    if (best_op == s.ops.count()) {
       // Nothing improving — convergence only if the scan was complete.
-      converged = !control.interrupted();
-      break;
+      return !s.control.interrupted();
     }
-    ops.apply(best_op, mapping);
-    current = best_makespan;
-    ++iterations;
+    s.accept(best_op);
+    s.current = best_makespan;
   }
-  if (!converged) {
-    control.should_stop(iterations, ctx.evaluations());
-  }
-
-  MapReport report;
-  report.predicted_makespan = eval.evaluate(mapping, ctx);
-  report.mapping = std::move(mapping);
-  report.iterations = iterations;
-  report.evaluations = ctx.evaluations();
-  return report;
+  return false;
 }
 
-MapReport DecompositionMapper::map_threshold(const Evaluator& eval,
-                                             EvalContext& ctx,
-                                             RunControl& control) const {
-  const OpTable ops{&subgraphs_, eval.cost().platform().device_count()};
+bool DecompositionMapper::search_threshold(Search& s) const {
+  const OpTable& ops = s.ops;
   const double gamma = std::max(params_.gamma, 1.0);
-  const auto objective = [&](const Mapping& m) {
-    return params_.objective ? params_.objective(eval, m, ctx)
-                             : eval.evaluate(m, ctx);
-  };
-  // A custom objective cannot go through the makespan batch API. The
-  // heap-guided inner scan is inherently sequential; only the full-frontier
-  // sweeps (initial fill, verification) batch.
-  const PoolLease lease(control.request(),
-                        params_.objective ? 1 : params_.threads);
-  ThreadPool* pool = params_.objective ? nullptr : lease.get();
-
-  Mapping mapping = eval.default_mapping();
-  double current = objective(mapping);
-  std::vector<DeviceId> undo;
 
   // Expected improvement of one operation against the current mapping.
+  // The heap-guided inner scan is inherently sequential; only the
+  // full-frontier sweeps (initial fill, verification) go through `scan`.
   auto recompute = [&](std::size_t op) {
-    if (ops.is_noop(op, mapping)) return -kInfeasible;  // never useful
-    ops.apply_with_undo(op, mapping, undo);
-    const double ms = objective(mapping);
-    ops.revert(op, mapping, undo);
-    return current - ms;  // > 0 == improvement
+    if (ops.is_noop(op, s.mapping)) return -kInfeasible;  // never useful
+    return s.current - s.price(op);  // > 0 == improvement
   };
 
   // Improvement of every operation against the current mapping at once
   // (noops fixed at -inf, like recompute). Calls consume(op, improvement)
-  // in ascending op order.
+  // in ascending op order; an interrupt leaves the unpriced rest at -inf.
   auto recompute_all = [&](auto&& consume) {
-    if (pool) {
-      std::vector<double> improvement(ops.count(), -kInfeasible);
-      sweep_frontier(ops, mapping, eval, ctx, pool, control,
-                     [&](std::size_t op, double ms) {
-                       improvement[op] = current - ms;
-                     });
-      for (std::size_t op = 0; op < ops.count(); ++op) {
-        consume(op, improvement[op]);
-      }
-    } else {
-      for (std::size_t op = 0; op < ops.count(); ++op) {
-        if (control.interrupted()) break;
-        consume(op, recompute(op));
-      }
-    }
+    std::size_t next = 0;  // ops below `next` are consumed
+    s.scan([&](std::size_t op, double value) {
+      for (; next < op; ++next) consume(next, -kInfeasible);
+      consume(op, s.current - value);
+      next = op + 1;
+    });
+    for (; next < ops.count(); ++next) consume(next, -kInfeasible);
   };
 
   // First iteration: evaluate every operation once and fill the priority
@@ -251,16 +213,10 @@ MapReport DecompositionMapper::map_threshold(const Evaluator& eval,
   recompute_all(
       [&](std::size_t op, double imp) { heap.push_or_update(op, imp); });
 
-  const std::size_t cap = params_.max_iterations
-                              ? params_.max_iterations
-                              : std::max<std::size_t>(16, 2 * mapping.size());
-  std::size_t iterations = 0;
-  bool converged = false;
   std::vector<bool> fresh(ops.count(), false);
-
-  while (iterations < cap) {
-    if (control.should_stop(iterations, ctx.evaluations())) {
-      break;
+  while (s.iterations < s.cap) {
+    if (s.control.should_stop(s.iterations, s.ctx.evaluations())) {
+      return false;
     }
     // Scan operations in order of expected improvement, re-evaluating each
     // against the current configuration. Once an actual improvement is
@@ -270,7 +226,7 @@ MapReport DecompositionMapper::map_threshold(const Evaluator& eval,
     std::size_t best_op = ops.count();
     double best_imp = 0.0;
     while (!heap.empty()) {
-      if (control.interrupted()) break;
+      if (s.control.interrupted()) break;
       const std::size_t top = heap.top();
       if (fresh[top]) break;  // exact value on top: nothing stale can win
       if (best_op != ops.count() && heap.top_priority() <= best_imp / gamma) {
@@ -289,7 +245,7 @@ MapReport DecompositionMapper::map_threshold(const Evaluator& eval,
       }
     }
 
-    if (best_op == ops.count() && !control.interrupted()) {
+    if (best_op == ops.count() && !s.control.interrupted()) {
       // Verification sweep (paper: "in the last iteration, we recompute
       // every possible mapping"): expectations may be stale underestimates.
       recompute_all([&](std::size_t op, double imp) {
@@ -301,28 +257,17 @@ MapReport DecompositionMapper::map_threshold(const Evaluator& eval,
       });
       if (best_op == ops.count()) {
         // Verified — convergence only if the sweep ran to completion.
-        converged = !control.interrupted();
-        break;
+        return !s.control.interrupted();
       }
     }
-    if (best_op == ops.count()) break;  // interrupted with nothing to apply
+    if (best_op == ops.count()) return false;  // interrupted, nothing found
 
-    ops.apply(best_op, mapping);
-    current -= best_imp;
+    s.accept(best_op);
+    s.current -= best_imp;
     // The applied operation is exhausted for now; its expectation resets.
     heap.push_or_update(best_op, 0.0);
-    ++iterations;
   }
-  if (!converged) {
-    control.should_stop(iterations, ctx.evaluations());
-  }
-
-  MapReport report;
-  report.predicted_makespan = eval.evaluate(mapping, ctx);
-  report.mapping = std::move(mapping);
-  report.iterations = iterations;
-  report.evaluations = ctx.evaluations();
-  return report;
+  return false;
 }
 
 namespace {

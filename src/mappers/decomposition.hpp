@@ -21,6 +21,9 @@
 ///                 before the algorithm terminates.
 ///
 /// Both variants never return a mapping worse than the default one.
+/// Full-frontier scans price candidates through Evaluator::evaluate_moves:
+/// each costs the sweep from its first moved task on, bit-identical to a
+/// full re-evaluation; deadline and cancellation are polled per chunk.
 
 #include <functional>
 
@@ -44,11 +47,11 @@ struct DecompositionParams {
   /// (multi_objective.hpp).
   std::function<double(const Evaluator&, const Mapping&, EvalContext&)>
       objective;
-  /// Worker threads for the full-frontier candidate sweeps (basic variant
+  /// Worker threads for the full-frontier candidate scans (basic variant
   /// iterations; the threshold variant's initial fill and verification
-  /// sweep). Goes through Evaluator::evaluate_batch — results are
+  /// sweep), which split each Evaluator::evaluate_moves call — results are
   /// bit-identical for every thread count; 1 = serial. A custom
-  /// `objective` disables batching (it is evaluated serially).
+  /// `objective` is priced serially.
   std::size_t threads = 1;
 };
 
@@ -64,10 +67,10 @@ class DecompositionMapper final : public Mapper {
   const SubgraphSet& subgraphs() const { return subgraphs_; }
 
  private:
-  MapReport map_basic(const Evaluator& eval, EvalContext& ctx,
-                      RunControl& control) const;
-  MapReport map_threshold(const Evaluator& eval, EvalContext& ctx,
-                          RunControl& control) const;
+  struct Search;  // one run's state (decomposition.cpp)
+  /// The two variants; each returns whether the search converged.
+  bool search_basic(Search& s) const;
+  bool search_threshold(Search& s) const;
 
   std::string name_;
   SubgraphSet subgraphs_;

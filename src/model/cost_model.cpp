@@ -79,6 +79,14 @@ CostModel::CostModel(const Dag& dag, const TaskAttrs& attrs,
   }
 
   fpga_devices_ = platform.fpga_devices();
+  area_budget_.assign(m, std::numeric_limits<double>::infinity());
+  double total_area = 0.0, max_budget = 0.0;
+  for (std::size_t i = 0; i < n; ++i) total_area += attrs.area[i];
+  for (const DeviceId f : fpga_devices_) {
+    area_budget_[f.v] = platform.device(f).area_budget;
+    max_budget = std::max(max_budget, area_budget_[f.v]);
+  }
+  area_tolerance_ = 1e-9 * (1.0 + total_area + max_budget);
 }
 
 double CostModel::mapped_area(const Mapping& m, DeviceId d) const {
@@ -91,7 +99,7 @@ double CostModel::mapped_area(const Mapping& m, DeviceId d) const {
 
 bool CostModel::area_feasible(const Mapping& m) const {
   for (DeviceId f : fpga_devices_) {
-    if (mapped_area(m, f) > platform_->device(f).area_budget) return false;
+    if (mapped_area(m, f) > area_budget_[f.v]) return false;
   }
   return true;
 }

@@ -17,6 +17,7 @@
 /// nothing everywhere. Execution times are precomputed for all (task,
 /// device) pairs, so lookups in the evaluator hot loop are O(1).
 
+#include <cmath>
 #include <vector>
 
 #include "graph/dag.hpp"
@@ -69,11 +70,24 @@ class CostModel {
   /// FPGA area demanded by a task.
   double area(NodeId n) const { return attrs_->area[n.v]; }
 
+  /// Device `d`'s area budget: +infinity unless it is an FPGA.
+  double area_budget(DeviceId d) const { return area_budget_[d.v]; }
+
   /// Total area mapped onto device `d` (meaningful for FPGAs).
   double mapped_area(const Mapping& m, DeviceId d) const;
 
   /// True iff no FPGA's area budget is exceeded.
   bool area_feasible(const Mapping& m) const;
+
+  /// Device `d`'s area in use under `m` from `running`, a +/- updated sum
+  /// that may drift a few ulps from mapped_area's: within 1e-9 * (1 + total
+  /// area + max budget) of the budget the exact sum is returned, so the
+  /// verdict `> area_budget(d)` is always area_feasible's.
+  double area_in_use(const Mapping& m, DeviceId d, double running) const {
+    return std::abs(running - area_budget(d)) <= area_tolerance_
+               ? mapped_area(m, d)
+               : running;
+  }
 
   /// Sum over tasks of the maximum execution time over devices — the
   /// paper's normalization yardstick for cost-function overhead and a
@@ -93,6 +107,8 @@ class CostModel {
   std::vector<double> mean_exec_;  // per node
   std::vector<double> min_exec_;   // per node
   std::vector<DeviceId> fpga_devices_;  // cached: area_feasible is hot
+  std::vector<double> area_budget_;     // per device
+  double area_tolerance_ = 0.0;         // see area_in_use
   double mean_latency_s_ = 0.0;    // over ordered distinct device pairs
   double mean_inv_bandwidth_ = 0.0;
 };

@@ -1,8 +1,33 @@
 #include "sched/evaluator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace spmap {
+
+namespace {
+
+/// Prices walk positions [first, last) under `map`; returns the running
+/// maximum finish from `run_max`. Every flat sweep is this loop; the
+/// arrays do not alias, so its body stays in registers.
+[[gnu::always_inline]] inline double sweep(
+    const SweepTables& t, const DeviceId* __restrict map,
+    const PlanNode* first, const PlanNode* last, double* __restrict start,
+    double* __restrict finish, double* __restrict slot_ready,
+    double* __restrict link_ready, double run_max) {
+  const PlainTimes times{start, finish};
+  const ArgminSlots slots{slot_ready, t.slot_offset.data()};
+  for (; first != last; ++first) {
+    const PlanNode pn = *first;
+    const NodeTime nt = time_node(t, map, pn, link_ready, times, slots);
+    start[pn.node] = nt.start;
+    finish[pn.node] = nt.finish;
+    run_max = std::max(run_max, nt.finish);
+  }
+  return run_max;
+}
+
+}  // namespace
 
 SweepTables::SweepTables(const CostModel& cost)
     : flat(cost.dag()), exec(cost.exec_data()) {
@@ -76,7 +101,8 @@ void EvalContext::layout(std::size_t nodes, std::size_t slots,
   // The per-evaluation reset zeroes slot_ready, the alignment gap and
   // link_ready in one contiguous fill; the gap doubles are never read.
   reset_len_ = link_off_ + devices - slot_off_;
-  arena_.assign(link_off_ + devices, 0.0);
+  moved_off_ = pad(link_off_ + devices);
+  arena_.assign(moved_off_ + reset_len_, 0.0);
 }
 
 double Evaluator::evaluate_plan(const Mapping& mapping, const WalkPlan& plan,
@@ -84,25 +110,9 @@ double Evaluator::evaluate_plan(const Mapping& mapping, const WalkPlan& plan,
   ++ctx.evals_;
   ctx.layout(tables_.flat.node_count(), tables_.slot_count(), tables_.devices);
   std::fill_n(ctx.slot_ready(), ctx.reset_len_, 0.0);
-
-  // The per-sweep arrays are captured in local non-aliasing pointers (the
-  // kernel does the same for the tables), so the loop body stays in
-  // registers.
-  const DeviceId* __restrict map = mapping.device.data();
-  double* __restrict start = ctx.start();
-  double* __restrict finish = ctx.finish();
-  double* __restrict link_ready = ctx.link_ready();
-  const PlainTimes times{start, finish};
-  const ArgminSlots slots{ctx.slot_ready(), tables_.slot_offset.data()};
-
-  double makespan = 0.0;
-  for (const PlanNode pn : plan) {
-    const NodeTime nt = time_node(tables_, map, pn, link_ready, times, slots);
-    start[pn.node] = nt.start;
-    finish[pn.node] = nt.finish;
-    makespan = std::max(makespan, nt.finish);
-  }
-  return makespan;
+  return sweep(tables_, mapping.device.data(), plan.data(),
+               plan.data() + plan.size(), ctx.start(), ctx.finish(),
+               ctx.slot_ready(), ctx.link_ready(), 0.0);
 }
 
 double Evaluator::evaluate(const Mapping& mapping, EvalContext& ctx) const {
@@ -171,6 +181,114 @@ std::vector<double> Evaluator::evaluate_batch(std::span<const Mapping> mappings,
     child.evals_ = 0;
   }
   return result;
+}
+
+std::span<const double> Evaluator::evaluate_moves(const Mapping& base,
+                                                  std::span<const Move> moves,
+                                                  EvalContext& ctx,
+                                                  ThreadPool* pool) const {
+  const std::size_t n = tables_.flat.node_count();
+  const std::size_t m = tables_.devices;
+  SPMAP_ASSERT(base.size() == n && moves.size() <= 0xffffffffu);
+  ctx.makespans_.assign(moves.size(), kInfeasible);
+
+  // Area verdicts in O(|move|): the base's exact per-device sums plus the
+  // move's delta, resynced near the budget by CostModel::area_in_use.
+  ctx.base_area_.resize(m);
+  ctx.area_delta_.assign(m, 0.0);
+  for (std::size_t d = 0; d < m; ++d) {
+    ctx.base_area_[d] = cost_->mapped_area(base, DeviceId(d));
+  }
+  ctx.moved_ = base;
+  ctx.feasible_.clear();
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    const DeviceId to = moves[i].device;
+    for (const NodeId v : moves[i].nodes) {
+      const DeviceId from = std::exchange(ctx.moved_[v], to);
+      if (from == to) continue;
+      ctx.area_delta_[from.v] -= cost_->area(v);
+      ctx.area_delta_[to.v] += cost_->area(v);
+    }
+    bool fits = true;
+    for (std::size_t d = 0; d < m; ++d) {
+      const double delta = std::exchange(ctx.area_delta_[d], 0.0);
+      fits = fits && (delta == 0.0 ? ctx.base_area_[d]
+                                   : cost_->area_in_use(
+                                         ctx.moved_, DeviceId(d),
+                                         ctx.base_area_[d] + delta)) <=
+                         cost_->area_budget(DeviceId(d));
+    }
+    for (const NodeId v : moves[i].nodes) ctx.moved_[v] = base[v];
+    if (fits) ctx.feasible_.push_back(static_cast<std::uint32_t>(i));
+  }
+  ctx.evals_ += ctx.feasible_.size() * plans_.size();
+
+  const std::size_t workers = pool == nullptr ? 1 : pool->thread_count();
+  if (ctx.workers_.size() + 1 < workers) ctx.workers_.resize(workers - 1);
+  ctx.pos_.resize(n);
+  for (const WalkPlan& plan : plans_) {
+    if (ctx.feasible_.empty()) break;
+    for (std::size_t p = 0; p < n; ++p) ctx.pos_[plan[p].node] = p;
+    // Each feasible move as p0 << 32 | move, p0 the first walk position
+    // whose device it changes (n when it changes none), sorted by p0.
+    ctx.queue_.clear();
+    for (const std::uint32_t i : ctx.feasible_) {
+      std::uint64_t p0 = n;
+      for (const NodeId v : moves[i].nodes) {
+        if (base[v] != moves[i].device) p0 = std::min(p0, ctx.pos_[v.v]);
+      }
+      ctx.queue_.push_back(p0 << 32 | i);
+    }
+    std::sort(ctx.queue_.begin(), ctx.queue_.end());
+
+    // Prices every `stride`-th queue entry from `first` on one cursor
+    // sweep of `base` through `c`. Invariant: c's start/finish hold base's
+    // times below the cursor (a suffix sweep writes only positions >= its
+    // p0, which the cursor recomputes before a later move reads them).
+    const auto price = [&](std::size_t first, std::size_t stride,
+                           EvalContext& c) {
+      c.layout(n, tables_.slot_count(), m);
+      std::fill_n(c.slot_ready(), c.reset_len_, 0.0);
+      c.moved_ = base;
+      const PlanNode* walk = plan.data();
+      std::size_t cursor = 0;
+      double cursor_max = 0.0;
+      for (std::size_t k = first; k < ctx.queue_.size(); k += stride) {
+        const std::size_t p0 = ctx.queue_[k] >> 32;
+        const Move& move = moves[ctx.queue_[k] & 0xffffffffu];
+        cursor_max = sweep(tables_, base.device.data(), walk + cursor,
+                           walk + p0, c.start(), c.finish(), c.slot_ready(),
+                           c.link_ready(), cursor_max);
+        cursor = p0;
+        double makespan = cursor_max;
+        if (p0 < n) {
+          // The suffix sweeps a copy of the cursor's slot and link state.
+          double* slot = c.arena_.data() + c.moved_off_;
+          std::copy_n(c.slot_ready(), c.reset_len_, slot);
+          for (const NodeId v : move.nodes) c.moved_[v] = move.device;
+          makespan = sweep(tables_, c.moved_.device.data(), walk + p0,
+                           walk + n, c.start(), c.finish(), slot,
+                           slot + (c.link_off_ - c.slot_off_), cursor_max);
+          for (const NodeId v : move.nodes) c.moved_[v] = base[v];
+        }
+        double& out = ctx.makespans_[ctx.queue_[k] & 0xffffffffu];
+        out = std::min(out, makespan);
+      }
+    };
+    // Worker w takes every workers-th move from the w-th: about an equal
+    // share of suffix work. A move's value depends only on `base` and its
+    // p0, so no split changes a result.
+    if (workers == 1) {
+      price(0, 1, ctx);
+    } else {
+      pool->parallel_for(workers, [&](std::size_t begin, std::size_t end,
+                                      std::size_t worker) {
+        EvalContext& c = worker == 0 ? ctx : ctx.workers_[worker - 1];
+        for (std::size_t w = begin; w < end; ++w) price(w, workers, c);
+      });
+    }
+  }
+  return ctx.makespans_;
 }
 
 Mapping Evaluator::default_mapping() const {

@@ -1,7 +1,6 @@
 #include "sched/incremental_evaluator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 namespace spmap {
@@ -88,23 +87,14 @@ IncrementalEvaluator::IncrementalEvaluator(const Evaluator& eval,
     }
   }
 
-  const CostModel& cost = eval.cost();
-  const Platform& platform = cost.platform();
+  const Platform& platform = eval.cost().platform();
   budget_.assign(m_, 0.0);
-  double total_area = 0.0;
-  for (std::size_t v = 0; v < n_; ++v) total_area += cost.area(NodeId(v));
-  double max_budget = 0.0;
   for (std::size_t d = 0; d < m_; ++d) {
     if (t_->is_fpga[d]) {
       budget_[d] =
           platform.device(DeviceId(static_cast<std::uint32_t>(d))).area_budget;
-      max_budget = std::max(max_budget, budget_[d]);
     }
   }
-  // Incremental +/- updates of the area sums can drift from the exact
-  // node-order sum CostModel uses by a few ulps; any sum this close to its
-  // budget is resynced exactly, so the feasibility verdict never differs.
-  area_eps_ = 1e-9 * (1.0 + total_area + max_budget);
 
   blocks_ = n_ == 0 ? 0 : (n_ - 1) / kStride + 1;
   start_.resize(n_);
@@ -517,13 +507,8 @@ void IncrementalEvaluator::snapshot_checkpoint(std::size_t c) {
 
 double IncrementalEvaluator::area_after(std::uint32_t device,
                                         double delta) const {
-  const double used = area_used_[device] + delta;
-  if (std::abs(used - budget_[device]) <= area_eps_) {
-    // Boundary tie: resync against the exact node-order sum so the verdict
-    // is identical to CostModel::area_feasible.
-    return eval_->cost().mapped_area(mapping_, DeviceId(device));
-  }
-  return used;
+  return eval_->cost().area_in_use(mapping_, DeviceId(device),
+                                   area_used_[device] + delta);
 }
 
 void IncrementalEvaluator::update_area(std::uint32_t device, double delta) {

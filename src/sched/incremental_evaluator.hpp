@@ -239,7 +239,8 @@ class IncrementalEvaluator {
   void patch_tail_checkpoints(std::size_t p);
   void move_area(NodeId node, std::uint32_t from, std::uint32_t to);
   /// `device`'s area in use after adding `delta` (the current mapping
-  /// already moved), resynced exactly on the budget boundary.
+  /// already moved), resynced exactly on the budget boundary
+  /// (CostModel::area_in_use).
   double area_after(std::uint32_t device, double delta) const;
   void update_area(std::uint32_t device, double delta);
   /// Adjusts the committed use counts (see block_*_uses_) by +/-1.
@@ -265,7 +266,6 @@ class IncrementalEvaluator {
   std::vector<std::uint32_t> last_consumer_pos_;  // node -> max consumer pos
   std::vector<std::uint32_t> out_in_slot_;  // out-CSR index -> in-edge slot
   std::vector<double> budget_;                    // per device (FPGAs)
-  double area_eps_ = 0.0;
   std::size_t blocks_ = 0;  // checkpoint block count
 
   // ---- committed state (the current mapping's sweep) ----

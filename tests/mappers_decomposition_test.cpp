@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "mappers/cpu_only.hpp"
 #include "mappers/registry.hpp"
+#include "model/platform_io.hpp"
 #include "test_support.hpp"
 
 namespace spmap {
@@ -181,6 +183,123 @@ TEST(DecompositionMapper, PredictedMakespanMatchesEvaluator) {
   auto sp = create("spff", d, rng);
   const MapperResult r = sp->map(eval);
   EXPECT_NEAR(r.predicted_makespan, eval.evaluate(r.mapping), 1e-12);
+}
+
+// ---- exact results ----
+// Every decomposition run is deterministic for a fixed rng seed, so each
+// row below pins its mapping (by digest), its makespan bit for bit, and
+// its iteration and evaluation counts: a change to frontier pricing that
+// moves any accepted operation, any candidate value or any count fails
+// here, naming the new values.
+
+/// "sp80": an 80-task SP graph; "almost-sp80": an 80-task SP graph with 16
+/// extra edges (the Fig. 7 shape).
+TaskGraph pinned_graph(const std::string& name) {
+  TaskGraph tg;
+  Rng rng(name == "sp80" ? 31 : 37);
+  tg.dag = generate_sp_dag(80, rng);
+  if (name != "sp80") tg.dag = add_random_edges(tg.dag, 16, rng);
+  tg.attrs = random_task_attrs(tg.dag, rng);
+  return tg;
+}
+
+struct PinnedRun {
+  const char* spec;
+  const char* graph;
+  const char* platform;  // file under scenarios/platforms/
+  std::size_t random_orders;
+  std::size_t max_evaluations;  // 0 = unbounded
+  const char* digest;           // testing::mapping_digest of the mapping
+  double makespan;
+  std::size_t iterations;
+  std::size_t evaluations;
+};
+
+TEST(DecompositionMapper, PinnedExactResults) {
+  const PinnedRun runs[] = {
+      {"sn", "sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "28d6322314b1775169280708229281d1", 12.43187489356151, 16, 2722},
+      {"sn", "sp80", "dual_fpga", 0, 0,
+       "e6f0a1751ba7355b40d2209b5e86fb46", 13.160650584564596, 25, 3518},
+      {"sn", "almost-sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "18d78f91dba06383a45df90d91d6adcb", 11.543209274446003, 22, 3096},
+      {"sn", "almost-sp80", "dual_fpga", 0, 0,
+       "6567c85c9e37b2e8f1bd2aea22e90cd5", 12.474893749986654, 20, 2707},
+      {"snff", "sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "9392b3059050d883d4de249b35b88a9e", 12.058223861070655, 33, 1266},
+      {"snff", "sp80", "dual_fpga", 0, 0,
+       "4d317ed0f38a1fd7c6787c4e139c678b", 13.393902687178249, 30, 907},
+      {"snff", "almost-sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "92333c0b981500d9bae6f279d5c75663", 11.516436239518184, 26, 560},
+      {"snff", "almost-sp80", "dual_fpga", 0, 0,
+       "5688da9a2ff34572b47a6f5e87b4a191", 12.422465293207814, 21, 598},
+      {"snff:gamma=2", "sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "9392b3059050d883d4de249b35b88a9e", 12.058223861070655, 33, 1266},
+      {"snff:gamma=2", "sp80", "dual_fpga", 0, 0,
+       "4d317ed0f38a1fd7c6787c4e139c678b", 13.393902687178249, 30, 907},
+      {"snff:gamma=2", "almost-sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "92333c0b981500d9bae6f279d5c75663", 11.516436239518184, 26, 560},
+      {"snff:gamma=2", "almost-sp80", "dual_fpga", 0, 0,
+       "5688da9a2ff34572b47a6f5e87b4a191", 12.422465293207814, 21, 598},
+      {"sp", "sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "ffebcfd42fb89ff8f57a5ab431250c0e", 12.037770861512197, 10, 2015},
+      {"sp", "sp80", "dual_fpga", 0, 0,
+       "e0ad30aa86f725438058dbc7220aab4f", 12.888052544192071, 8, 1102},
+      {"sp", "almost-sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "0137de63cc85d5248801c4a27e8db4f6", 9.9554526346886014, 12, 2581},
+      {"sp", "almost-sp80", "dual_fpga", 0, 0,
+       "616f627e9bd870dd3aeb5d86598bd280", 9.5873290290645947, 7, 1687},
+      {"spff", "sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "c7d88502a0046ecb26b09c44fc1a32d9", 11.853941035792483, 23, 1397},
+      {"spff", "sp80", "dual_fpga", 0, 0,
+       "835050d7b19f445dc5dca9341fae2e42", 13.317412952420785, 7, 371},
+      {"spff", "almost-sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "22e80eb9dbf3a0aaad06b5da46b95ff3", 9.9366436726232372, 16, 844},
+      {"spff", "almost-sp80", "dual_fpga", 0, 0,
+       "649f8c51bd46ad3522616493c7099495", 9.9358296780352262, 7, 428},
+      {"spff:cut=smallest", "sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "c7d88502a0046ecb26b09c44fc1a32d9", 11.853941035792483, 23, 1397},
+      {"spff:cut=smallest", "sp80", "dual_fpga", 0, 0,
+       "835050d7b19f445dc5dca9341fae2e42", 13.317412952420785, 7, 371},
+      {"spff:cut=smallest", "almost-sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "b51a82f369121dc1b8b3ba82ff1e9987", 11.978496056690197, 18, 1053},
+      {"spff:cut=smallest", "almost-sp80", "dual_fpga", 0, 0,
+       "7a02136bff9aed915c56d51fb4615ee9", 10.71941333178496, 15, 645},
+      {"sp", "sp80", "paper_cpu_gpu_fpga", 3, 0,
+       "ffebcfd42fb89ff8f57a5ab431250c0e", 12.037770861512197, 10, 8060},
+      {"spff", "sp80", "paper_cpu_gpu_fpga", 3, 0,
+       "c7d88502a0046ecb26b09c44fc1a32d9", 11.853941035792483, 23, 5588},
+      {"sn", "sp80", "paper_cpu_gpu_fpga", 0, 300,
+       "46779bb0947d3c0b0208795ebe3afacf", 13.572603570358741, 2, 322},
+      {"spff", "sp80", "paper_cpu_gpu_fpga", 0, 300,
+       "b25c27ebc96f0464df8b7d859190fd39", 12.170380780625644, 12, 466},
+  };
+  for (const PinnedRun& run : runs) {
+    const TaskGraph tg = pinned_graph(run.graph);
+    const Platform platform =
+        load_platform_file(std::string(SPMAP_SCENARIO_DIR) + "/platforms/" +
+                           run.platform + ".json")
+            .platform;
+    const CostModel cost(tg.dag, tg.attrs, platform);
+    const Evaluator eval(cost, {.random_orders = run.random_orders});
+    Rng rng(1);
+    auto mapper = MapperRegistry::instance().create(run.spec, tg.dag, rng);
+    MapRequest request;
+    request.max_evaluations = run.max_evaluations;
+    const MapReport r = mapper->map(eval, request);
+    const std::string where =
+        std::string(run.spec) + " on " + run.graph + " / " + run.platform +
+        " orders=" + std::to_string(run.random_orders) +
+        " max_evals=" + std::to_string(run.max_evaluations) + ": {\"" +
+        testing::mapping_digest(r.mapping) + "\", " +
+        testing::exact(r.predicted_makespan) + ", " +
+        std::to_string(r.iterations) + ", " + std::to_string(r.evaluations) +
+        "}";
+    EXPECT_EQ(testing::mapping_digest(r.mapping), run.digest) << where;
+    EXPECT_EQ(r.predicted_makespan, run.makespan) << where;
+    EXPECT_EQ(r.iterations, run.iterations) << where;
+    EXPECT_EQ(r.evaluations, run.evaluations) << where;
+  }
 }
 
 }  // namespace

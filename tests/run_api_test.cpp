@@ -102,6 +102,20 @@ TEST(RunApi, NsgaDeadlineReturnsIncumbentPromptly) {
   EXPECT_LT(report.wall_seconds, 2.0);
 }
 
+TEST(RunApi, DecompositionDeadlineReturnsIncumbentPromptly) {
+  // Unbounded, either mapper takes seconds on this graph; the deadline is
+  // polled between chunks of frontier candidates.
+  const RunApiCase c(15, /*tasks=*/1000);
+  MapRequest request;
+  request.deadline_ms = 10.0;
+  for (const char* spec : {"sn", "sp"}) {
+    const MapReport report = c.run(spec, request);
+    EXPECT_EQ(report.termination, TerminationReason::kDeadline) << spec;
+    expect_valid_mapping(c, report);
+    EXPECT_LT(report.wall_seconds, 2.0) << spec;
+  }
+}
+
 TEST(RunApi, PreCancelledTokenStopsEveryMapper) {
   const RunApiCase c(15, 20);
   MapRequest request;

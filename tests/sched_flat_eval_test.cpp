@@ -4,15 +4,21 @@
 ///    random mappings and every prepared schedule order;
 ///  * Evaluator::evaluate_batch must be bit-identical across thread counts
 ///    (and to the serial path);
+///  * every value of Evaluator::evaluate_moves must equal `evaluate` of
+///    the moved mapping bit for bit, for every thread count, with the
+///    evaluation count `evaluate` would have made;
 ///  * the FlatGraph CSR view must mirror the Dag adjacency exactly.
 
 #include <gtest/gtest.h>
 
 #include "graph/flat_graph.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "model/platform.hpp"
+#include "model/platform_io.hpp"
 #include "sched/evaluator.hpp"
 #include "sched/reference_evaluator.hpp"
+#include "test_support.hpp"
 #include "util/thread_pool.hpp"
 #include "workflows/workflows.hpp"
 
@@ -201,6 +207,181 @@ TEST(EvalContext, ConcurrentContextsIndependent) {
     }
   });
   EXPECT_EQ(got, expected);
+}
+
+// ---- evaluate_moves ----
+
+/// A move that owns its node list (`Move` only views one).
+struct OwnedMove {
+  std::vector<NodeId> nodes;
+  DeviceId device;
+};
+
+Platform scenario_platform(const char* name) {
+  return load_platform_file(std::string(SPMAP_SCENARIO_DIR) +
+                            "/platforms/" + name + ".json")
+      .platform;
+}
+
+/// Prices `owned` against `base` serially and on 2- and 4-worker pools,
+/// through one reused context: every value must be `evaluate` of the moved
+/// mapping bit for bit, and each call must count exactly (feasible moves)
+/// x (orders). Returns the number of infeasible moves.
+std::size_t expect_moves_exact(const Evaluator& eval, const Mapping& base,
+                               const std::vector<OwnedMove>& owned) {
+  std::vector<Move> moves;
+  std::vector<double> expected;
+  std::size_t feasible = 0;
+  for (const OwnedMove& o : owned) {
+    moves.push_back({o.nodes, o.device});
+    Mapping moved = base;
+    for (const NodeId v : o.nodes) moved[v] = o.device;
+    expected.push_back(eval.evaluate(moved));
+    if (expected.back() < kInfeasible) ++feasible;
+  }
+  EvalContext ctx;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    const std::size_t before = ctx.evaluations();
+    const std::span<const double> got =
+        eval.evaluate_moves(base, moves, ctx, threads == 1 ? nullptr : &pool);
+    EXPECT_EQ(ctx.evaluations() - before, feasible * eval.orders().size())
+        << "threads=" << threads;
+    EXPECT_EQ(std::vector<double>(got.begin(), got.end()), expected)
+        << "threads=" << threads;
+  }
+  return owned.size() - feasible;
+}
+
+/// `count` moves of 1-30 distinct random nodes onto random devices (members
+/// already on the target included), one move of min(30, n) nodes onto
+/// each device (an FPGA overflow where areas allow), and an all-noop move
+/// per device in use.
+std::vector<OwnedMove> random_moves(const Mapping& base, std::size_t devices,
+                                    std::size_t count, Rng& rng) {
+  const std::size_t n = base.size();
+  std::vector<NodeId> nodes;
+  for (std::size_t v = 0; v < n; ++v) nodes.push_back(NodeId(v));
+  const auto draw = [&](std::size_t size) {
+    for (std::size_t i = 0; i < size; ++i) {
+      std::swap(nodes[i], nodes[i + rng.below(n - i)]);
+    }
+    return std::vector<NodeId>(nodes.begin(), nodes.begin() + size);
+  };
+  const std::size_t max_size = std::min<std::size_t>(30, n);
+  std::vector<OwnedMove> moves;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t size = 1 + rng.below(max_size);
+    moves.push_back({draw(size), DeviceId(rng.below(devices))});
+  }
+  for (std::size_t d = 0; d < devices; ++d) {
+    moves.push_back({draw(max_size), DeviceId(d)});
+    OwnedMove noop{{}, DeviceId(d)};
+    for (std::size_t v = 0; v < n && noop.nodes.size() < 5; ++v) {
+      if (base.device[v] == DeviceId(d)) noop.nodes.push_back(NodeId(v));
+    }
+    if (!noop.nodes.empty()) moves.push_back(std::move(noop));
+  }
+  return moves;
+}
+
+TEST(EvaluateMoves, MatchesEvaluateAcrossGraphsPlatformsAndOrders) {
+  Rng rng(111);
+  std::vector<TaskGraph> graphs;
+  {
+    TaskGraph sp;
+    sp.dag = generate_sp_dag(60, rng);
+    sp.attrs = random_task_attrs(sp.dag, rng);
+    graphs.push_back(std::move(sp));
+    TaskGraph almost;
+    almost.dag = add_random_edges(generate_sp_dag(60, rng), 20, rng);
+    almost.attrs = random_task_attrs(almost.dag, rng);
+    graphs.push_back(std::move(almost));
+    WorkflowInstance montage =
+        generate_workflow(WorkflowFamily::Montage, 6, rng);
+    graphs.push_back({std::move(montage.dag), std::move(montage.attrs)});
+  }
+  const std::vector<Platform> platforms = {
+      scenario_platform("paper_cpu_gpu_fpga"), scenario_platform("dual_fpga"),
+      scenario_platform("cpu_gpu"), manycore_platform()};
+  std::size_t infeasible = 0;
+  for (const TaskGraph& g : graphs) {
+    for (const Platform& platform : platforms) {
+      const CostModel cost(g.dag, g.attrs, platform);
+      for (const std::size_t orders : {0u, 3u}) {
+        const Evaluator eval(cost, {.random_orders = orders});
+        for (const Mapping& base :
+             {eval.default_mapping(), random_feasible_mapping(cost, rng)}) {
+          infeasible += expect_moves_exact(
+              eval, base,
+              random_moves(base, platform.device_count(), 40, rng));
+        }
+      }
+    }
+  }
+  EXPECT_GT(infeasible, 0u);  // FPGA overflows were exercised
+}
+
+TEST(EvaluateMoves, AreaBoundaryVerdictsMatchAreaFeasible) {
+  // Areas 0.1 * (i + 1): the move's running area (the base's exact sum
+  // plus its delta) lands one ulp from the exact node-order sum, on the
+  // other side of a budget set to one of the two.
+  const Dag dag = testing::chain_dag(12);
+  TaskAttrs attrs = testing::serial_streamable_attrs(12);
+  for (std::size_t i = 0; i < 12; ++i) attrs.area[i] = 0.1 * (i + 1);
+  const DeviceId cpu(0u), fpga(1u);
+  struct Case {
+    double budget;
+    std::vector<std::uint32_t> base_on_fpga;
+    std::vector<NodeId> nodes;
+    DeviceId device;
+    bool feasible;
+  };
+  const Case cases[] = {
+      // Onto the FPGA: running 1.8000000000000003, exact 1.8 (on budget).
+      {1.8, {0, 1, 2}, {NodeId(3u), NodeId(7u)}, fpga, true},
+      // Onto the FPGA: running 2.1, exact 2.1000000000000005 (just over).
+      {2.1, {0, 1, 2}, {NodeId(6u), NodeId(7u)}, fpga, false},
+      // Off the FPGA: running 1.0000000000000002, exact 1.0 (on budget).
+      {1.0, {0, 1, 2, 4, 5}, {NodeId(1u), NodeId(4u)}, cpu, true},
+      // Off the FPGA: running 1.2, exact 1.2000000000000002 (just over).
+      {1.2, {0, 1, 2, 3, 4}, {NodeId(0u), NodeId(1u)}, cpu, false},
+  };
+  for (const Case& c : cases) {
+    const Platform platform = testing::cpu_fpga_platform(1.0, c.budget);
+    const CostModel cost(dag, attrs, platform);
+    const Evaluator eval(cost, {.random_orders = 3});
+    Mapping base(12, cpu);
+    for (const std::uint32_t v : c.base_on_fpga) base[NodeId(v)] = fpga;
+    const std::vector<OwnedMove> moves = {{c.nodes, c.device}};
+    EXPECT_EQ(expect_moves_exact(eval, base, moves), c.feasible ? 0u : 1u)
+        << "budget " << c.budget;
+  }
+}
+
+TEST(EvaluateMoves, EmptyBatchAndSingleTaskGraph) {
+  Rng rng(112);
+  const Dag dag = generate_sp_dag(30, rng);
+  const TaskAttrs attrs = random_task_attrs(dag, rng);
+  const Platform platform = scenario_platform("paper_cpu_gpu_fpga");
+  const CostModel cost(dag, attrs, platform);
+  const Evaluator eval(cost);
+  EvalContext ctx;
+  ThreadPool pool(2);
+  EXPECT_TRUE(eval.evaluate_moves(eval.default_mapping(), {}, ctx, &pool)
+                  .empty());
+  EXPECT_EQ(ctx.evaluations(), 0u);
+
+  const Dag one(1);
+  const TaskAttrs one_attrs = random_task_attrs(one, rng);
+  const CostModel one_cost(one, one_attrs, platform);
+  const Evaluator one_eval(one_cost, {.random_orders = 3});
+  std::vector<OwnedMove> moves;
+  for (std::size_t d = 0; d < platform.device_count(); ++d) {
+    moves.push_back({{NodeId(0u)}, DeviceId(d)});  // one is a no-op
+  }
+  EXPECT_EQ(expect_moves_exact(one_eval, one_eval.default_mapping(), moves),
+            0u);
 }
 
 TEST(FlatGraph, MirrorsDagAdjacency) {
