@@ -53,7 +53,11 @@
 ///        "nodes": N, "candidates": K, "ns_per_candidate": ...,
 ///        "ns_per_candidate_apply_evaluate": ..., "speedup": ...,
 ///        "mean_first_position": ...,       // first moved task / V
-///        "bit_identical_to_evaluate": true},  // must always be true
+///        "bit_identical_to_evaluate": true,   // must always be true
+///        "ns_per_candidate_cutoff": ...,   // under the basic scan's cutoff
+///        "cutoff_speedup": ...,            // ns_per_candidate / the above
+///        "below_cutoff_share": ...,        // candidates priced exactly
+///        "cutoff_sound": true},            // must always be true
 ///       {"name": "local_search", "mapper": "hillclimb:...", "nodes": N,
 ///        "init_makespan": ..., "makespan": ...,
 ///        "improvement_vs_init": ..., "seconds": ...}
@@ -61,8 +65,10 @@
 ///   }
 ///
 /// The `evaluate_moves` rows price a decomposition mapper's full frontier
-/// on the scattered mapping through Evaluator::evaluate_moves and through
-/// apply/evaluate/revert per candidate (docs/FORMATS.md).
+/// on the scattered mapping through Evaluator::evaluate_moves, with and
+/// without the cutoff the basic variant's scan would pass (the scattered
+/// mapping's makespan - 1e-15), and through apply/evaluate/revert per
+/// candidate (docs/FORMATS.md).
 ///
 /// The `incremental_reassign` rows measure the local-search probe
 /// primitive (a trace-free probe() of one random single-task
@@ -227,7 +233,8 @@ void report_incremental(Json& results, const char* config, const Dag& dag,
 
 /// Appends the `evaluate_moves` row of the frontier of `set` (every
 /// (subgraph, device) operation that changes the case's mapping); returns
-/// whether both pricings agree bit for bit.
+/// whether both pricings agree bit for bit and the cutoff pricing keeps
+/// its contract.
 bool report_moves(Json& results, const char* frontier, const Case& c,
                   const SubgraphSet& set, double min_seconds) {
   const std::size_t n = c.dag.node_count();
@@ -253,9 +260,15 @@ bool report_moves(Json& results, const char* frontier, const Case& c,
   Mapping scratch = c.mapping;
   std::vector<double> expected(moves.size());
   volatile double sink = 0.0;
-  const double moves_s = time_per_call(min_seconds, [&] {
-    sink = sink + eval.evaluate_moves(c.mapping, moves, ctx).front();
-  });
+  const double cutoff = eval.evaluate(c.mapping, ctx) - 1e-15;
+  const auto frontier_s = [&](double limit) {
+    return time_per_call(min_seconds, [&] {
+      sink = sink +
+             eval.evaluate_moves(c.mapping, moves, ctx, nullptr, limit).front();
+    });
+  };
+  const double moves_s = frontier_s(kInfeasible);
+  const double cut_s = frontier_s(cutoff);
   const double full_s = time_per_call(min_seconds, [&] {
     for (std::size_t i = 0; i < moves.size(); ++i) {
       for (const NodeId v : moves[i].nodes) scratch[v] = moves[i].device;
@@ -265,6 +278,15 @@ bool report_moves(Json& results, const char* frontier, const Case& c,
   });
   const auto got = eval.evaluate_moves(c.mapping, moves, ctx);
   const bool identical = std::equal(got.begin(), got.end(), expected.begin());
+  // Under the cutoff: exact below it, at or above it otherwise.
+  const auto cut = eval.evaluate_moves(c.mapping, moves, ctx, nullptr, cutoff);
+  std::size_t below = 0;
+  bool sound = true;
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    below += expected[i] < cutoff;
+    sound = sound && (expected[i] < cutoff ? cut[i] == expected[i]
+                                           : cut[i] >= cutoff);
+  }
   const auto k = static_cast<double>(moves.size());
   Json entry = Json::object();
   entry.set("name", "evaluate_moves");
@@ -276,13 +298,19 @@ bool report_moves(Json& results, const char* frontier, const Case& c,
   entry.set("speedup", full_s / moves_s);
   entry.set("mean_first_position", first_sum / k);
   entry.set("bit_identical_to_evaluate", identical);
+  entry.set("ns_per_candidate_cutoff", cut_s / k * 1e9);
+  entry.set("cutoff_speedup", moves_s / cut_s);
+  entry.set("below_cutoff_share", static_cast<double>(below) / k);
+  entry.set("cutoff_sound", sound);
   results.push_back(std::move(entry));
 
   std::printf("evaluate_moves  n=%-5zu %-11s %8.0f ns/candidate  (apply/"
-              "evaluate %8.0f ns, %.2fx, first at %.2f V, identical=%d)\n",
+              "evaluate %8.0f ns, %.2fx, first at %.2f V, identical=%d; "
+              "cutoff %8.0f ns, %.2fx, %.2f below, sound=%d)\n",
               n, frontier, moves_s / k * 1e9, full_s / k * 1e9,
-              full_s / moves_s, first_sum / k, identical);
-  return identical;
+              full_s / moves_s, first_sum / k, identical, cut_s / k * 1e9,
+              moves_s / cut_s, static_cast<double>(below) / k, sound);
+  return identical && sound;
 }
 
 /// The report proper; main() maps exceptions to the exit-code contract.
@@ -429,7 +457,9 @@ int run(const Flags& flags) {
                       single_node_subgraphs(c.dag.node_count()), min_seconds) ||
         !report_moves(results, "sp_forest", c,
                       series_parallel_subgraphs(c.dag, rng), min_seconds)) {
-      std::fprintf(stderr, "FATAL: evaluate_moves differs from evaluate\n");
+      std::fprintf(stderr,
+                   "FATAL: evaluate_moves differs from evaluate or breaks "
+                   "its cutoff contract\n");
       return cli::kExitFailure;
     }
   }

@@ -86,11 +86,12 @@ struct DecompositionMapper::Search {
 
   /// Runs `consume(op, value)` for every non-noop operation in ascending
   /// op order, as a one-at-a-time scan would: the makespan through
-  /// Evaluator::evaluate_moves, kBatchChunk operations per call; a custom
-  /// objective through `price`. An interrupt, polled between calls (or
+  /// Evaluator::evaluate_moves, kBatchChunk operations per call, exact
+  /// below `cutoff` and any value >= `cutoff` otherwise; a custom objective
+  /// through `price`, always exact. An interrupt, polled between calls (or
   /// operations), truncates the scan to the prefix priced.
   template <typename Consume>
-  void scan(Consume&& consume) {
+  void scan(double cutoff, Consume&& consume) {
     if (objective) {
       for (std::size_t op = 0; op < ops.count(); ++op) {
         if (control.interrupted()) break;
@@ -107,7 +108,7 @@ struct DecompositionMapper::Search {
         op_of.push_back(op);
       }
       const std::span<const double> makespans =
-          eval.evaluate_moves(mapping, moves, ctx, pool);
+          eval.evaluate_moves(mapping, moves, ctx, pool, cutoff);
       for (std::size_t i = 0; i < makespans.size(); ++i) {
         consume(op_of[i], makespans[i]);
       }
@@ -164,9 +165,11 @@ bool DecompositionMapper::search_basic(Search& s) const {
     if (s.control.should_stop(s.iterations, s.ctx.evaluations())) {
       return false;
     }
+    // Nothing at or above current - kTiny is ever accepted (best_makespan
+    // only falls), so candidates there need not be priced exactly.
     std::size_t best_op = s.ops.count();
     double best_makespan = s.current;
-    s.scan([&](std::size_t op, double ms) {
+    s.scan(s.current - kTiny, [&](std::size_t op, double ms) {
       if (ms < best_makespan - kTiny) {
         best_makespan = ms;
         best_op = op;
@@ -195,11 +198,12 @@ bool DecompositionMapper::search_threshold(Search& s) const {
   };
 
   // Improvement of every operation against the current mapping at once
-  // (noops fixed at -inf, like recompute). Calls consume(op, improvement)
-  // in ascending op order; an interrupt leaves the unpriced rest at -inf.
+  // (noops fixed at -inf, like recompute), exact: the heap keeps them.
+  // Calls consume(op, improvement) in ascending op order; an interrupt
+  // leaves the unpriced rest at -inf.
   auto recompute_all = [&](auto&& consume) {
     std::size_t next = 0;  // ops below `next` are consumed
-    s.scan([&](std::size_t op, double value) {
+    s.scan(kInfeasible, [&](std::size_t op, double value) {
       for (; next < op; ++next) consume(next, -kInfeasible);
       consume(op, s.current - value);
       next = op + 1;

@@ -24,6 +24,8 @@
 /// Full-frontier scans price candidates through Evaluator::evaluate_moves:
 /// each costs the sweep from its first moved task on, bit-identical to a
 /// full re-evaluation; deadline and cancellation are polled per chunk.
+/// The basic variant passes its incumbent as the cutoff, so a candidate
+/// that cannot beat it may stop early (it could never be accepted).
 
 #include <functional>
 

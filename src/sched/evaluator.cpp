@@ -1,20 +1,59 @@
 #include "sched/evaluator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 namespace spmap {
 
 namespace {
 
+/// Lower bound on makespan - start(v) for task v on its device under
+/// `map`, from its consumers' tails (so valid while no descendant of v
+/// moves): the longer of v's run and, over its out-edges, the least the
+/// consumer can start after v (a stream's fill share of v's run on a
+/// shared FPGA, v's run on any other shared device, v's run plus the bare
+/// transfer across devices; link waits only add to it) plus its tail.
+double tail_of(const SweepTables& t, const DeviceId* map, std::uint32_t v,
+               const double* tail) {
+  const std::size_t m = t.devices;
+  const std::uint32_t d = map[v].v;
+  const double exec = t.exec[v * m + d];
+  const double shared = t.is_fpga[d] != 0 ? t.fill[d] * exec : exec;
+  double bound = exec;
+  for (std::uint32_t k = t.flat.out_begin(NodeId(v));
+       k < t.flat.out_end(NodeId(v)); ++k) {
+    const std::uint32_t c = t.flat.out_dst(k);
+    const std::size_t li = d * m + map[c].v;
+    const double lead =
+        map[c].v == d
+            ? shared
+            : exec + (t.latency[li] +
+                      t.flat.out_data_mb(k) / 1000.0 / t.bandwidth[li]);
+    bound = std::max(bound, lead + tail[c]);
+  }
+  return bound;
+}
+
+/// Early-stop policy of `sweep`: active, the sweep ends as soon as a
+/// task's start + tail, a lower bound on the makespan, exceeds `limit`.
+template <bool kActive>
+struct TailStop {
+  const double* tail = nullptr;
+  double limit = kInfeasible;
+};
+
 /// Prices walk positions [first, last) under `map`; returns the running
-/// maximum finish from `run_max`. Every flat sweep is this loop; the
-/// arrays do not alias, so its body stays in registers.
+/// maximum finish from `run_max`, or the bound at which `stop` ended the
+/// sweep. Every flat sweep is this loop; the arrays do not alias, so its
+/// body stays in registers.
+template <bool kStops = false>
 [[gnu::always_inline]] inline double sweep(
     const SweepTables& t, const DeviceId* __restrict map,
     const PlanNode* first, const PlanNode* last, double* __restrict start,
     double* __restrict finish, double* __restrict slot_ready,
-    double* __restrict link_ready, double run_max) {
+    double* __restrict link_ready, double run_max,
+    TailStop<kStops> stop = {}) {
   const PlainTimes times{start, finish};
   const ArgminSlots slots{slot_ready, t.slot_offset.data()};
   for (; first != last; ++first) {
@@ -23,6 +62,10 @@ namespace {
     start[pn.node] = nt.start;
     finish[pn.node] = nt.finish;
     run_max = std::max(run_max, nt.finish);
+    if constexpr (kStops) {
+      const double bound = nt.start + stop.tail[pn.node];
+      if (bound > stop.limit) return bound;
+    }
   }
   return run_max;
 }
@@ -186,7 +229,8 @@ std::vector<double> Evaluator::evaluate_batch(std::span<const Mapping> mappings,
 std::span<const double> Evaluator::evaluate_moves(const Mapping& base,
                                                   std::span<const Move> moves,
                                                   EvalContext& ctx,
-                                                  ThreadPool* pool) const {
+                                                  ThreadPool* pool,
+                                                  double cutoff) const {
   const std::size_t n = tables_.flat.node_count();
   const std::size_t m = tables_.devices;
   SPMAP_ASSERT(base.size() == n && moves.size() <= 0xffffffffu);
@@ -222,22 +266,38 @@ std::span<const double> Evaluator::evaluate_moves(const Mapping& base,
     if (fits) ctx.feasible_.push_back(static_cast<std::uint32_t>(i));
   }
   ctx.evals_ += ctx.feasible_.size() * plans_.size();
+  if (ctx.feasible_.empty()) return ctx.makespans_;
+
+  // Every order's tails are the same: one reverse topological pass.
+  const bool stops = cutoff < kInfeasible;
+  if (stops) {
+    ctx.tail_.resize(n);
+    for (auto it = plans_[0].rbegin(); it != plans_[0].rend(); ++it) {
+      ctx.tail_[it->node] =
+          tail_of(tables_, base.device.data(), it->node, ctx.tail_.data());
+    }
+  }
+  const double limit = cutoff + std::abs(cutoff) * 1e-9;
 
   const std::size_t workers = pool == nullptr ? 1 : pool->thread_count();
   if (ctx.workers_.size() + 1 < workers) ctx.workers_.resize(workers - 1);
   ctx.pos_.resize(n);
+  ctx.last_.resize(moves.size());
   for (const WalkPlan& plan : plans_) {
-    if (ctx.feasible_.empty()) break;
     for (std::size_t p = 0; p < n; ++p) ctx.pos_[plan[p].node] = p;
     // Each feasible move as p0 << 32 | move, p0 the first walk position
-    // whose device it changes (n when it changes none), sorted by p0.
+    // whose device it changes (n when it changes none), sorted by p0; the
+    // last such position is its pl.
     ctx.queue_.clear();
     for (const std::uint32_t i : ctx.feasible_) {
-      std::uint64_t p0 = n;
+      std::uint64_t p0 = n, pl = 0;
       for (const NodeId v : moves[i].nodes) {
-        if (base[v] != moves[i].device) p0 = std::min(p0, ctx.pos_[v.v]);
+        if (base[v] == moves[i].device) continue;
+        p0 = std::min(p0, ctx.pos_[v.v]);
+        pl = std::max(pl, ctx.pos_[v.v]);
       }
       ctx.queue_.push_back(p0 << 32 | i);
+      ctx.last_[i] = static_cast<std::uint32_t>(pl);
     }
     std::sort(ctx.queue_.begin(), ctx.queue_.end());
 
@@ -245,8 +305,9 @@ std::span<const double> Evaluator::evaluate_moves(const Mapping& base,
     // sweep of `base` through `c`. Invariant: c's start/finish hold base's
     // times below the cursor (a suffix sweep writes only positions >= its
     // p0, which the cursor recomputes before a later move reads them).
-    const auto price = [&](std::size_t first, std::size_t stride,
-                           EvalContext& c) {
+    const auto price = [&]<bool kStops>(std::size_t first, std::size_t stride,
+                                        EvalContext& c,
+                                        TailStop<kStops> stop) {
       c.layout(n, tables_.slot_count(), m);
       std::fill_n(c.slot_ready(), c.reset_len_, 0.0);
       c.moved_ = base;
@@ -255,37 +316,55 @@ std::span<const double> Evaluator::evaluate_moves(const Mapping& base,
       double cursor_max = 0.0;
       for (std::size_t k = first; k < ctx.queue_.size(); k += stride) {
         const std::size_t p0 = ctx.queue_[k] >> 32;
-        const Move& move = moves[ctx.queue_[k] & 0xffffffffu];
+        const std::uint32_t i = ctx.queue_[k] & 0xffffffffu;
+        const Move& move = moves[i];
         cursor_max = sweep(tables_, base.device.data(), walk + cursor,
                            walk + p0, c.start(), c.finish(), c.slot_ready(),
                            c.link_ready(), cursor_max);
         cursor = p0;
         double makespan = cursor_max;
         if (p0 < n) {
-          // The suffix sweeps a copy of the cursor's slot and link state.
+          // The suffix sweeps a copy of the cursor's slot and link state:
+          // p0..pl exactly, then past pl, where no task and no descendant
+          // moved, under `stop`.
           double* slot = c.arena_.data() + c.moved_off_;
+          double* link = slot + (c.link_off_ - c.slot_off_);
           std::copy_n(c.slot_ready(), c.reset_len_, slot);
           for (const NodeId v : move.nodes) c.moved_[v] = move.device;
-          makespan = sweep(tables_, c.moved_.device.data(), walk + p0,
-                           walk + n, c.start(), c.finish(), slot,
-                           slot + (c.link_off_ - c.slot_off_), cursor_max);
+          const DeviceId* map = c.moved_.device.data();
+          const PlanNode* pl = walk + ctx.last_[i];
+          makespan = sweep(tables_, map, walk + p0, pl + 1, c.start(),
+                           c.finish(), slot, link, cursor_max);
+          double bound = 0.0;  // the moved task's, on its new device
+          if constexpr (kStops) {
+            bound = c.start()[pl->node] +
+                    tail_of(tables_, map, pl->node, stop.tail);
+          }
+          makespan = bound > stop.limit
+                         ? bound
+                         : sweep(tables_, map, pl + 1, walk + n, c.start(),
+                                 c.finish(), slot, link, makespan, stop);
           for (const NodeId v : move.nodes) c.moved_[v] = base[v];
         }
-        double& out = ctx.makespans_[ctx.queue_[k] & 0xffffffffu];
+        double& out = ctx.makespans_[i];
         out = std::min(out, makespan);
       }
     };
     // Worker w takes every workers-th move from the w-th: about an equal
-    // share of suffix work. A move's value depends only on `base` and its
-    // p0, so no split changes a result.
-    if (workers == 1) {
-      price(0, 1, ctx);
-    } else {
+    // share of suffix work. A move's value depends only on `base`, its p0
+    // and pl and the cutoff, so no split changes a result.
+    const auto price_all = [&](auto stop) {
+      if (workers == 1) return price(0, 1, ctx, stop);
       pool->parallel_for(workers, [&](std::size_t begin, std::size_t end,
                                       std::size_t worker) {
         EvalContext& c = worker == 0 ? ctx : ctx.workers_[worker - 1];
-        for (std::size_t w = begin; w < end; ++w) price(w, workers, c);
+        for (std::size_t w = begin; w < end; ++w) price(w, workers, c, stop);
       });
+    };
+    if (stops) {
+      price_all(TailStop<true>{ctx.tail_.data(), limit});
+    } else {
+      price_all(TailStop<false>{});
     }
   }
   return ctx.makespans_;

@@ -46,7 +46,17 @@
 /// candidates with one cursor sweep of the base: taken in p0 order, each
 /// copies the cursor's slot and link state and sweeps only p0..V-1 with
 /// the same loop, bit-identical to `evaluate` at about half the cost, and
-/// its area verdict is O(|move|) instead of an O(V) scan.
+/// its area verdict is O(|move|) instead of an O(V) scan. Given a cutoff,
+/// a candidate's sweep may also stop early: one reverse pass over the base
+/// gives each task a *tail*, a lower bound on makespan - start(task) along
+/// its out-edges on the base's devices (HEFT's upward rank on the fixed
+/// mapping), valid for every task that neither moved nor has a moved
+/// descendant — every position after the candidate's last moved task pl
+/// (checked there with the moved task's tail on its new device). Once
+/// start + tail exceeds the cutoff (plus 1e-9 relative slack for the
+/// different rounding of the two sums), the candidate cannot end below it
+/// and the sweep stops. A candidate whose makespan is below the cutoff is
+/// swept to the end and stays exact.
 ///
 /// ## Thread-safety contract
 ///
@@ -151,9 +161,9 @@ class EvalContext {
   // evaluate_moves scratch: the base with one move applied, then the
   // calling context's per-call state (per move, per device, per node).
   Mapping moved_;
-  std::vector<double> makespans_, base_area_, area_delta_;
-  std::vector<std::uint32_t> feasible_;
-  std::vector<std::uint64_t> pos_, queue_;  // queue_: p0 << 32 | move
+  std::vector<double> makespans_, base_area_, area_delta_, tail_;
+  std::vector<std::uint32_t> feasible_, last_;  // last_: pl per move
+  std::vector<std::uint64_t> pos_, queue_;      // queue_: p0 << 32 | move
 
   /// Scratch of `evaluate_batch`/`evaluate_moves` pool workers 1..T-1
   /// (the caller, worker 0, prices through this context). Kept here so a
@@ -198,17 +208,21 @@ class Evaluator {
                                      EvalContext& ctx,
                                      ThreadPool* pool = nullptr) const;
 
-  /// Makespans of `base` with each move applied, in move order, each
-  /// bit-identical to `evaluate` of the moved mapping and counted in `ctx`
-  /// as that `evaluate` would count it: once per schedule order, not at
-  /// all when infeasible. With a pool each order's p0-sorted moves are
-  /// dealt round-robin to the workers, each with its own cursor. The span
+  /// Makespans of `base` with each move applied, in move order, counted
+  /// in `ctx` as `evaluate` of the moved mapping would count them: once
+  /// per schedule order, not at all when infeasible. A move whose makespan
+  /// is below `cutoff` gets exactly `evaluate`'s value, bit for bit; any
+  /// other move may stop early and report some value >= `cutoff` (with
+  /// the default +inf every value is exact). With a pool each order's
+  /// p0-sorted moves are dealt round-robin to the workers, each with its
+  /// own cursor; every value is the same for every thread count. The span
   /// points into `ctx`, valid until its next `evaluate_moves`.
   /// Allocation-free once `ctx` has grown.
   std::span<const double> evaluate_moves(const Mapping& base,
                                          std::span<const Move> moves,
                                          EvalContext& ctx,
-                                         ThreadPool* pool = nullptr) const;
+                                         ThreadPool* pool = nullptr,
+                                         double cutoff = kInfeasible) const;
 
   /// Makespan with every task on the platform's default device — the
   /// baseline of the paper's "relative improvement" metric.

@@ -273,6 +273,17 @@ TEST(DecompositionMapper, PinnedExactResults) {
        "46779bb0947d3c0b0208795ebe3afacf", 13.572603570358741, 2, 322},
       {"spff", "sp80", "paper_cpu_gpu_fpga", 0, 300,
        "b25c27ebc96f0464df8b7d859190fd39", 12.170380780625644, 12, 466},
+      {"sn", "sp80", "paper_cpu_gpu_fpga", 3, 0,
+       "28d6322314b1775169280708229281d1", 12.43187489356151, 16, 10888},
+      {"sn:threads=2", "sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "28d6322314b1775169280708229281d1", 12.43187489356151, 16, 2722},
+      {"sp:threads=2", "sp80", "paper_cpu_gpu_fpga", 0, 0,
+       "ffebcfd42fb89ff8f57a5ab431250c0e", 12.037770861512197, 10, 2015},
+      // No FPGA: every tail lead is a run or a run plus a transfer.
+      {"sn", "sp80", "cpu_gpu", 0, 0,
+       "90ab9a4171767e7f66a64a91517f00f2", 12.932180209373481, 16, 1362},
+      {"sp", "sp80", "cpu_gpu", 0, 0,
+       "b9e8f95ac010162b897bd0ee5bd1ad3d", 12.883271899899235, 16, 2438},
   };
   for (const PinnedRun& run : runs) {
     const TaskGraph tg = pinned_graph(run.graph);

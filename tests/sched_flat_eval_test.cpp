@@ -6,10 +6,15 @@
 ///    (and to the serial path);
 ///  * every value of Evaluator::evaluate_moves must equal `evaluate` of
 ///    the moved mapping bit for bit, for every thread count, with the
-///    evaluation count `evaluate` would have made;
+///    evaluation count `evaluate` would have made; under a cutoff, every
+///    value below it must still be exact and every other one at or above
+///    it, at an unchanged count;
 ///  * the FlatGraph CSR view must mirror the Dag adjacency exactly.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
 
 #include "graph/flat_graph.hpp"
 #include "graph/generators.hpp"
@@ -285,25 +290,33 @@ std::vector<OwnedMove> random_moves(const Mapping& base, std::size_t devices,
   return moves;
 }
 
+/// The graphs of the evaluate_moves grids: random SP, almost-SP and
+/// montage.
+std::vector<TaskGraph> grid_graphs(Rng& rng) {
+  std::vector<TaskGraph> graphs;
+  TaskGraph sp;
+  sp.dag = generate_sp_dag(60, rng);
+  sp.attrs = random_task_attrs(sp.dag, rng);
+  graphs.push_back(std::move(sp));
+  TaskGraph almost;
+  almost.dag = add_random_edges(generate_sp_dag(60, rng), 20, rng);
+  almost.attrs = random_task_attrs(almost.dag, rng);
+  graphs.push_back(std::move(almost));
+  WorkflowInstance montage = generate_workflow(WorkflowFamily::Montage, 6, rng);
+  graphs.push_back({std::move(montage.dag), std::move(montage.attrs)});
+  return graphs;
+}
+
+std::vector<Platform> grid_platforms() {
+  return {scenario_platform("paper_cpu_gpu_fpga"),
+          scenario_platform("dual_fpga"), scenario_platform("cpu_gpu"),
+          manycore_platform()};
+}
+
 TEST(EvaluateMoves, MatchesEvaluateAcrossGraphsPlatformsAndOrders) {
   Rng rng(111);
-  std::vector<TaskGraph> graphs;
-  {
-    TaskGraph sp;
-    sp.dag = generate_sp_dag(60, rng);
-    sp.attrs = random_task_attrs(sp.dag, rng);
-    graphs.push_back(std::move(sp));
-    TaskGraph almost;
-    almost.dag = add_random_edges(generate_sp_dag(60, rng), 20, rng);
-    almost.attrs = random_task_attrs(almost.dag, rng);
-    graphs.push_back(std::move(almost));
-    WorkflowInstance montage =
-        generate_workflow(WorkflowFamily::Montage, 6, rng);
-    graphs.push_back({std::move(montage.dag), std::move(montage.attrs)});
-  }
-  const std::vector<Platform> platforms = {
-      scenario_platform("paper_cpu_gpu_fpga"), scenario_platform("dual_fpga"),
-      scenario_platform("cpu_gpu"), manycore_platform()};
+  const std::vector<TaskGraph> graphs = grid_graphs(rng);
+  const std::vector<Platform> platforms = grid_platforms();
   std::size_t infeasible = 0;
   for (const TaskGraph& g : graphs) {
     for (const Platform& platform : platforms) {
@@ -320,6 +333,83 @@ TEST(EvaluateMoves, MatchesEvaluateAcrossGraphsPlatformsAndOrders) {
     }
   }
   EXPECT_GT(infeasible, 0u);  // FPGA overflows were exercised
+}
+
+/// Prices `owned` against `base` under each cutoff (just below the base,
+/// the median exact value, 0 and +inf), serially and on 2- and 4-worker
+/// pools: a move whose `evaluate` is below the cutoff must get exactly
+/// that value, any other some value >= the cutoff, and every call must
+/// count what an uncut call counts. Returns the number of values reported
+/// inexactly (moves stopped early).
+std::size_t expect_cutoff_sound(const Evaluator& eval, const Mapping& base,
+                                const std::vector<OwnedMove>& owned) {
+  std::vector<Move> moves;
+  std::vector<double> exact;
+  for (const OwnedMove& o : owned) {
+    moves.push_back({o.nodes, o.device});
+    Mapping moved = base;
+    for (const NodeId v : o.nodes) moved[v] = o.device;
+    exact.push_back(eval.evaluate(moved));
+  }
+  std::vector<double> sorted = exact;
+  std::sort(sorted.begin(), sorted.end());
+  EvalContext ctx;
+  eval.evaluate_moves(base, moves, ctx);
+  const std::size_t uncut = ctx.evaluations();
+  std::size_t stopped = 0;
+  for (const double cutoff : {eval.evaluate(base) - 1e-15,
+                              sorted[sorted.size() / 2], 0.0, kInfeasible}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads);
+      const std::size_t before = ctx.evaluations();
+      const std::span<const double> got = eval.evaluate_moves(
+          base, moves, ctx, threads == 1 ? nullptr : &pool, cutoff);
+      EXPECT_EQ(ctx.evaluations() - before, uncut);
+      for (std::size_t i = 0; i < moves.size(); ++i) {
+        if (exact[i] < cutoff) {
+          EXPECT_EQ(got[i], exact[i]) << "cutoff " << cutoff;
+        } else {
+          EXPECT_GE(got[i], cutoff) << "exact " << exact[i];
+        }
+        stopped += got[i] != exact[i];
+      }
+    }
+  }
+  return stopped;
+}
+
+TEST(EvaluateMoves, CutoffKeepsEveryMoveBelowItExact) {
+  Rng rng(113);
+  std::vector<TaskGraph> graphs = grid_graphs(rng);
+  TaskGraph one;
+  one.dag = Dag(1);
+  one.attrs = random_task_attrs(one.dag, rng);
+  graphs.push_back(std::move(one));
+  std::vector<Platform> platforms = grid_platforms();
+  // Starved links: at 1e-300 GB/s a transfer takes ~1e299 s, so tails and
+  // makespans reach the top of the double range; at the smallest
+  // subnormal bandwidth it takes +inf.
+  for (const double gbps :
+       {1e-300, std::numeric_limits<double>::denorm_min()}) {
+    platforms.push_back(scenario_platform("paper_cpu_gpu_fpga"));
+    platforms.back().set_link(DeviceId(0u), DeviceId(1u), gbps, 0.0);
+  }
+  std::size_t stopped = 0;
+  for (const TaskGraph& g : graphs) {
+    for (const Platform& platform : platforms) {
+      const CostModel cost(g.dag, g.attrs, platform);
+      for (const std::size_t orders : {0u, 3u}) {
+        const Evaluator eval(cost, {.random_orders = orders});
+        for (const Mapping& base :
+             {eval.default_mapping(), random_feasible_mapping(cost, rng)}) {
+          stopped += expect_cutoff_sound(
+              eval, base,
+              random_moves(base, platform.device_count(), 40, rng));
+        }
+      }
+    }
+  }
+  EXPECT_GT(stopped, 0u);  // the bound did stop candidates
 }
 
 TEST(EvaluateMoves, AreaBoundaryVerdictsMatchAreaFeasible) {
