@@ -23,6 +23,10 @@
 #   6. No `mutable` member in src/sched/ — the evaluators are shared
 #      read-only by concurrent runs; per-run pricing state lives in the
 #      caller's EvalContext or IncrementalEvaluator, never behind const.
+#   7. `time_node(` is called only by `sweep` (src/sched/sweep_kernel.hpp)
+#      and by the incremental engine's recording sweep and `step`
+#      (src/sched/incremental_evaluator.cpp) — every other per-position
+#      timing loop is `sweep`, so the timing arithmetic has one loop.
 set -u
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -76,6 +80,14 @@ report "clocks are banned in src/sched/ (pricing and probe routing must be pure 
 matches=$(grep -rnE --include='*.hpp' --include='*.cpp' \
   '^[^/]*\bmutable[[:space:]]+[A-Za-z_:]' src/sched/ || true)
 report "mutable members are banned in src/sched/ (per-run state belongs in a caller-owned context)" "$matches"
+
+# Rule 7: one per-position timing loop. As in rule 6, only code before any
+# `//` counts.
+matches=$(grep -rnE --include='*.hpp' --include='*.cpp' \
+  '^[^/]*\btime_node\(' src/ bench/ tools/ |
+  grep -v -e '^src/sched/sweep_kernel\.hpp:' \
+    -e '^src/sched/incremental_evaluator\.cpp:' || true)
+report "time_node( outside sweep (src/sched/sweep_kernel.hpp) and the incremental engine (src/sched/incremental_evaluator.cpp): price a run of positions with sweep" "$matches"
 
 if [ "$failures" -ne 0 ]; then
   echo "lint_invariants: FAILED" >&2

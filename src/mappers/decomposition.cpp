@@ -51,29 +51,24 @@ struct OpTable {
 }  // namespace
 
 /// One run's state, shared by both variants: the operation table, the
-/// current mapping with its objective value, and how candidates are priced.
+/// current mapping with its makespan, and how candidates are priced.
 struct DecompositionMapper::Search {
   const Evaluator& eval;
   EvalContext& ctx;
   RunControl& control;
-  const decltype(DecompositionParams::objective)& objective;
-  ThreadPool* pool;  // nullptr with a custom objective
+  ThreadPool* pool;
   OpTable ops;
   Mapping mapping;
   Mapping trial;  // == mapping, but while `price` applies a candidate
-  double current = 0.0;  // objective of `mapping`
+  double current = 0.0;  // makespan of `mapping`
   std::size_t cap = 0, iterations = 0;
   std::vector<Move> moves{};  // a scan's chunk and each move's op
   std::vector<std::size_t> op_of{};
 
-  double value(const Mapping& m) {
-    return objective ? objective(eval, m, ctx) : eval.evaluate(m, ctx);
-  }
-
-  /// Objective of the current mapping with `op` applied.
+  /// Makespan of the current mapping with `op` applied.
   double price(std::size_t op) {
     ops.apply(op, trial);
-    const double v = value(trial);
+    const double v = eval.evaluate(trial, ctx);
     for (const NodeId n : ops.nodes(op)) trial[n] = mapping[n];
     return v;
   }
@@ -84,21 +79,13 @@ struct DecompositionMapper::Search {
     ++iterations;
   }
 
-  /// Runs `consume(op, value)` for every non-noop operation in ascending
-  /// op order, as a one-at-a-time scan would: the makespan through
+  /// Runs `consume(op, makespan)` for every non-noop operation in
+  /// ascending op order, as a one-at-a-time scan would: through
   /// Evaluator::evaluate_moves, kBatchChunk operations per call, exact
-  /// below `cutoff` and any value >= `cutoff` otherwise; a custom objective
-  /// through `price`, always exact. An interrupt, polled between calls (or
-  /// operations), truncates the scan to the prefix priced.
+  /// below `cutoff` and any value >= `cutoff` otherwise. An interrupt,
+  /// polled between calls, truncates the scan to the prefix priced.
   template <typename Consume>
   void scan(double cutoff, Consume&& consume) {
-    if (objective) {
-      for (std::size_t op = 0; op < ops.count(); ++op) {
-        if (control.interrupted()) break;
-        if (!ops.is_noop(op, mapping)) consume(op, price(op));
-      }
-      return;
-    }
     for (std::size_t op = 0; op < ops.count() && !control.interrupted();) {
       moves.clear();
       op_of.clear();
@@ -130,15 +117,12 @@ MapReport DecompositionMapper::map(const Evaluator& eval,
                                    const MapRequest& request) {
   RunControl control(request);
   EvalContext ctx;
-  // A custom objective cannot go through the makespan frontier API.
-  const PoolLease lease(request, params_.objective ? 1 : params_.threads);
-  Search s{.eval = eval, .ctx = ctx, .control = control,
-           .objective = params_.objective,
-           .pool = params_.objective ? nullptr : lease.get(),
+  const PoolLease lease(request, params_.threads);
+  Search s{.eval = eval, .ctx = ctx, .control = control, .pool = lease.get(),
            .ops = {&subgraphs_, eval.cost().platform().device_count()},
            .mapping = eval.default_mapping(),
            .trial = eval.default_mapping()};
-  s.current = s.value(s.mapping);
+  s.current = eval.evaluate(s.mapping, ctx);
   s.cap = params_.max_iterations
               ? params_.max_iterations
               : std::max<std::size_t>(16, 2 * s.mapping.size());

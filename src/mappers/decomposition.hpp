@@ -27,8 +27,6 @@
 /// The basic variant passes its incumbent as the cutoff, so a candidate
 /// that cannot beat it may stop early (it could never be accepted).
 
-#include <functional>
-
 #include "mappers/mapper.hpp"
 #include "sp/subgraph_set.hpp"
 
@@ -43,17 +41,10 @@ struct DecompositionParams {
   /// Cap on improvement iterations; 0 derives the paper's suggestion of one
   /// iteration per task (times a small safety factor).
   std::size_t max_iterations = 0;
-  /// Optional custom objective (smaller is better; +inf == infeasible),
-  /// pricing through the run's context. Defaults to the evaluator's
-  /// makespan. Used by the multi-objective scalarization extension
-  /// (multi_objective.hpp).
-  std::function<double(const Evaluator&, const Mapping&, EvalContext&)>
-      objective;
   /// Worker threads for the full-frontier candidate scans (basic variant
   /// iterations; the threshold variant's initial fill and verification
   /// sweep), which split each Evaluator::evaluate_moves call — results are
-  /// bit-identical for every thread count; 1 = serial. A custom
-  /// `objective` is priced serially.
+  /// bit-identical for every thread count; 1 = serial.
   std::size_t threads = 1;
 };
 

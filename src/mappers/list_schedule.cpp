@@ -32,7 +32,10 @@ double ListSchedule::ready_time(NodeId v, DeviceId d) const {
 void ListSchedule::commit(NodeId v, const Placement& p) {
   mapping_[v] = p.device;
   finish_[v.v] = p.eft;
-  timelines_[p.slot].reserve(p.start, p.eft - p.start);
+  // A placement no slot could take (eft kInfeasible) has no slot to book.
+  if (p.eft < kInfeasible) {
+    timelines_[p.slot].reserve(p.start, p.eft - p.start);
+  }
   if (cost_->platform().device(p.device).is_fpga()) {
     area_used_[p.device.v] += cost_->area(v);
   }

@@ -63,7 +63,8 @@ class ListSchedule {
   }
 
   /// Places `v` as `p` says: books the slot, records the finish time and
-  /// device, charges FPGA area.
+  /// device, charges FPGA area. A placement without a slot (eft
+  /// kInfeasible) books none.
   void commit(NodeId v, const Placement& p);
 
   /// HEFT's score: the earliest finish time itself.

@@ -56,7 +56,12 @@ MapReport LookaheadHeftMapper::map(const Evaluator& eval,
         chosen = p;
       }
     }
-    SPMAP_ASSERT(chosen.eft < kInfeasible);
+    // No offer leaves a finite score (e.g. an FPGA-only platform that fits
+    // no task): place v as HEFT would, so the run still returns a mapping,
+    // one that prices at kInfeasible when nothing fits.
+    if (chosen_score >= kInfeasible) {
+      chosen = schedule.best(v, ListSchedule::eft_score);
+    }
     schedule.commit(v, chosen);
     ++placed;
   }

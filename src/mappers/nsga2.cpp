@@ -2,14 +2,73 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "mappers/builtin_registrations.hpp"
 #include "mappers/registry.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace spmap {
+
+namespace {
+
+using Genes = std::vector<DeviceId>;
+
+/// An individual: genome + fitness.
+struct Individual {
+  Genes genes;
+  double fitness = kInfeasible;
+};
+
+bool fitter(const Individual& a, const Individual& b) {
+  return a.fitness < b.fitness;
+}
+
+/// The genome: one gene (device) per task, genes in breadth-first
+/// topological order so that single-point crossover cuts the graph into a
+/// "front" and a "back" part (the paper's "topologically sorted genome").
+/// Every operator draws from the caller's rng in a fixed order, so a run
+/// repeats from its seed.
+class Genome {
+ public:
+  Genome(const CostModel& cost, const Nsga2Params& params);
+
+  /// Initial population member `i`: all on the default device for i == 0,
+  /// uniformly random devices otherwise; repaired.
+  Genes initial(std::size_t i, Rng& rng) const;
+
+  /// A child of `a` and `b`: single-point crossover at the crossover rate,
+  /// per-gene mutation, repair.
+  Genes breed(const Genes& a, const Genes& b, Rng& rng) const;
+
+  Mapping to_mapping(const Genes& genes) const;
+
+  /// Parent selection: the fittest of `tournament` uniform draws from
+  /// `population`; earlier draws win ties.
+  const Individual& tournament(const std::vector<Individual>& population,
+                               Rng& rng) const {
+    const Individual* best = &population[rng.below(population.size())];
+    for (std::size_t t = 1; t < tournament_; ++t) {
+      const Individual& challenger = population[rng.below(population.size())];
+      if (fitter(challenger, *best)) best = &challenger;
+    }
+    return *best;
+  }
+
+ private:
+  /// Moves the largest-area FPGA tasks back to the default device until
+  /// every FPGA other than the default device fits its budget.
+  void repair(Genes& genes) const;
+
+  const CostModel* cost_;
+  std::vector<NodeId> gene_node_;  // gene position -> task
+  double crossover_rate_;
+  double mutation_rate_;  // the paper's 1/n unless set
+  std::size_t tournament_;
+};
 
 Genome::Genome(const CostModel& cost, const Nsga2Params& params)
     : cost_(&cost),
@@ -21,7 +80,7 @@ Genome::Genome(const CostModel& cost, const Nsga2Params& params)
                                      gene_node_.size(), 1))),
       tournament_(params.tournament) {}
 
-Genome::Genes Genome::initial(std::size_t i, Rng& rng) const {
+Genes Genome::initial(std::size_t i, Rng& rng) const {
   const Platform& platform = cost_->platform();
   Genes genes(gene_node_.size());
   for (DeviceId& gene : genes) {
@@ -32,7 +91,7 @@ Genome::Genes Genome::initial(std::size_t i, Rng& rng) const {
   return genes;
 }
 
-Genome::Genes Genome::breed(const Genes& a, const Genes& b, Rng& rng) const {
+Genes Genome::breed(const Genes& a, const Genes& b, Rng& rng) const {
   const std::size_t n = gene_node_.size();
   Genes child = a;
   if (rng.chance(crossover_rate_) && n > 1) {
@@ -58,6 +117,10 @@ void Genome::repair(Genes& genes) const {
   const Platform& platform = cost_->platform();
   const std::size_t n = genes.size();
   for (const DeviceId f : platform.fpga_devices()) {
+    // Repair moves tasks onto the default device: an FPGA that is the
+    // default device has nowhere to send them, so an overflow there stays
+    // and the individual prices at kInfeasible.
+    if (f == platform.default_device()) continue;
     const double budget = platform.device(f).area_budget;
     for (;;) {
       double used = 0.0;
@@ -76,18 +139,6 @@ void Genome::repair(Genes& genes) const {
       genes[worst] = platform.default_device();
     }
   }
-}
-
-namespace {
-
-/// An individual: genome + fitness.
-struct Individual {
-  Genome::Genes genes;
-  double fitness = kInfeasible;
-};
-
-bool fitter(const Individual& a, const Individual& b) {
-  return a.fitness < b.fitness;
 }
 
 }  // namespace
@@ -149,8 +200,8 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
     }
     offspring.clear();
     while (offspring.size() < params_.population) {
-      const Individual& pa = genome.tournament(population, rng, fitter);
-      const Individual& pb = genome.tournament(population, rng, fitter);
+      const Individual& pa = genome.tournament(population, rng);
+      const Individual& pb = genome.tournament(population, rng);
       offspring.push_back({genome.breed(pa.genes, pb.genes, rng)});
     }
     evaluate_cohort(offspring);

@@ -52,14 +52,6 @@ struct Device {
   /// finish).
   double stream_fill_fraction = 0.1;
 
-  /// Power draw while idle (W). Used by the energy extension
-  /// (model/energy.hpp) for multi-objective mapping.
-  double idle_watts = 0.0;
-  /// Power draw while executing a task (W).
-  double active_watts = 0.0;
-  /// Additional power draw of the device's link while transferring (W).
-  double transfer_watts = 0.0;
-
   bool is_fpga() const { return kind == DeviceKind::Fpga; }
 };
 

@@ -101,9 +101,6 @@ Platform reference_platform() {
   cpu.lanes = 16.0;
   cpu.lane_gops = 2.4;
   cpu.slots = 4;
-  cpu.idle_watts = 45.0;
-  cpu.active_watts = 155.0;  // TDP
-  cpu.transfer_watts = 10.0;
   const DeviceId cpu_id = p.add_device(cpu);
 
   // AMD Radeon RX Vega 56: 3584 stream processors. Effective per-lane
@@ -116,9 +113,6 @@ Platform reference_platform() {
   gpu.kind = DeviceKind::Gpu;
   gpu.lanes = 3584.0;
   gpu.lane_gops = 0.02;
-  gpu.idle_watts = 25.0;
-  gpu.active_watts = 210.0;
-  gpu.transfer_watts = 15.0;
   const DeviceId gpu_id = p.add_device(gpu);
 
   // Xilinx Zynq XCZ7045: dataflow accelerator. Throughput scales with the
@@ -131,9 +125,6 @@ Platform reference_platform() {
   fpga.area_budget = 120.0;
   fpga.stream_gops_per_streamability = 0.7;
   fpga.stream_fill_fraction = 0.1;
-  fpga.idle_watts = 5.0;
-  fpga.active_watts = 20.0;
-  fpga.transfer_watts = 8.0;
   const DeviceId fpga_id = p.add_device(fpga);
 
   // PCIe-class interconnects: *effective* application-level bandwidths
@@ -157,9 +148,6 @@ Platform manycore_platform() {
   cpu.lanes = 192.0;
   cpu.lane_gops = 2.4;
   cpu.slots = 32;
-  cpu.idle_watts = 180.0;
-  cpu.active_watts = 720.0;
-  cpu.transfer_watts = 20.0;
   const DeviceId cpu_id = p.add_device(cpu);
 
   // Data-center GPU partitioned into 8 concurrent compute instances
@@ -170,9 +158,6 @@ Platform manycore_platform() {
   gpu.lanes = 8192.0;
   gpu.lane_gops = 0.02;
   gpu.slots = 8;
-  gpu.idle_watts = 60.0;
-  gpu.active_watts = 500.0;
-  gpu.transfer_watts = 25.0;
   const DeviceId gpu_id = p.add_device(gpu);
 
   // Large Alveo-class accelerator card: same dataflow model as the
@@ -184,9 +169,6 @@ Platform manycore_platform() {
   fpga.area_budget = 480.0;
   fpga.stream_gops_per_streamability = 1.4;
   fpga.stream_fill_fraction = 0.1;
-  fpga.idle_watts = 25.0;
-  fpga.active_watts = 100.0;
-  fpga.transfer_watts = 15.0;
   const DeviceId fpga_id = p.add_device(fpga);
 
   // PCIe gen4/gen5-class effective application bandwidths.

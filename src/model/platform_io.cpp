@@ -47,8 +47,7 @@ Device device_from_json(const Json& doc) {
   // exactly these, which is what keeps parse -> serialize -> parse the
   // identity (an fpga with "lanes" would otherwise parse and then silently
   // drop it on the way back out).
-  std::vector<std::string> accepted = {"name", "kind", "idle_watts",
-                                       "active_watts", "transfer_watts"};
+  std::vector<std::string> accepted = {"name", "kind"};
   if (d.is_fpga()) {
     accepted.insert(accepted.end(), {"area_budget",
                                      "stream_gops_per_streamability",
@@ -68,9 +67,6 @@ Device device_from_json(const Json& doc) {
   d.stream_gops_per_streamability =
       get_double(doc, "stream_gops_per_streamability", 0.0);
   d.stream_fill_fraction = get_double(doc, "stream_fill_fraction", 0.1);
-  d.idle_watts = get_double(doc, "idle_watts", 0.0);
-  d.active_watts = get_double(doc, "active_watts", 0.0);
-  d.transfer_watts = get_double(doc, "transfer_watts", 0.0);
   return d;
 }
 
@@ -87,9 +83,6 @@ Json device_to_json(const Device& d) {
     doc.set("lane_gops", d.lane_gops);
     doc.set("slots", d.slots);
   }
-  doc.set("idle_watts", d.idle_watts);
-  doc.set("active_watts", d.active_watts);
-  doc.set("transfer_watts", d.transfer_watts);
   return doc;
 }
 

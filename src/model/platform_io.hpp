@@ -4,9 +4,8 @@
 ///
 /// The paper's evaluation platform is compiled into `reference_platform()`,
 /// but the scenario subsystem (src/bench/scenario.hpp) treats platforms as
-/// *data*: a JSON file listing devices (compute, FPGA and energy
-/// parameters) and pairwise links, so experiments can swap hardware without
-/// touching C++. The paper's CPU+GPU+FPGA machine ships as
+/// *data*: a JSON file listing devices (compute and FPGA parameters) and
+/// pairwise links, so experiments can swap hardware without touching C++. The paper's CPU+GPU+FPGA machine ships as
 /// `scenarios/platforms/paper_cpu_gpu_fpga.json`; see docs/FORMATS.md for
 /// the authoritative schema reference.
 ///
@@ -16,8 +15,8 @@
 ///     "name": "paper-cpu-gpu-fpga",
 ///     "devices": [{"name", "kind": "cpu"|"gpu"|"fpga", "lanes",
 ///                  "lane_gops", "slots", "area_budget",
-///                  "stream_gops_per_streamability", "stream_fill_fraction",
-///                  "idle_watts", "active_watts", "transfer_watts"}, ...],
+///                  "stream_gops_per_streamability", "stream_fill_fraction"},
+///                 ...],
 ///     "links":   [{"a": NAME, "b": NAME, "bandwidth_gbps", "latency_s"},
 ///                 ...]   // undirected; every distinct pair exactly once
 ///   }
@@ -25,7 +24,9 @@
 /// Device fields irrelevant to the kind may be omitted (a CPU needs no
 /// `area_budget`); unknown keys, duplicate names, missing links and
 /// out-of-range values throw spmap::Error with a diagnostic naming what is
-/// accepted, mirroring the MapperRegistry option errors.
+/// accepted, mirroring the MapperRegistry option errors. A device accepts
+/// only the keys its kind prices with, so a file that still carries the
+/// power keys of earlier versions is refused (docs/FORMATS.md).
 ///
 /// ## Thread-safety
 ///

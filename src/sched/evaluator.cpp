@@ -35,41 +35,6 @@ double tail_of(const SweepTables& t, const DeviceId* map, std::uint32_t v,
   return bound;
 }
 
-/// Early-stop policy of `sweep`: active, the sweep ends as soon as a
-/// task's start + tail, a lower bound on the makespan, exceeds `limit`.
-template <bool kActive>
-struct TailStop {
-  const double* tail = nullptr;
-  double limit = kInfeasible;
-};
-
-/// Prices walk positions [first, last) under `map`; returns the running
-/// maximum finish from `run_max`, or the bound at which `stop` ended the
-/// sweep. Every flat sweep is this loop; the arrays do not alias, so its
-/// body stays in registers.
-template <bool kStops = false>
-[[gnu::always_inline]] inline double sweep(
-    const SweepTables& t, const DeviceId* __restrict map,
-    const PlanNode* first, const PlanNode* last, double* __restrict start,
-    double* __restrict finish, double* __restrict slot_ready,
-    double* __restrict link_ready, double run_max,
-    TailStop<kStops> stop = {}) {
-  const PlainTimes times{start, finish};
-  const ArgminSlots slots{slot_ready, t.slot_offset.data()};
-  for (; first != last; ++first) {
-    const PlanNode pn = *first;
-    const NodeTime nt = time_node(t, map, pn, link_ready, times, slots);
-    start[pn.node] = nt.start;
-    finish[pn.node] = nt.finish;
-    run_max = std::max(run_max, nt.finish);
-    if constexpr (kStops) {
-      const double bound = nt.start + stop.tail[pn.node];
-      if (bound > stop.limit) return bound;
-    }
-  }
-  return run_max;
-}
-
 }  // namespace
 
 SweepTables::SweepTables(const CostModel& cost)

@@ -36,10 +36,12 @@
 /// execution-time table, in-edge span) laid out in walk order. Evaluating a
 /// mapping is then a branch-light linear sweep over contiguous arrays,
 /// pricing each node with `time_node` (sched/sweep_kernel.hpp) — the one
-/// implementation of the timing arithmetic, shared with every sweep of the
-/// incremental engine. The arithmetic is performed in exactly the order of
-/// the naive definition (see sched/reference_evaluator.hpp), so flat
-/// results are bit-identical to the reference implementation.
+/// implementation of the timing arithmetic. One loop over it, `sweep` in
+/// the same header, serves full evaluations, the frontier suffixes below
+/// and the incremental engine's suffix sweeps. The arithmetic is performed
+/// in exactly the order of the naive definition (see
+/// sched/reference_evaluator.hpp), so flat results are bit-identical to
+/// the reference implementation.
 ///
 /// Frontier pricing: walk positions before a candidate's first moved task
 /// p0 see the base mapping's devices, so `evaluate_moves` serves many

@@ -5,47 +5,6 @@
 
 namespace spmap {
 
-namespace {
-
-/// Probe-overlay source times: a time recomputed by the current probe
-/// (tag == epoch) shadows the committed one.
-struct OverlayTimes {
-  const double* start;
-  const double* finish;
-  const double* probe_start;
-  const double* probe_finish;
-  const std::uint32_t* tag;
-  std::uint32_t epoch;
-  static constexpr bool kTagged = true;
-  double start_of(std::uint32_t s) const {
-    return tag[s] == epoch ? probe_start[s] : start[s];
-  }
-  double finish_of(std::uint32_t s) const {
-    return tag[s] == epoch ? probe_finish[s] : finish[s];
-  }
-};
-
-/// Suffix-sweep source times on a clean overlay: committed below position
-/// `p0`, the sweep's own output at or above — one position compare, no
-/// overlay tags written or read.
-struct SplitTimes {
-  const double* start;
-  const double* finish;
-  const double* probe_start;
-  const double* probe_finish;
-  const std::uint32_t* pos;
-  std::uint32_t p0;
-  static constexpr bool kTagged = false;
-  double start_of(std::uint32_t s) const {
-    return pos[s] >= p0 ? probe_start[s] : start[s];
-  }
-  double finish_of(std::uint32_t s) const {
-    return pos[s] >= p0 ? probe_finish[s] : finish[s];
-  }
-};
-
-}  // namespace
-
 IncrementalEvaluator::IncrementalEvaluator(const Evaluator& eval,
                                            std::size_t order_index)
     : eval_(&eval), order_index_(order_index), t_(&eval.tables()) {
@@ -122,8 +81,6 @@ IncrementalEvaluator::IncrementalEvaluator(const Evaluator& eval,
   seen_link_.assign(m_, 0);
   probe_start_.resize(n_);
   probe_finish_.resize(n_);
-  probe_tag_.assign(n_, 0);
-  probe_epoch_ = 0;
 
   reset(Mapping(n_, platform.default_device()));
 }
@@ -179,6 +136,8 @@ double IncrementalEvaluator::reset(const Mapping& mapping) {
   apply_count_ = 0;
   probe_count_ = 0;
   full_recording_sweep();
+  probe_start_ = start_;
+  probe_finish_ = finish_;
 
   std::fill(block_slot_uses_.begin(), block_slot_uses_.end(), 0);
   std::fill(block_link_uses_.begin(), block_link_uses_.end(), 0);
@@ -209,7 +168,6 @@ double IncrementalEvaluator::reset(const Mapping& mapping) {
 void IncrementalEvaluator::full_recording_sweep() {
   std::fill(cur_slot_.begin(), cur_slot_.end(), 0.0);
   std::fill(cur_link_.begin(), cur_link_.end(), 0.0);
-  const PlainTimes times{start_.data(), finish_.data()};
   const SortedSlots slots{cur_slot_.data(), t_->slot_offset.data()};
   const auto record = [&](std::uint32_t k, std::uint32_t, std::uint32_t,
                           bool xfer, double arrival) {
@@ -224,8 +182,9 @@ void IncrementalEvaluator::full_recording_sweep() {
       std::copy(cur_link_.begin(), cur_link_.end(), ck + s_total_);
     }
     const PlanNode pn = (*plan_)[p];
-    const NodeTime nt = time_node(*t_, mapping_.device.data(), pn,
-                                  cur_link_.data(), times, slots, record);
+    const NodeTime nt =
+        time_node(*t_, mapping_.device.data(), pn, cur_link_.data(),
+                  start_.data(), finish_.data(), slots, record);
     streamed_[p] = nt.streamed ? 1 : 0;
     start_[pn.node] = nt.start;
     finish_[pn.node] = nt.finish;
@@ -378,8 +337,8 @@ bool IncrementalEvaluator::step(std::size_t p) {
   const std::uint32_t* in_src = t_->flat.in_src_data();
 
   // ---- skip test: would a full sweep read exactly the committed values?
-  // (In a probe a recomputed source is flagged timing_dirty_ and lives in
-  // the overlay.)
+  // (A source whose times changed is flagged timing_dirty_; a probe holds
+  // its new times in the view only.)
   bool needs = u == moved_ || slot_differs_[d] != 0;
   for (std::uint32_t k = pn.in_begin; !needs && k < pn.in_end; ++k) {
     const std::uint32_t s = in_src[k];
@@ -456,25 +415,15 @@ bool IncrementalEvaluator::step(std::size_t p) {
     touch_slot_device(d_old);
     if constexpr (kProbe) ++seen_slot_[d_old];
   }
-  // A probe reads recomputed sources from its overlay; an apply has
-  // already committed them.
-  const auto times = [&] {
-    if constexpr (kProbe) {
-      return OverlayTimes{start_.data(),       finish_.data(),
-                          probe_start_.data(), probe_finish_.data(),
-                          probe_tag_.data(),   probe_epoch_};
-    } else {
-      return PlainTimes{start_.data(), finish_.data()};
-    }
-  }();
-  const NodeTime nt = time_node(
-      *t_, mapping_.device.data(), pn, cur_link_.data(), times,
-      SortedSlots{cur_slot_.data(), t_->slot_offset.data()}, on_edge);
-  if constexpr (kProbe) {
-    probe_start_[u] = nt.start;
-    probe_finish_[u] = nt.finish;
-    probe_tag_[u] = probe_epoch_;
-  } else {
+  // Sources are read from the view, which holds a probe's recomputed
+  // times and otherwise the committed ones; an apply writes both.
+  const NodeTime nt =
+      time_node(*t_, mapping_.device.data(), pn, cur_link_.data(),
+                probe_start_.data(), probe_finish_.data(),
+                SortedSlots{cur_slot_.data(), t_->slot_offset.data()}, on_edge);
+  probe_start_[u] = nt.start;
+  probe_finish_[u] = nt.finish;
+  if constexpr (!kProbe) {
     const std::uint8_t st = nt.streamed ? 1 : 0;
     if (st != streamed_[p]) {
       bump_slot_use(p, d, st == 0);  // slot use appears when streaming stops
@@ -570,7 +519,11 @@ double IncrementalEvaluator::apply(TaskReassignment move) {
 }
 
 void IncrementalEvaluator::clear_marks() {
-  for (const std::uint32_t v : dirty_list_) timing_dirty_[v] = 0;
+  for (const std::uint32_t v : dirty_list_) {
+    timing_dirty_[v] = 0;
+    probe_start_[v] = start_[v];
+    probe_finish_[v] = finish_[v];
+  }
   dirty_list_.clear();
   for (const std::uint32_t dev : diff_list_) {
     slot_differs_[dev] = 0;
@@ -582,18 +535,14 @@ void IncrementalEvaluator::clear_marks() {
   moved_ = kNoDevice;
 }
 
-template <class Times>
-double IncrementalEvaluator::suffix_sweep(std::size_t p, double run_max,
-                                          Times times) {
-  const SortedSlots slots{cur_slot_.data(), t_->slot_offset.data()};
-  for (; p < n_; ++p) {
-    const PlanNode pn = (*plan_)[p];
-    const NodeTime nt = time_node(*t_, mapping_.device.data(), pn,
-                                  cur_link_.data(), times, slots);
-    probe_start_[pn.node] = nt.start;
-    probe_finish_[pn.node] = nt.finish;
-    if constexpr (Times::kTagged) probe_tag_[pn.node] = probe_epoch_;
-    run_max = std::max(run_max, nt.finish);
+double IncrementalEvaluator::sweep_suffix(std::size_t p, double run_max) {
+  const PlanNode* walk = plan_->data();
+  run_max = sweep(*t_, mapping_.device.data(), walk + p, walk + n_,
+                  probe_start_.data(), probe_finish_.data(), cur_slot_.data(),
+                  cur_link_.data(), run_max);
+  for (const PlanNode* it = walk + p; it != walk + n_; ++it) {
+    probe_start_[it->node] = start_[it->node];
+    probe_finish_[it->node] = finish_[it->node];
   }
   return run_max;
 }
@@ -638,22 +587,13 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
   }
 
   const std::size_t p0 = pos_[move.node.v];
-  if (++probe_epoch_ == 0) {
-    // Tag wrap-around: invalidate all overlay entries, restart at 1.
-    std::fill(probe_tag_.begin(), probe_tag_.end(), 0u);
-    probe_epoch_ = 1;
-  }
   double run_max = p0 == 0 ? 0.0 : prefix_max_[p0 - 1];
 
   if (route_to_sweep()) {
     ++fb_probes_;
     fb_swept_total_ += n_ - p0;
     reconstruct_state(p0, false);
-    run_max = suffix_sweep(
-        p0, run_max,
-        SplitTimes{start_.data(), finish_.data(), probe_start_.data(),
-                   probe_finish_.data(), pos_.data(),
-                   static_cast<std::uint32_t>(p0)});
+    run_max = sweep_suffix(p0, run_max);
     mapping_.device[move.node.v] = DeviceId(old_dev);
     return over == 0 ? run_max : kInfeasible;
   }
@@ -665,9 +605,6 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
   limit_ = last_consumer_pos_[moved_];
 
   const WalkPlan& plan = *plan_;
-  const OverlayTimes overlay{start_.data(),       finish_.data(),
-                             probe_start_.data(), probe_finish_.data(),
-                             probe_tag_.data(),   probe_epoch_};
   std::size_t replayed = 0;
   std::size_t recomputed = 0;
   std::size_t p = p0;
@@ -680,13 +617,13 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
     if ((replayed >= 256 || (n_ <= 512 && replayed >= 64)) &&
         recomputed + (replayed >> 3) >= replayed) {
       replayed += n_ - p;
-      run_max = suffix_sweep(p, run_max, overlay);
+      run_max = sweep_suffix(p, run_max);
       p = n_;
       break;
     }
     ++replayed;
     recomputed += step<true>(p) ? 1 : 0;
-    run_max = std::max(run_max, overlay.finish_of(plan[p].node));
+    run_max = std::max(run_max, probe_finish_[plan[p].node]);
   }
   // Read-only fold: past the stop point every time is committed, so the
   // probed makespan rejoins the committed prefix-max curve exactly as
@@ -709,7 +646,8 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
     density_suffix_ /= 2;
   }
 
-  // Roll back the scratch marks; the committed state was never touched.
+  // Roll back the scratch marks and the view; the committed state was
+  // never touched.
   clear_marks();
   mapping_.device[move.node.v] = DeviceId(old_dev);
   return over == 0 ? run_max : kInfeasible;

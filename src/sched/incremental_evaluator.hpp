@@ -13,7 +13,11 @@
 /// are untouched and terminating as soon as the perturbation has been
 /// absorbed (typically at the next series join of the graph). `apply`
 /// rewrites the committed records in place; a search prices candidates with
-/// the read-only `probe` and applies only the moves it accepts.
+/// the read-only `probe` and applies only the moves it accepts. A probe
+/// writes its recomputed times to a *probe view* — per-node times that
+/// equal the committed ones whenever no probe is running — and restores
+/// what it wrote before returning, so every source-time read of a replay
+/// or suffix sweep is a plain array read.
 ///
 /// ## Exactness
 ///
@@ -132,9 +136,10 @@ class IncrementalEvaluator {
   double apply(TaskReassignment move);
 
   /// The makespan the move *would* produce, leaving the state untouched:
-  /// recomputed times go to an epoch-tagged overlay and nothing committed is
-  /// written, so a rejected candidate costs only the replay itself. The
-  /// returned value is bit-identical to what apply() would return.
+  /// recomputed times go to the probe view only, nothing committed is
+  /// written, and the view is restored before returning, so a rejected
+  /// candidate costs only the replay itself. The returned value is
+  /// bit-identical to what apply() would return.
   double probe(TaskReassignment move);
 
   /// Makespan of the current mapping under the bound schedule order;
@@ -203,18 +208,17 @@ class IncrementalEvaluator {
   /// and the seen-use counters are seeded for the prefix.
   void reconstruct_state(std::size_t p0, bool with_base);
   /// Processes position `p` of an apply (`kProbe` false: recomputed times
-  /// and records are committed) or of a probe (`kProbe` true: recomputed
-  /// times land in the probe overlay, nothing committed is touched): skip if
-  /// clean, else recompute. Returns true when the position was recomputed.
+  /// and records are committed, and written to the view too) or of a probe
+  /// (`kProbe` true: recomputed times land in the probe view only, nothing
+  /// committed is touched): skip if clean, else recompute. Returns true
+  /// when the position was recomputed.
   template <bool kProbe>
   bool step(std::size_t p);
   /// Re-simulates every position from `p` to the end against the cur state
-  /// with the plain sweep — no skip detection, no base state — writing the
-  /// probe overlay, and returns the folded makespan. `times` resolves
-  /// source times (the overlay after a partial incremental replay, or a
-  /// position split when nothing before `p` was recomputed).
-  template <class Times>
-  double suffix_sweep(std::size_t p, double run_max, Times times);
+  /// with the flat `sweep` (sched/sweep_kernel.hpp) — no skip detection, no
+  /// base state — on the probe view, restores the view's committed times
+  /// over those positions, and returns the folded makespan.
+  double sweep_suffix(std::size_t p, double run_max);
   /// Auto-mode routing of one probe: true to take the suffix-sweep path.
   bool route_to_sweep();
   /// Clears the per-replay dirty/diff marks of apply() and probe().
@@ -315,11 +319,15 @@ class IncrementalEvaluator {
   std::vector<std::uint32_t> dirty_list_;
   std::vector<std::uint32_t> touched_slot_devs_, touched_link_devs_;
   std::vector<std::uint32_t> seen_slot_, seen_link_;  // per device
-  /// Probe overlay: times recomputed by the current probe() live here; an
-  /// entry is live iff its tag equals probe_epoch_ (O(1) discard).
+  /// Probe view: per-node times every step and suffix sweep reads. It
+  /// equals the committed start_/finish_ whenever no probe() is running:
+  /// reset() copies them in and apply() writes both. A probe writes only
+  /// the view and restores what it wrote before returning — its changed
+  /// nodes (dirty_list_, in clear_marks) and every position a suffix sweep
+  /// covered; a recomputed node that did not change wrote its committed
+  /// value back. The restore costs O(what the probe wrote), and no read
+  /// needs a tag.
   std::vector<double> probe_start_, probe_finish_;
-  std::vector<std::uint32_t> probe_tag_;
-  std::uint32_t probe_epoch_ = 0;
   std::uint32_t moved_ = kNoDevice;
   std::uint32_t moved_old_dev_ = kNoDevice;
   std::size_t limit_ = 0;

@@ -45,10 +45,7 @@ Digest platform_hash(const Platform& platform) {
         .u64(d.slots)
         .f64(d.area_budget)
         .f64(d.stream_gops_per_streamability)
-        .f64(d.stream_fill_fraction)
-        .f64(d.idle_watts)
-        .f64(d.active_watts)
-        .f64(d.transfer_watts);
+        .f64(d.stream_fill_fraction);
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {

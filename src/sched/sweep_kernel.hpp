@@ -14,21 +14,23 @@
 /// (sched/reference_evaluator.hpp), so `Evaluator`'s flat sweep and every
 /// sweep of the incremental engine agree bit for bit by construction.
 ///
-/// Three compile-time policies adapt it to its callers:
-///  * Times — how a source's start/finish is read: `PlainTimes` (one pair
-///    of arrays: the flat sweep's context, the engine's committed state) or
-///    the engine's probe overlay and position split
-///    (incremental_evaluator.cpp);
+/// Two compile-time policies adapt it to its callers:
 ///  * Slots — how each device's slot-ready times are held: `ArgminSlots`
-///    (slot-index order, earliest found by argmin; `Evaluator`) or
+///    (slot-index order, earliest found by argmin; `sweep`) or
 ///    `SortedSlots` (each device's multiset kept sorted — slots are
 ///    interchangeable, so only the multiset affects any start time; the
 ///    engine's canonical form);
 ///  * OnEdge — what is recorded per in-edge: nothing (`NoRecord`), or the
 ///    engine's transfer records and base-state replay.
+///
+/// Every caller passes one start/finish pair to read source times from.
+/// `sweep`, below, is the one loop that prices a run of walk positions:
+/// full evaluations, frontier suffixes and the incremental engine's
+/// suffix route all run it.
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "graph/flat_graph.hpp"
@@ -62,14 +64,6 @@ struct SweepTables {
   std::vector<double> latency;           ///< [from][to], 0 on diagonal
   std::vector<double> bandwidth;         ///< [from][to], 1 on diagonal
   std::vector<double> in_mb1000;         ///< per in-edge slot: data_mb/1000
-};
-
-/// Source times read from one pair of per-node arrays.
-struct PlainTimes {
-  const double* start;
-  const double* finish;
-  double start_of(std::uint32_t s) const { return start[s]; }
-  double finish_of(std::uint32_t s) const { return finish[s]; }
 };
 
 /// Slot-ready times in slot-index order; the earliest slot is the argmin.
@@ -131,15 +125,14 @@ struct NodeTime {
   bool streamed;  ///< fed by an FPGA stream: co-resides in fabric, no slot
 };
 
-/// Prices node `pn` under `map`, advancing the link state `link` (per
-/// device) and the slot state held by `slots`.
-template <class Times, class Slots, class OnEdge = NoRecord>
-[[gnu::always_inline]] inline NodeTime time_node(const SweepTables& t,
-                                                 const DeviceId* map,
-                                                 PlanNode pn, double* link,
-                                                 const Times& times,
-                                                 const Slots& slots,
-                                                 OnEdge&& on_edge = {}) {
+/// Prices node `pn` under `map`, reading source times from `start` and
+/// `finish` and advancing the link state `link` (per device) and the slot
+/// state held by `slots`.
+template <class Slots, class OnEdge = NoRecord>
+[[gnu::always_inline]] inline NodeTime time_node(
+    const SweepTables& t, const DeviceId* map, PlanNode pn, double* link,
+    const double* start, const double* finish, const Slots& slots,
+    OnEdge&& on_edge = {}) {
   // Every table pointer is read once per node, unconditionally, so the
   // compiler can keep it in a register across the caller's sweep instead
   // of reloading it on each in-edge.
@@ -159,17 +152,17 @@ template <class Times, class Slots, class OnEdge = NoRecord>
     const std::uint32_t ds = map[s].v;
     if (ds == d) {
       if (dev_fpga) {
-        ready = std::max(ready, times.start_of(s) + fill[d] * exec[s * m + d]);
+        ready = std::max(ready, start[s] + fill[d] * exec[s * m + d]);
         streamed = true;
       } else {
-        ready = std::max(ready, times.finish_of(s));
+        ready = std::max(ready, finish[s]);
       }
       on_edge(k, s, ds, false, 0.0);
     } else {
       const std::size_t li = ds * m + d;
       const double transfer = lat[li] + in_mb1000[k] / bw[li];
       const double arrival =
-          std::max({times.finish_of(s), link[ds], link[d]}) + transfer;
+          std::max({finish[s], link[ds], link[d]}) + transfer;
       link[ds] = arrival;
       link[d] = arrival;
       ready = std::max(ready, arrival);
@@ -179,6 +172,45 @@ template <class Times, class Slots, class OnEdge = NoRecord>
   const double exec_v = exec[pn.exec_offset + d];
   const double start_v = streamed ? ready : slots.start(d, ready, exec_v);
   return {start_v, start_v + exec_v, streamed};
+}
+
+/// Early-stop policy of `sweep`: active, the sweep ends as soon as a
+/// task's start + tail, a lower bound on the makespan, exceeds `limit`.
+template <bool kActive>
+struct TailStop {
+  const double* tail = nullptr;
+  double limit = std::numeric_limits<double>::infinity();
+};
+
+/// Prices walk positions [first, last) under `map`, writing each node's
+/// times into `start`/`finish` and advancing the slot and link state;
+/// returns the running maximum finish from `run_max`, or the bound at which
+/// `stop` ended the sweep. Full evaluations, frontier suffixes and the
+/// incremental engine's suffix sweeps all run this loop; the arrays do not
+/// alias, so its body stays in registers. Slots go through `ArgminSlots`,
+/// which is exact on sorted spans too (only the multiset of ready times
+/// reaches a start time), though it leaves them unsorted.
+template <bool kStops = false>
+[[gnu::always_inline]] inline double sweep(
+    const SweepTables& t, const DeviceId* __restrict map,
+    const PlanNode* first, const PlanNode* last, double* __restrict start,
+    double* __restrict finish, double* __restrict slot_ready,
+    double* __restrict link_ready, double run_max,
+    TailStop<kStops> stop = {}) {
+  const ArgminSlots slots{slot_ready, t.slot_offset.data()};
+  for (; first != last; ++first) {
+    const PlanNode pn = *first;
+    const NodeTime nt =
+        time_node(t, map, pn, link_ready, start, finish, slots);
+    start[pn.node] = nt.start;
+    finish[pn.node] = nt.finish;
+    run_max = std::max(run_max, nt.finish);
+    if constexpr (kStops) {
+      const double bound = nt.start + stop.tail[pn.node];
+      if (bound > stop.limit) return bound;
+    }
+  }
+  return run_max;
 }
 
 }  // namespace spmap

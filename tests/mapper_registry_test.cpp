@@ -247,6 +247,39 @@ TEST(MapperRegistry, MatchesDirectConstruction) {
   expect_same("nsga:generations=5,seed=77", nsga);
 }
 
+/// The contract for "no feasible mapping exists": every registered mapper
+/// returns a mapping of the graph's size that prices at kInfeasible. Here
+/// the only device is an FPGA too small for any task, so repair and
+/// fallbacks that move tasks to the default device have nowhere to go.
+TEST(MapperRegistry, EveryMapperReturnsOnInfeasibleFpgaOnlyPlatform) {
+  Rng rng(4);
+  const Dag dag = generate_sp_dag(4, rng);
+  const TaskAttrs attrs = random_task_attrs(dag, rng);
+  Platform platform;
+  Device fpga;
+  fpga.name = "fpga";
+  fpga.kind = DeviceKind::Fpga;
+  fpga.area_budget = 0.001;
+  fpga.stream_gops_per_streamability = 1.0;
+  platform.add_device(fpga);
+  platform.validate();
+  const CostModel cost(dag, attrs, platform);
+  const Evaluator eval(cost);
+
+  const MapperRegistry& registry = MapperRegistry::instance();
+  for (const std::string& name : registry.names()) {
+    std::string spec = name;
+    if (name == "nsga") spec += ":generations=5,pop=10";
+    if (registry.at(name).supports_option("max-nodes")) {
+      spec += ":time-limit=2,max-nodes=100";
+    }
+    Rng mapper_rng(1);
+    const MapperResult r = registry.create(spec, dag, mapper_rng)->map(eval);
+    EXPECT_EQ(r.mapping.size(), dag.node_count()) << spec;
+    EXPECT_EQ(r.predicted_makespan, kInfeasible) << spec;
+  }
+}
+
 TEST(MapperRegistry, DuplicateRegistrationThrows) {
   MapperEntry entry;
   entry.name = "spff";  // collides with the builtin

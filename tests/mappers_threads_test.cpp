@@ -2,7 +2,8 @@
 /// threads=k must produce the exact same mapping and predicted makespan as
 /// its serial (threads=1) configuration — the parallel batch evaluation is
 /// an implementation detail, never a semantic one. Runs sharing one
-/// Evaluator from several threads must not see each other either.
+/// Evaluator from several threads must not see each other either. The
+/// local-search mappers' exact results are pinned too.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,9 @@
 #include "mappers/registry.hpp"
 #include "model/platform.hpp"
 #include "sched/evaluator.hpp"
+#include "test_support.hpp"
 #include "workflows/workload_spec.hpp"
+#include "../bench/wide_case.hpp"
 
 namespace spmap {
 namespace {
@@ -168,6 +171,80 @@ TEST(MapperThreads, SharedEvaluatorRunsMatchSoloRuns) {
       EXPECT_EQ(shared[i].iterations, solo[i].iterations) << specs[i];
       EXPECT_EQ(shared[i].evaluations, solo[i].evaluations) << specs[i];
     }
+  }
+}
+
+// Exact results of hillclimb, anneal and tabu: a change to how the
+// incremental engine computes a probe route must leave all of them
+// unchanged.
+// The rows cover both routes of the engine's probe, by its per-path
+// counters: on the 1024-task wide graph hillclimb and anneal from init=cpu
+// stay on the incremental path, every init=heft row and every row on the
+// SP graph take the suffix sweep for almost all probes, and the two tabu
+// init=cpu rows mix both.
+TEST(LocalSearch, PinnedExactResults) {
+  struct Row {
+    const char* spec;
+    bool wide;           // wide 1024-task graph, else the SP graph
+    const char* digest;  // testing::mapping_digest of the mapping
+    double makespan;
+    std::size_t iterations;
+    std::size_t evaluations;
+  };
+  const Row rows[] = {
+      {"hillclimb:init=cpu", true, "0e4cb9a20afc06884b1cdee54a2e4ab4",
+       103.38152241988008, 1500, 1530},
+      {"hillclimb:init=heft", true, "f0b2215334363ff226445c8f4e5b089e",
+       115.65858107886781, 1500, 1677},
+      {"anneal:init=cpu", true, "e06c89b8874993fe225e145d9f14bce6",
+       111.82216232021048, 1500, 2007},
+      {"anneal:init=heft", true, "2c79b86d93be0ae1424abdaa75a4169e",
+       123.22264105345585, 1500, 1904},
+      {"tabu:init=cpu", true, "552a54720e9ae511f97e51d67a8d383a",
+       104.22566691418888, 1488, 1583},
+      {"tabu:init=heft", true, "8b0ce8fe73900f946e57c4146c96f3f0",
+       119.04436818829468, 1488, 1583},
+      {"tabu:init=cpu,restarts=2,threads=2", true,
+       "cd6c3aae288af7fb2b508f1d254dc0b0", 101.07717418599397, 2976, 3164},
+      {"hillclimb:init=cpu", false, "174d84052d10ca51b497ea9a1f7ca434",
+       27.202768186278242, 1500, 1574},
+      {"hillclimb:init=heft", false, "82425366e64e6f31d2e0a2ef2e582d2a",
+       26.184649498062061, 1500, 1544},
+      {"anneal:init=cpu", false, "7f9ec36e93a3806fe96f0d3d85a02767",
+       27.738311405965717, 1500, 1819},
+      {"anneal:init=heft", false, "e3bb5664273819bd99c1d347b17c6ea3",
+       28.47887937755549, 1500, 1757},
+      {"tabu:init=cpu", false, "3ac1de5ac2b74ce07851d174685fd117",
+       25.69338313272857, 1488, 1583},
+      {"tabu:init=heft", false, "0d7dfe7112796ea1c675f2872df881c2",
+       27.063292219671286, 1488, 1583},
+  };
+  const benchcase::WideCase wide(1024, 3);
+  Rng rng(5);
+  const Dag sp_dag = generate_sp_dag(200, rng);
+  const TaskAttrs sp_attrs = random_task_attrs(sp_dag, rng);
+  const Platform paper = reference_platform();
+  const CostModel wide_cost(wide.dag, wide.attrs, wide.platform);
+  const CostModel sp_cost(sp_dag, sp_attrs, paper);
+  const Evaluator wide_eval(wide_cost);
+  const Evaluator sp_eval(sp_cost);
+  for (const Row& row : rows) {
+    const std::string spec = std::string(row.spec) + ",iters=1500,seed=7";
+    const Evaluator& eval = row.wide ? wide_eval : sp_eval;
+    Rng mapper_rng(1);
+    auto mapper =
+        MapperRegistry::instance().create(spec, eval.dag(), mapper_rng);
+    const MapReport r = mapper->map(eval, MapRequest{});
+    const std::string where =
+        spec + (row.wide ? " on wide" : " on sp") + ": {\"" +
+        testing::mapping_digest(r.mapping) + "\", " +
+        testing::exact(r.predicted_makespan) + ", " +
+        std::to_string(r.iterations) + ", " + std::to_string(r.evaluations) +
+        "}";
+    EXPECT_EQ(testing::mapping_digest(r.mapping), row.digest) << where;
+    EXPECT_EQ(r.predicted_makespan, row.makespan) << where;
+    EXPECT_EQ(r.iterations, row.iterations) << where;
+    EXPECT_EQ(r.evaluations, row.evaluations) << where;
   }
 }
 

@@ -24,9 +24,6 @@ void expect_platforms_equal(const Platform& a, const Platform& b) {
     EXPECT_EQ(da.stream_gops_per_streamability,
               db.stream_gops_per_streamability);
     EXPECT_EQ(da.stream_fill_fraction, db.stream_fill_fraction);
-    EXPECT_EQ(da.idle_watts, db.idle_watts);
-    EXPECT_EQ(da.active_watts, db.active_watts);
-    EXPECT_EQ(da.transfer_watts, db.transfer_watts);
   }
   for (std::size_t x = 0; x < a.device_count(); ++x) {
     for (std::size_t y = 0; y < a.device_count(); ++y) {

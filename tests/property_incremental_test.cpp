@@ -11,7 +11,7 @@
 /// and every hybrid probe mode: kAuto (online routing), kForceIncremental
 /// and kForceFallback. Agreement in the forced modes proves each probe path
 /// is bit-identical on its own, not just whichever one the router happens
-/// to pick.
+/// to pick; a mixed-route case redraws the mode before every probe.
 
 #include <gtest/gtest.h>
 
@@ -143,6 +143,44 @@ TEST_P(IncrementalProperty, ProbeLeavesStateUntouched) {
     EXPECT_EQ(inc.probe({node, device}), eval_->evaluate(probed));
     EXPECT_EQ(inc.makespan(), before);
     EXPECT_EQ(inc.mapping(), mapping);
+  }
+}
+
+// One engine whose route changes from probe to probe: its ProbeMode is
+// redrawn from the test rng before every probe, and one to four probes
+// come between consecutive applies. A probe view left dirty by one route
+// would show in a later probe or apply, whichever route that takes.
+TEST_P(IncrementalProperty, MixedRoutesAgreeWithEvaluateOrder) {
+  constexpr ProbeMode kModes[] = {ProbeMode::kAuto,
+                                  ProbeMode::kForceIncremental,
+                                  ProbeMode::kForceFallback};
+  IncrementalEvaluator inc(*eval_);
+  Mapping current = random_feasible_mapping(*cost_, rng_);
+  inc.reset(current);
+  EvalContext ctx;
+  const auto random_move = [&] {
+    const NodeId node(static_cast<std::uint32_t>(rng_.below(dag_.node_count())));
+    const DeviceId device(
+        static_cast<std::uint32_t>(rng_.below(platform_.device_count())));
+    return TaskReassignment{node, device};
+  };
+  for (std::size_t i = 0; i < GetParam().moves; ++i) {
+    const std::size_t probes = 1 + rng_.below(4);
+    for (std::size_t k = 0; k < probes; ++k) {
+      inc.set_probe_mode(kModes[rng_.below(3)]);
+      const TaskReassignment move = random_move();
+      Mapping probed = current;
+      probed[move.node] = move.device;
+      const double expected =
+          cost_->area_feasible(probed)
+              ? eval_->evaluate_order(probed, inc.order(), ctx)
+              : kInfeasible;
+      ASSERT_EQ(inc.probe(move), expected) << "step " << i << " probe " << k;
+    }
+    const TaskReassignment move = random_move();
+    inc.apply(move);
+    current[move.node] = move.device;
+    ASSERT_NO_FATAL_FAILURE(expect_agreement(inc, current)) << "step " << i;
   }
 }
 
