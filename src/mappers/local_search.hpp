@@ -18,8 +18,9 @@
 ///
 /// Every probe goes through an IncrementalEvaluator bound to the
 /// evaluator's breadth-first schedule order, so a candidate costs
-/// O(affected suffix) instead of a full O(V + E) sweep; accepted moves are
-/// committed, rejected ones rolled back through the undo stack.
+/// O(affected suffix) instead of a full O(V + E) sweep. `probe` prices a
+/// candidate without touching the committed state; only accepted moves
+/// are applied.
 ///
 /// `restarts=` independent searches (distinct rng streams, same seed
 /// mapping) run on a ThreadPool via the static partition; the reported

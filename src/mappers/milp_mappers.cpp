@@ -125,13 +125,12 @@ MipRunParams mip_params_for_run(const MilpMapperParams& params,
   return run;
 }
 
-MapReport finish(const Evaluator& eval, MilpMapperBase&, const Builder& b,
+MapReport finish(const Evaluator& eval, const Builder& b,
                  const MipResult& mip, const MipRunParams& run,
                  RunControl& control, MipStatus& status_out,
-                 bool& timeout_out, std::size_t& nodes_out) {
+                 bool& timeout_out) {
   status_out = mip.status;
   timeout_out = mip.timed_out;
-  nodes_out = mip.nodes;
 
   // An interrupted solve is an anytime result: the warm-started incumbent
   // guarantees a valid mapping at any limit. Attribute the stop to the
@@ -263,8 +262,7 @@ MapReport WgdpDeviceMapper::map(const Evaluator& eval,
 
   const MipRunParams run = mip_params_for_run(params_, control);
   const MipResult mip = MipSolver(run.mip).solve(b.model, &warm);
-  return finish(eval, *this, b, mip, run, control, last_status_,
-                last_timed_out_, last_nodes_);
+  return finish(eval, b, mip, run, control, last_status_, last_timed_out_);
 }
 
 MapReport WgdpTimeMapper::map(const Evaluator& eval,
@@ -303,8 +301,7 @@ MapReport WgdpTimeMapper::map(const Evaluator& eval,
 
   const MipRunParams run = mip_params_for_run(params_, control);
   const MipResult mip = MipSolver(run.mip).solve(b.model, &warm);
-  return finish(eval, *this, b, mip, run, control, last_status_,
-                last_timed_out_, last_nodes_);
+  return finish(eval, b, mip, run, control, last_status_, last_timed_out_);
 }
 
 MapReport ZhouLiuMapper::map(const Evaluator& eval,
@@ -369,8 +366,7 @@ MapReport ZhouLiuMapper::map(const Evaluator& eval,
 
   const MipRunParams run = mip_params_for_run(params_, control);
   const MipResult mip = MipSolver(run.mip).solve(b.model, &warm);
-  return finish(eval, *this, b, mip, run, control, last_status_,
-                last_timed_out_, last_nodes_);
+  return finish(eval, b, mip, run, control, last_status_, last_timed_out_);
 }
 
 namespace {

@@ -45,13 +45,11 @@ class MilpMapperBase : public Mapper {
   /// Solver outcome of the last map() call.
   MipStatus last_status() const { return last_status_; }
   bool last_timed_out() const { return last_timed_out_; }
-  std::size_t last_nodes() const { return last_nodes_; }
 
  protected:
   MilpMapperParams params_;
   MipStatus last_status_ = MipStatus::NoSolution;
   bool last_timed_out_ = false;
-  std::size_t last_nodes_ = 0;
 };
 
 class WgdpDeviceMapper final : public MilpMapperBase {

@@ -159,8 +159,6 @@ struct MapRequest {
   /// mappers may replay the winning trajectory at the end of the run
   /// instead of interleaving callbacks (see each mapper's contract).
   std::function<void(const IncumbentRecord&)> on_incumbent;
-
-  bool has_budget() const { return max_evaluations || max_iterations; }
 };
 
 /// The result of one map() run. Supersedes the old `MapperResult` (which

@@ -4,8 +4,7 @@
 
 namespace spmap {
 
-int MilpModel::add_var(VarKind kind, double lb, double ub, double obj_coeff,
-                       std::string name) {
+int MilpModel::add_var(VarKind kind, double lb, double ub, double obj_coeff) {
   if (kind == VarKind::Binary) {
     lb = 0.0;
     ub = 1.0;
@@ -15,7 +14,6 @@ int MilpModel::add_var(VarKind kind, double lb, double ub, double obj_coeff,
   lb_.push_back(lb);
   ub_.push_back(ub);
   obj_.push_back(obj_coeff);
-  names_.push_back(std::move(name));
   return static_cast<int>(kinds_.size() - 1);
 }
 

@@ -7,7 +7,6 @@
 /// simplex + branch-and-bound solver in this module. All problems are
 /// minimization problems.
 
-#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -27,28 +26,22 @@ class MilpModel {
  public:
   /// Adds a variable; returns its index. Binary variables get bounds [0, 1]
   /// regardless of the arguments.
-  int add_var(VarKind kind, double lb, double ub, double obj_coeff,
-              std::string name = {});
+  int add_var(VarKind kind, double lb, double ub, double obj_coeff);
 
-  int add_continuous(double lb, double ub, double obj, std::string name = {}) {
-    return add_var(VarKind::Continuous, lb, ub, obj, std::move(name));
+  int add_continuous(double lb, double ub, double obj) {
+    return add_var(VarKind::Continuous, lb, ub, obj);
   }
-  int add_binary(double obj, std::string name = {}) {
-    return add_var(VarKind::Binary, 0.0, 1.0, obj, std::move(name));
-  }
+  int add_binary(double obj) { return add_var(VarKind::Binary, 0.0, 1.0, obj); }
 
   /// Adds the constraint `sum(terms) sense rhs`. Terms may repeat a
   /// variable; coefficients are accumulated.
   void add_constraint(std::vector<LinTerm> terms, RowSense sense, double rhs);
 
   std::size_t var_count() const { return kinds_.size(); }
-  std::size_t row_count() const { return rows_.size(); }
 
-  VarKind var_kind(int v) const { return kinds_[check_var(v)]; }
   double lower_bound(int v) const { return lb_[check_var(v)]; }
   double upper_bound(int v) const { return ub_[check_var(v)]; }
   double objective_coeff(int v) const { return obj_[check_var(v)]; }
-  const std::string& var_name(int v) const { return names_[check_var(v)]; }
   bool is_integral_kind(int v) const {
     return kinds_[check_var(v)] != VarKind::Continuous;
   }
@@ -75,7 +68,6 @@ class MilpModel {
 
   std::vector<VarKind> kinds_;
   std::vector<double> lb_, ub_, obj_;
-  std::vector<std::string> names_;
   std::vector<Row> rows_;
 };
 

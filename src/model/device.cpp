@@ -4,15 +4,6 @@
 
 namespace spmap {
 
-const char* device_kind_name(DeviceKind kind) {
-  switch (kind) {
-    case DeviceKind::Cpu: return "CPU";
-    case DeviceKind::Gpu: return "GPU";
-    case DeviceKind::Fpga: return "FPGA";
-  }
-  return "?";
-}
-
 double amdahl_speedup(double p, double n) {
   p = std::clamp(p, 0.0, 1.0);
   n = std::max(n, 1.0);

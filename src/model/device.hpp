@@ -18,9 +18,6 @@ namespace spmap {
 
 enum class DeviceKind { Cpu, Gpu, Fpga };
 
-/// Human-readable device kind name ("CPU", "GPU", "FPGA").
-const char* device_kind_name(DeviceKind kind);
-
 struct Device {
   std::string name;
   DeviceKind kind = DeviceKind::Cpu;

@@ -161,10 +161,10 @@ std::vector<double> Evaluator::evaluate_batch(std::span<const Mapping> mappings,
   }
   // The caller runs as pool worker 0 and prices through `ctx`; worker w > 0
   // through child context w - 1.
-  if (ctx.workers_.size() < pool->thread_count() - 1) {
-    ctx.workers_.resize(pool->thread_count() - 1);
-  }
-  // Chunks of 8 dealt round-robin: small enough that a few expensive
+  const std::size_t workers = pool->thread_count();
+  if (ctx.workers_.size() + 1 < workers) ctx.workers_.resize(workers - 1);
+  // Chunks of 8 dealt round-robin (chunk c to worker c % workers, each
+  // worker in increasing order): small enough that a few expensive
   // mappings (e.g. large-makespan outliers on a skewed cohort) spread
   // across workers instead of serializing one block, large enough that
   // dispatch overhead stays negligible.
@@ -176,14 +176,17 @@ std::vector<double> Evaluator::evaluate_batch(std::span<const Mapping> mappings,
   // two boundary lines per chunk transition can ping-pong, independent
   // of batch size — negligible next to the evaluation cost per item.
   constexpr std::size_t kBatchChunk = 8;
-  pool->parallel_for_chunks(
-      mappings.size(), kBatchChunk,
-      [&](std::size_t begin, std::size_t end, std::size_t worker) {
-        EvalContext& scratch = worker == 0 ? ctx : ctx.workers_[worker - 1];
-        for (std::size_t i = begin; i < end; ++i) {
-          result[i] = evaluate(mappings[i], scratch);
-        }
-      });
+  pool->parallel_for(workers, [&](std::size_t, std::size_t,
+                                  std::size_t worker) {
+    EvalContext& scratch = worker == 0 ? ctx : ctx.workers_[worker - 1];
+    for (std::size_t b = worker * kBatchChunk; b < mappings.size();
+         b += workers * kBatchChunk) {
+      const std::size_t end = std::min(mappings.size(), b + kBatchChunk);
+      for (std::size_t i = b; i < end; ++i) {
+        result[i] = evaluate(mappings[i], scratch);
+      }
+    }
+  });
   for (EvalContext& child : ctx.workers_) {
     ctx.evals_ += child.evals_;
     child.evals_ = 0;

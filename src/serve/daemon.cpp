@@ -293,25 +293,7 @@ void Daemon::handle_event(const Event& event) {
   JobEntry& entry = it->second;
 
   switch (event.kind) {
-    case Event::Kind::kStarted: {
-      if (entry.started || entry.terminal) return;
-      entry.started = true;
-      Json record = Json::object();
-      record.set("type", Json("started"));
-      record.set("job", Json(event.job));
-      journal_append(record, /*sync=*/false);
-      return;
-    }
     case Event::Kind::kIncumbent: {
-      if (journal_ != nullptr) {
-        Json record = Json::object();
-        record.set("type", Json("incumbent"));
-        record.set("job", Json(event.job));
-        record.set("makespan", Json(event.incumbent.makespan));
-        record.set("iteration", Json(event.incumbent.iteration));
-        record.set("seconds", Json(event.incumbent.seconds));
-        journal_append(record, /*sync=*/false);
-      }
       for (const std::uint64_t session : entry.subscribers) {
         Json body = Json::object();
         body.set("job", Json(event.job));
@@ -335,7 +317,7 @@ void Daemon::handle_event(const Event& event) {
       record.set("type", Json("terminal"));
       record.set("job", Json(event.job));
       record.set("status", status);
-      journal_append(record, /*sync=*/true);
+      journal_append(record);
       logf("job %llu %s",
            static_cast<unsigned long long>(event.job),
            to_string(entry.handle.status()));
@@ -435,16 +417,6 @@ std::pair<MapJob, MapRequest> Daemon::service_job(
     event.job = wire_id;
     push_event(std::move(event));
   };
-  // Only the journal records starts. `journal_` is still null while
-  // init_journal re-enqueues, so test the journal mode itself.
-  if (!options_.journal_path.empty()) {
-    job.on_start = [this, wire_id](std::uint64_t) {
-      Event event;
-      event.kind = Event::Kind::kStarted;
-      event.job = wire_id;
-      push_event(std::move(event));
-    };
-  }
 
   MapRequest run;
   run.deadline_ms = request.deadline_ms;
@@ -499,12 +471,8 @@ SubmitOutcome Daemon::submit(std::uint64_t session,
     // already-enqueued job) — accepting unjournaled work would break the
     // restart guarantee the client was promised.
     entry.submit_json = to_json(request);
-    Json record = Json::object();
-    record.set("type", Json("submitted"));
-    record.set("job", Json(id));
-    record.set("submit", entry.submit_json);
     try {
-      journal_->append(record, /*sync=*/true);
+      journal_->append(submitted_record(id, entry), /*sync=*/true);
     } catch (const Error& ex) {
       entry.handle.cancel();
       logf("job %llu rejected: %s",
@@ -606,13 +574,13 @@ Json Daemon::submitted_record(std::uint64_t id, const JobEntry& entry) const {
   return record;
 }
 
-void Daemon::journal_append(const Json& record, bool sync) {
+void Daemon::journal_append(const Json& record) {
   if (journal_ == nullptr) return;
   try {
-    journal_->append(record, sync);
+    journal_->append(record, /*sync=*/true);
   } catch (const Error& ex) {
-    // Degrade, don't die: a failed progress/terminal append means the job
-    // is re-executed after a restart (same deterministic result), never
+    // Degrade, don't die: a failed terminal append means the job is
+    // re-executed after a restart (same deterministic result), never
     // lost or wrongly acknowledged. Only the submit-path append rejects
     // work, because there the acknowledgement *is* the durability promise.
     logf("journal: append failed: %s", ex.what());
@@ -627,15 +595,11 @@ void Daemon::compact_journal() {
     if (entry.submit_json.is_object()) {
       records.push_back(submitted_record(id, entry));
     }
-    Json record = Json::object();
     if (entry.terminal) {
+      Json record = Json::object();
       record.set("type", Json("terminal"));
       record.set("job", Json(id));
       record.set("status", status_body(id, entry));
-      records.push_back(std::move(record));
-    } else if (entry.started) {
-      record.set("type", Json("started"));
-      record.set("job", Json(id));
       records.push_back(std::move(record));
     }
   }
@@ -654,12 +618,12 @@ void Daemon::init_journal() {
          options_.journal_path.c_str(), replay.tail_error.c_str());
   }
 
-  // Fold the record stream into per-job recovery state. Later records
-  // win (a job's terminal status supersedes its progress markers).
+  // Fold the record stream into per-job recovery state. Record types
+  // this loop does not know (the `started` and `incumbent` progress
+  // markers older daemons wrote among them) are skipped.
   struct Recovered {
     Json submit;
     bool have_submit = false;
-    bool started = false;
     std::optional<Json> terminal;
   };
   std::map<std::uint64_t, Recovered> recovered;
@@ -674,8 +638,6 @@ void Daemon::init_journal() {
     if (type == "submitted" && record.contains("submit")) {
       job.submit = record.at("submit");
       job.have_submit = true;
-    } else if (type == "started") {
-      job.started = true;
     } else if (type == "terminal" && record.contains("status")) {
       job.terminal = record.at("status");
     }

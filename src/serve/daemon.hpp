@@ -45,14 +45,14 @@
 ///
 /// ## Crash safety (journal) and reconnect (resume)
 ///
-/// With `journal_path` set, every job state transition is written
-/// through an `spmap-journal/1` log (serve/journal.hpp) — `submitted`
-/// and `terminal` records are fsynced before the corresponding wire
-/// acknowledgement leaves the daemon — and replayed at startup: a
-/// restarted daemon answers `status` (terminal results included) for
-/// every pre-restart job and re-enqueues jobs that never turned
-/// terminal. The journal is written and compacted from the IO thread
-/// only, extending the thread-safety contract above unchanged.
+/// With `journal_path` set, every accepted submission and every terminal
+/// status is written through an `spmap-journal/1` log (serve/journal.hpp)
+/// — each record fsynced before the corresponding wire acknowledgement
+/// leaves the daemon — and replayed at startup: a restarted daemon
+/// answers `status` (terminal results included) for every pre-restart
+/// job and re-enqueues jobs that never turned terminal. The journal is
+/// written and compacted from the IO thread only, extending the
+/// thread-safety contract above unchanged.
 ///
 /// Independently of the journal, every helloed connection gets a
 /// session token, and each session's pushed events carry a monotonic
@@ -157,9 +157,6 @@ class Daemon : public SessionHost {
   /// Snapshot of the embedded service's admission/lifecycle counters.
   ServiceStats service_stats() const { return service_->stats(); }
 
-  /// The shared result cache (null when `cache_entries` was 0).
-  const std::shared_ptr<ResultCache>& result_cache() const { return cache_; }
-
   // ---- SessionHost (IO thread only) ----
   // The overrides carry SPMAP_REQUIRES(io_role_): daemon-internal calls
   // are compiler-checked to happen on the IO thread. Calls through the
@@ -204,7 +201,6 @@ class Daemon : public SessionHost {
     MappingService::JobHandle handle;
     std::string priority_class;
     bool want_mapping = false;
-    bool started = false;   ///< a worker picked it up (journaled)
     bool terminal = false;
     std::set<std::uint64_t> subscribers;  ///< session ids
     /// Wire submit body, kept for journal compaction (journal mode only).
@@ -228,7 +224,7 @@ class Daemon : public SessionHost {
 
   /// Worker-to-IO-thread notification (see the header comment).
   struct Event {
-    enum class Kind { kStarted, kIncumbent, kTerminal, kReplayDone } kind;
+    enum class Kind { kIncumbent, kTerminal, kReplayDone } kind;
     std::uint64_t job = 0;
     IncumbentRecord incumbent;   ///< kIncumbent
     std::uint64_t session = 0;   ///< kReplayDone target
@@ -275,12 +271,12 @@ class Daemon : public SessionHost {
   /// Replays `journal_path`, restores terminal jobs, re-enqueues
   /// unfinished ones, and opens (compacted) for append.
   void init_journal() SPMAP_REQUIRES(io_role_);
-  /// Appends one record, logging instead of failing the daemon: a broken
-  /// journal degrades to re-execution after restart, never lost jobs.
-  void journal_append(const Json& record, bool sync)
-      SPMAP_REQUIRES(io_role_);
-  /// Rewrites the journal as one submitted(+started/terminal) record per
-  /// retained job, bounding the file by the completed retention.
+  /// Appends and fsyncs one record, logging instead of failing the
+  /// daemon: a broken journal degrades to re-execution after restart,
+  /// never lost jobs.
+  void journal_append(const Json& record) SPMAP_REQUIRES(io_role_);
+  /// Rewrites the journal as one submitted(+terminal) record per retained
+  /// job, bounding the file by the completed retention.
   void compact_journal() SPMAP_REQUIRES(io_role_);
   Json submitted_record(std::uint64_t id, const JobEntry& entry) const;
 

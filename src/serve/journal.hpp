@@ -26,17 +26,17 @@
 ///
 ///   type "submitted"  + "submit": the full wire submit body — enough to
 ///                       re-enqueue the job after a restart
-///   type "started"    the job moved queued -> running
-///   type "incumbent"  + makespan/iteration/seconds of one improvement
 ///   type "terminal"   + "status": the terminal status body, verbatim
 ///                       what the `status` verb answers
 ///
+/// The daemon's recovery skips record types it does not know, so
+/// journals holding the `started`/`incumbent` progress markers of older
+/// daemons recover unchanged.
+///
 /// ## Durability
 ///
-/// `append(record, /*sync=*/true)` fsyncs before returning — the daemon
-/// syncs the acknowledged transitions (submitted, terminal) and leaves
-/// the chatty ones (started, incumbent) buffered; a lost unsynced tail
-/// only loses progress markers, never an acknowledgement.
+/// `append(record, /*sync=*/true)` fsyncs before returning. The daemon
+/// syncs every record it writes: each one backs a wire acknowledgement.
 ///
 /// ## Compaction
 ///

@@ -190,9 +190,9 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
       {
         MutexLock lock(mutex_);
         state->id = next_id_++;
-        ++counters_.submitted;
-        ++counters_.done;
-        ++counters_.cache_hits;
+        ++stats_.submitted;
+        ++stats_.done;
+        ++stats_.cache_hits;
       }
       bool fire = false;
       const MapJobResult* published = nullptr;
@@ -218,8 +218,8 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
   state->request.cancel = state->request.cancel.child();
   {
     MutexLock lock(mutex_);
-    if (bounded && queued_count_ >= class_capacity(state->job.priority)) {
-      ++counters_.rejected;
+    if (bounded && stats_.queued >= class_capacity(state->job.priority)) {
+      ++stats_.rejected;
       return std::nullopt;
     }
     state->id = next_id_++;
@@ -232,9 +232,9 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
       state->construction_rng = Rng(splitmix64(stream));
     }
     ++unfinished_;
-    ++counters_.submitted;
-    if (cache_key.has_value()) ++counters_.cache_misses;
-    ++queued_count_;
+    ++stats_.submitted;
+    if (cache_key.has_value()) ++stats_.cache_misses;
+    ++stats_.queued;
     queues_[state->job.priority].push_back(state);
   }
   work_ready_.notify_one();
@@ -248,18 +248,7 @@ void MappingService::wait_all() {
 
 ServiceStats MappingService::stats() const {
   MutexLock lock(mutex_);
-  ServiceStats snapshot;
-  snapshot.submitted = counters_.submitted.load(std::memory_order_relaxed);
-  snapshot.rejected = counters_.rejected.load(std::memory_order_relaxed);
-  snapshot.queued = queued_count_;
-  snapshot.running = counters_.running.load(std::memory_order_relaxed);
-  snapshot.done = counters_.done.load(std::memory_order_relaxed);
-  snapshot.failed = counters_.failed.load(std::memory_order_relaxed);
-  snapshot.cancelled = counters_.cancelled.load(std::memory_order_relaxed);
-  snapshot.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
-  snapshot.cache_misses =
-      counters_.cache_misses.load(std::memory_order_relaxed);
-  return snapshot;
+  return stats_;
 }
 
 void MappingService::worker_loop() {
@@ -268,8 +257,8 @@ void MappingService::worker_loop() {
     bool run = false;
     {
       MutexLock lock(mutex_);
-      while (!stopping_ && queued_count_ == 0) work_ready_.wait(lock);
-      if (queued_count_ == 0) return;  // stopping and drained
+      while (!stopping_ && stats_.queued == 0) work_ready_.wait(lock);
+      if (stats_.queued == 0) return;  // stopping and drained
       // Highest waiting priority first (queues_ is ordered descending),
       // FIFO within one priority.
       auto it = queues_.begin();
@@ -289,13 +278,13 @@ void MappingService::worker_loop() {
           run = true;
         }
       }
-      --queued_count_;
+      --stats_.queued;
       if (run) {
-        ++counters_.running;
+        ++stats_.running;
       } else {
         // Cancelled while waiting: the cancel path already fired
         // on_terminal; just account for it.
-        ++counters_.cancelled;
+        ++stats_.cancelled;
       }
     }
 
@@ -303,11 +292,11 @@ void MappingService::worker_loop() {
       if (state->job.on_start) state->job.on_start(state->id);
       const JobStatus final_status = execute(*state);
       MutexLock lock(mutex_);
-      --counters_.running;
+      --stats_.running;
       if (final_status == JobStatus::kFailed) {
-        ++counters_.failed;
+        ++stats_.failed;
       } else {
-        ++counters_.done;
+        ++stats_.done;
       }
     }
 
@@ -364,7 +353,7 @@ JobStatus MappingService::execute(JobState& state) {
     final_status = JobStatus::kFailed;
   }
 
-  // Feed the cache (outside every lock; shards synchronize internally).
+  // Feed the cache (outside every service lock; the cache has its own).
   // Only deterministic completions enter: kConverged/kBudgetExhausted are
   // pure functions of the key, while deadline- or cancel-truncated runs
   // depend on wall-clock racing and must never be replayed as answers.

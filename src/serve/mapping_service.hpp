@@ -76,7 +76,6 @@
 /// kConverged/kBudgetExhausted), are inserted. Uncacheable jobs report
 /// kNone.
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -200,9 +199,8 @@ struct MapJob {
       on_terminal;
   /// Fired once when a worker picks the job up (kQueued -> kRunning), from
   /// that worker, outside every service lock. Not fired for jobs cancelled
-  /// while queued. Same non-blocking contract as `on_terminal`; the daemon
-  /// journals the transition so a restart can tell started work apart from
-  /// work that never left the queue.
+  /// while queued. Same non-blocking contract as `on_terminal`; a client
+  /// timing queue wait (the benchmark's batch workloads) reads it.
   std::function<void(std::uint64_t id)> on_start;
 };
 
@@ -237,12 +235,10 @@ struct MappingServiceOptions {
 
 /// Monotonic counter snapshot. Every snapshot is *consistent*:
 /// `submitted == queued + running + done + failed + cancelled` holds in
-/// each one, because all lifecycle transitions mutate their two counters
-/// inside one critical section of the service lock (a job is never in
-/// neither column). The internal counters are atomics, so even an
-/// off-lock reader could not tear a single field; stats() still takes
-/// the lock for the cross-field invariant. Rejected submissions are
-/// counted separately and never got a JobHandle.
+/// each one, because the service keeps these counters under its lock and
+/// every lifecycle transition moves a job between two of them inside one
+/// critical section (a job is never in neither column). Rejected
+/// submissions are counted separately and never got a JobHandle.
 struct ServiceStats {
   std::size_t submitted = 0;  ///< accepted submissions (all time)
   std::size_t rejected = 0;   ///< refused by try_submit's class bound
@@ -306,33 +302,14 @@ class MappingService {
   Options options_;
   std::vector<std::thread> workers_;
 
-  /// Lifecycle counters. Each field is atomic (an off-lock load can never
-  /// tear), but every mutation happens inside a `mutex_` critical section
-  /// that moves a job between exactly two columns — which is what makes
-  /// the ServiceStats snapshot invariant hold (see its comment).
-  struct Counters {
-    std::atomic<std::size_t> submitted{0};
-    std::atomic<std::size_t> rejected{0};
-    std::atomic<std::size_t> running{0};
-    std::atomic<std::size_t> done{0};
-    std::atomic<std::size_t> failed{0};
-    std::atomic<std::size_t> cancelled{0};
-    std::atomic<std::size_t> cache_hits{0};
-    std::atomic<std::size_t> cache_misses{0};
-  };
-
   mutable Mutex mutex_;
   CondVar work_ready_;   // workers wait for jobs / stop
   CondVar job_done_;     // waiters in wait_all
   /// Waiting jobs by priority, highest served first, FIFO within one.
   std::map<int, std::deque<std::shared_ptr<JobState>>, std::greater<int>>
       queues_ SPMAP_GUARDED_BY(mutex_);
-  std::size_t queued_count_ SPMAP_GUARDED_BY(mutex_) = 0;  // across queues_
-  /// Counter fields are atomics (see the struct comment), but every
-  /// *mutation* still happens inside a mutex_ critical section — only the
-  /// cross-field snapshot invariant needs the lock, so the struct itself
-  /// is not GUARDED_BY.
-  Counters counters_;  // ServiceStats::queued = queued_count_
+  /// Lifecycle counters; `stats_.queued` counts the jobs across queues_.
+  ServiceStats stats_ SPMAP_GUARDED_BY(mutex_);
   std::uint64_t next_id_ SPMAP_GUARDED_BY(mutex_) = 0;
   std::size_t unfinished_ SPMAP_GUARDED_BY(mutex_) = 0;  // not yet terminal
   bool stopping_ SPMAP_GUARDED_BY(mutex_) = false;

@@ -1,6 +1,6 @@
 #pragma once
 /// \file result_cache.hpp
-/// Sharded LRU memo of finished MapJobResults: a repeated deterministic
+/// LRU memo of finished MapJobResults: a repeated deterministic
 /// submission is answered without running a mapper.
 ///
 /// ## What may be cached, and why hits are provably exact
@@ -19,26 +19,21 @@
 ///
 /// ## Bounds and eviction
 ///
-/// Both capacity bounds are enforced per shard (each shard gets an equal
-/// slice): inserting beyond `max_entries` or `max_bytes` evicts from the
-/// least-recently-used end until the new entry fits. Entries larger than
-/// a whole shard's byte budget are simply not admitted. Lookups refresh
-/// recency.
+/// Both capacity bounds are global and exact: inserting beyond
+/// `max_entries` or `max_bytes` evicts from the least-recently-used end
+/// until the new entry fits. An entry larger than `max_bytes` itself is
+/// not admitted. Lookups refresh recency. Hit and miss counts live in the
+/// service (`ServiceStats::cache_hits`/`cache_misses`), not here.
 ///
 /// ## Thread-safety
 ///
-/// Fully thread-safe: one mutex per shard, chosen by key bits, never held
-/// while another shard's is. Counters are plain integers mutated under
-/// their shard's mutex; `stats()` sums across shards (a racing snapshot
-/// is consistent per shard, which is all the observability needs).
+/// Fully thread-safe: the list, the index and the counters sit under one
+/// mutex, held for one lookup or insert at a time.
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
-#include <memory>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "serve/mapping_service.hpp"
 #include "util/content_hash.hpp"
@@ -47,20 +42,15 @@
 namespace spmap {
 
 struct ResultCacheOptions {
-  /// Power of two recommended; clamped to >= 1. The default suits a
-  /// daemon with tens of workers.
-  std::size_t shards = 8;
-  /// Total entry bound across shards (0 = entries unbounded).
+  /// Entry bound (0 = entries unbounded).
   std::size_t max_entries = 4096;
-  /// Total byte bound across shards (0 = bytes unbounded). Entry sizes
-  /// are estimated (mapping + trajectory + error payloads + overhead).
+  /// Byte bound (0 = bytes unbounded). Entry sizes are estimated
+  /// (mapping + trajectory + error payloads + overhead).
   std::size_t max_bytes = 256u << 20;
 };
 
 /// Monotonic counters + current occupancy.
 struct ResultCacheStats {
-  std::size_t hits = 0;
-  std::size_t misses = 0;
   std::size_t inserts = 0;
   std::size_t evictions = 0;
   std::size_t entries = 0;  ///< entries currently resident
@@ -78,9 +68,9 @@ class ResultCache {
   std::optional<MapJobResult> lookup(const Digest& key);
 
   /// Inserts (or refreshes) the memo entry for `key`, evicting LRU
-  /// entries as needed. Oversized results (> the shard byte budget) are
-  /// dropped. The caller guarantees `result` came from a deterministic
-  /// run of the computation `key` identifies.
+  /// entries as needed. Results larger than `max_bytes` are dropped. The
+  /// caller guarantees `result` came from a deterministic run of the
+  /// computation `key` identifies.
   void insert(const Digest& key, const MapJobResult& result);
 
   ResultCacheStats stats() const;
@@ -90,7 +80,7 @@ class ResultCache {
   static std::size_t approx_bytes(const MapJobResult& result);
 
  private:
-  struct ExactEntry {
+  struct Entry {
     Digest key;
     MapJobResult result;
     std::size_t bytes = 0;
@@ -100,30 +90,15 @@ class ResultCache {
       return static_cast<std::size_t>(d.lo);
     }
   };
-  struct Shard {
-    mutable Mutex mutex;
-    /// Front = most recently used.
-    std::list<ExactEntry> lru SPMAP_GUARDED_BY(mutex);
-    std::unordered_map<Digest, std::list<ExactEntry>::iterator, DigestHashFn>
-        index SPMAP_GUARDED_BY(mutex);
-    std::size_t bytes SPMAP_GUARDED_BY(mutex) = 0;
-    // Counters.
-    std::size_t hits SPMAP_GUARDED_BY(mutex) = 0;
-    std::size_t misses SPMAP_GUARDED_BY(mutex) = 0;
-    std::size_t inserts SPMAP_GUARDED_BY(mutex) = 0;
-    std::size_t evictions SPMAP_GUARDED_BY(mutex) = 0;
-  };
 
-  Shard& shard_for(const Digest& key) {
-    return shards_[key.hi % shards_.size()];
-  }
-  void evict_to_fit_locked(Shard& shard, std::size_t incoming_bytes)
-      SPMAP_REQUIRES(shard.mutex);
-
-  ResultCacheOptions options_;
-  std::size_t shard_entry_budget_ = 0;  // 0 = unbounded
-  std::size_t shard_byte_budget_ = 0;   // 0 = unbounded
-  std::vector<Shard> shards_;
+  const ResultCacheOptions options_;
+  mutable Mutex mutex_;
+  /// Front = most recently used.
+  std::list<Entry> lru_ SPMAP_GUARDED_BY(mutex_);
+  std::unordered_map<Digest, std::list<Entry>::iterator, DigestHashFn> index_
+      SPMAP_GUARDED_BY(mutex_);
+  /// `entries` is filled in by stats() from the list.
+  ResultCacheStats stats_ SPMAP_GUARDED_BY(mutex_);
 };
 
 }  // namespace spmap

@@ -192,7 +192,6 @@ class Session {
   std::uint64_t id() const { return id_; }
   SessionState state() const { return state_; }
   bool closed() const { return state_ == SessionState::kClosed; }
-  double last_activity() const { return last_activity_; }
 
  private:
   std::vector<std::string> handle_hello(const Frame& frame);

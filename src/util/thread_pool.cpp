@@ -36,59 +36,30 @@ std::pair<std::size_t, std::size_t> ThreadPool::partition(std::size_t n,
   return {begin, end};
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  run_job(n, 0, fn);
-}
-
-void ThreadPool::parallel_for_chunks(
-    std::size_t n, std::size_t chunk,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  run_job(n, std::max<std::size_t>(1, chunk), fn);
-}
-
 void ThreadPool::run_share(
-    std::size_t n, std::size_t chunk, std::size_t worker,
+    std::size_t n, std::size_t worker,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   try {
-    if (chunk == 0) {
-      const auto [begin, end] = partition(n, thread_count_, worker);
-      if (begin < end) fn(begin, end, worker);
-    } else {
-      // Chunk c covers [c*chunk, (c+1)*chunk) and belongs to worker
-      // c % thread_count_; each worker walks its chunks in increasing order.
-      for (std::size_t b = worker * chunk; b < n;
-           b += thread_count_ * chunk) {
-        fn(b, std::min(n, b + chunk), worker);
-      }
-    }
+    const auto [begin, end] = partition(n, thread_count_, worker);
+    if (begin < end) fn(begin, end, worker);
   } catch (...) {
     errors_[worker] = std::current_exception();
   }
 }
 
-void ThreadPool::run_job(
-    std::size_t n, std::size_t chunk,
+void ThreadPool::parallel_for(
+    std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
   suppressed_count_.store(0, std::memory_order_release);
   if (thread_count_ == 1 || n <= 1) {
     // Inline path: a single worker's exception propagates directly.
-    if (n == 0) return;
-    if (chunk == 0) {
-      fn(0, n, 0);
-    } else {
-      for (std::size_t b = 0; b < n; b += chunk) {
-        fn(b, std::min(n, b + chunk), 0);
-      }
-    }
+    if (n != 0) fn(0, n, 0);
     return;
   }
   {
     MutexLock lock(mutex_);
     job_ = &fn;
     job_n_ = n;
-    job_chunk_ = chunk;
     errors_.assign(thread_count_, nullptr);
     pending_ = thread_count_ - 1;
     ++job_epoch_;
@@ -96,7 +67,7 @@ void ThreadPool::run_job(
   work_ready_.notify_all();
 
   // The caller is worker 0.
-  run_share(n, chunk, 0, fn);
+  run_share(n, 0, fn);
 
   MutexLock lock(mutex_);
   while (pending_ != 0) work_done_.wait(lock);
@@ -130,7 +101,6 @@ void ThreadPool::worker_loop(std::size_t worker) {
   for (;;) {
     const std::function<void(std::size_t, std::size_t, std::size_t)>* job;
     std::size_t n;
-    std::size_t chunk;
     {
       MutexLock lock(mutex_);
       while (!stop_ && job_epoch_ == seen_epoch) work_ready_.wait(lock);
@@ -138,9 +108,8 @@ void ThreadPool::worker_loop(std::size_t worker) {
       seen_epoch = job_epoch_;
       job = job_;
       n = job_n_;
-      chunk = job_chunk_;
     }
-    run_share(n, chunk, worker, *job);
+    run_share(n, worker, *job);
     {
       MutexLock lock(mutex_);
       if (--pending_ == 0) work_done_.notify_one();

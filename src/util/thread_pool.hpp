@@ -4,18 +4,13 @@
 ///
 /// The pool exists for the evaluator's batch API: many independent,
 /// identically-shaped work items (candidate mappings) that each need a
-/// per-worker scratch buffer. Work is split deterministically — for a given
+/// per-worker scratch buffer. `parallel_for` splits [0, n) into one
+/// contiguous block per worker, deterministically — for a given
 /// (n, worker_count) every worker always receives the same indices — so any
 /// computation whose items are independent produces bit-identical results
-/// regardless of scheduling jitter. Two split shapes exist:
-///
-///  * `parallel_for` — one contiguous block per worker. Lowest dispatch
-///    overhead, but a cost skew across items serializes the batch on the
-///    worker that drew the expensive block.
-///  * `parallel_for_chunks` — fixed-size chunks dealt round-robin (chunk c
-///    goes to worker c % thread_count()). Skewed items spread across all
-///    workers, and because the chunk→worker map depends only on (n, chunk
-///    size), results stay deterministic for every thread count.
+/// regardless of scheduling jitter. A caller that wants skewed items spread
+/// over all workers runs `parallel_for(thread_count(), ...)` and deals its
+/// items round-robin by worker id itself (see Evaluator::evaluate_batch).
 ///
 /// The calling thread participates as worker 0; a pool of `threads == 1`
 /// spawns no OS threads at all and runs everything inline, so serial
@@ -66,22 +61,11 @@ class ThreadPool {
       const std::function<void(std::size_t begin, std::size_t end,
                                std::size_t worker)>& fn);
 
-  /// Runs `fn(begin, end, worker)` once per chunk of [0, n): chunk c covers
-  /// [c * chunk, min(n, (c+1) * chunk)) and runs on worker c %
-  /// thread_count(), each worker taking its chunks in increasing order.
-  /// The chunk→worker map is a pure function of (n, chunk), so independent
-  /// items give bit-identical results across thread counts. `chunk == 0`
-  /// is promoted to 1. Same contract as parallel_for otherwise.
-  void parallel_for_chunks(
-      std::size_t n, std::size_t chunk,
-      const std::function<void(std::size_t begin, std::size_t end,
-                               std::size_t worker)>& fn);
-
   /// Worker exceptions swallowed (not rethrown) by the most recent
-  /// parallel_for/parallel_for_chunks call on this pool: total thrown minus
-  /// the one rethrown. 0 when the last call succeeded. Atomic so a monitor
-  /// thread polling it against an in-flight parallel region reads a clean
-  /// (previous-call) value instead of a torn one.
+  /// parallel_for call on this pool: total thrown minus the one rethrown.
+  /// 0 when the last call succeeded. Atomic so a monitor thread polling
+  /// it against an in-flight parallel region reads a clean (previous-call)
+  /// value instead of a torn one.
   std::size_t last_suppressed_exception_count() const {
     return suppressed_count_.load(std::memory_order_acquire);
   }
@@ -93,14 +77,8 @@ class ThreadPool {
 
  private:
   void worker_loop(std::size_t worker);
-  /// Shared dispatch: `chunk == 0` means block mode (parallel_for), else
-  /// chunked round-robin mode.
-  void run_job(std::size_t n, std::size_t chunk,
-               const std::function<void(std::size_t, std::size_t,
-                                        std::size_t)>& fn);
-  /// Runs worker `w`'s share of the current job shape, catching into
-  /// errors_[w].
-  void run_share(std::size_t n, std::size_t chunk, std::size_t worker,
+  /// Runs worker `w`'s block of [0, n), catching into errors_[w].
+  void run_share(std::size_t n, std::size_t worker,
                  const std::function<void(std::size_t, std::size_t,
                                           std::size_t)>& fn);
 
@@ -117,7 +95,6 @@ class ThreadPool {
   const std::function<void(std::size_t, std::size_t, std::size_t)>* job_
       SPMAP_GUARDED_BY(mutex_) = nullptr;
   std::size_t job_n_ SPMAP_GUARDED_BY(mutex_) = 0;
-  std::size_t job_chunk_ SPMAP_GUARDED_BY(mutex_) = 0;  // 0 = block mode
   std::uint64_t job_epoch_ SPMAP_GUARDED_BY(mutex_) = 0;  // per-call bump
   std::size_t pending_ SPMAP_GUARDED_BY(mutex_) = 0;  // workers still busy
   bool stop_ SPMAP_GUARDED_BY(mutex_) = false;

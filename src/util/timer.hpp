@@ -18,7 +18,6 @@ class WallTimer {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
   double millis() const { return seconds() * 1e3; }
-  double micros() const { return seconds() * 1e6; }
 
  private:
   using clock = std::chrono::steady_clock;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "graph/generators.hpp"
@@ -41,7 +42,7 @@ MapJob make_job(const std::shared_ptr<const TaskGraph>& graph,
 TEST(MappingService, RunsJobsAndReportsResults) {
   const auto graph = make_graph(41);
   const auto platform = make_platform();
-  MappingService service({.workers = 2});
+  MappingService service({.workers = 2, .cache = nullptr});
   auto heft = service.submit(make_job(graph, platform, "heft"));
   auto spff = service.submit(make_job(graph, platform, "spff"));
   const MapJobResult& rh = heft.wait();
@@ -61,7 +62,7 @@ TEST(MappingService, RunsJobsAndReportsResults) {
 TEST(MappingService, ReportingProtocolMatchesDirectEvaluation) {
   const auto graph = make_graph(42);
   const auto platform = make_platform();
-  MappingService service({.workers = 1});
+  MappingService service({.workers = 1, .cache = nullptr});
   MapJob job = make_job(graph, platform, "heft");
   job.reporting_orders = 16;
   const auto handle = service.submit(std::move(job));
@@ -82,7 +83,7 @@ TEST(MappingService, ResultsBitIdenticalAcrossWorkerCounts) {
                                        "anneal:iters=500,seed=3", "sn"};
 
   auto run_all = [&](std::size_t workers) {
-    MappingService service({.workers = workers});
+    MappingService service({.workers = workers, .cache = nullptr});
     std::vector<MappingService::JobHandle> handles;
     for (const auto& graph : graphs) {
       for (const auto& spec : specs) {
@@ -120,7 +121,7 @@ TEST(MappingService, DerivedJobSeedsAreDeterministic) {
   // service seed may not. Unseeded stochastic mappers draw from the same
   // stream too.
   auto run_one = [&](std::uint64_t seed) {
-    MappingService service({.workers = 1, .seed = seed});
+    MappingService service({.workers = 1, .seed = seed, .cache = nullptr});
     const auto handle =
         service.submit(make_job(graph, platform, "anneal:iters=300"));
     const MapJobResult& r = handle.wait();
@@ -136,7 +137,8 @@ TEST(MappingService, ExplicitConstructionRngPinsTheRun) {
   const auto graph = make_graph(61);
   const auto platform = make_platform();
   auto run_one = [&](std::uint64_t service_seed) {
-    MappingService service({.workers = 1, .seed = service_seed});
+    MappingService service(
+        {.workers = 1, .seed = service_seed, .cache = nullptr});
     MapJob job = make_job(graph, platform, "anneal:iters=300");
     job.construction_rng = Rng(123);
     const auto handle = service.submit(std::move(job));
@@ -151,7 +153,7 @@ TEST(MappingService, ExplicitConstructionRngPinsTheRun) {
 TEST(MappingService, FailedJobExplains) {
   const auto graph = make_graph(62);
   const auto platform = make_platform();
-  MappingService service({.workers = 1});
+  MappingService service({.workers = 1, .cache = nullptr});
   auto handle = service.submit(make_job(graph, platform, "hft"));
   const MapJobResult& r = handle.wait();
   EXPECT_EQ(handle.status(), JobStatus::kFailed);
@@ -163,7 +165,7 @@ TEST(MappingService, FailedJobExplains) {
 TEST(MappingService, CancelQueuedJobSkipsExecution) {
   const auto graph = make_graph(63);
   const auto platform = make_platform();
-  MappingService service({.workers = 1});
+  MappingService service({.workers = 1, .cache = nullptr});
   // Occupy the single worker, then cancel a queued job before it runs.
   MapRequest slow;
   slow.deadline_ms = 200.0;
@@ -180,7 +182,7 @@ TEST(MappingService, CancelQueuedJobSkipsExecution) {
 TEST(MappingService, CancelRunningJobReturnsIncumbent) {
   const auto graph = make_graph(64);
   const auto platform = make_platform();
-  MappingService service({.workers = 1});
+  MappingService service({.workers = 1, .cache = nullptr});
   auto handle = service.submit(
       make_job(graph, platform, "anneal:iters=500000000,restarts=4"));
   // Poll until the worker picked it up, then cancel cooperatively.
@@ -198,7 +200,7 @@ TEST(MappingService, CancelRunningJobReturnsIncumbent) {
 TEST(MappingService, WaitAllDrainsTheQueue) {
   const auto graph = make_graph(65, 15);
   const auto platform = make_platform();
-  MappingService service({.workers = 3});
+  MappingService service({.workers = 3, .cache = nullptr});
   std::vector<MappingService::JobHandle> handles;
   for (int i = 0; i < 12; ++i) {
     handles.push_back(service.submit(make_job(graph, platform, "heft")));
@@ -213,7 +215,7 @@ TEST(MappingService, WaitAllDrainsTheQueue) {
 TEST(MappingService, JobIdsFollowSubmissionOrder) {
   const auto graph = make_graph(66, 10);
   const auto platform = make_platform();
-  MappingService service({.workers = 2});
+  MappingService service({.workers = 2, .cache = nullptr});
   auto a = service.submit(make_job(graph, platform, "cpu"));
   auto b = service.submit(make_job(graph, platform, "cpu"));
   EXPECT_EQ(a.id() + 1, b.id());
@@ -223,7 +225,7 @@ TEST(MappingService, JobIdsFollowSubmissionOrder) {
 TEST(MappingService, RequestBoundsApplyPerJob) {
   const auto graph = make_graph(67);
   const auto platform = make_platform();
-  MappingService service({.workers = 2});
+  MappingService service({.workers = 2, .cache = nullptr});
   MapRequest budget;
   budget.max_iterations = 50;
   auto handle = service.submit(
@@ -237,7 +239,7 @@ TEST(MappingService, RequestBoundsApplyPerJob) {
 TEST(MappingService, BakedSpecBoundsApplyWithoutExplicitRequest) {
   const auto graph = make_graph(68);
   const auto platform = make_platform();
-  MappingService service({.workers = 1});
+  MappingService service({.workers = 1, .cache = nullptr});
   // No submit-time request: the bounds baked into the spec must bind.
   auto handle = service.submit(
       make_job(graph, platform, "hillclimb:iters=5000,seed=2,max_iters=50"));
@@ -260,7 +262,7 @@ TEST(MappingService, SharedReportingContextMatchesPerJobReporting) {
   const auto platform = make_platform();
   const auto shared =
       std::make_shared<const ReportingContext>(graph, platform, 16);
-  MappingService service({.workers = 2});
+  MappingService service({.workers = 2, .cache = nullptr});
 
   MapJob with_context = make_job(graph, platform, "heft");
   with_context.reporting = shared;
@@ -280,7 +282,7 @@ TEST(MappingService, SharedReportingContextMatchesPerJobReporting) {
 TEST(MappingService, CancelIsPerJobEvenWithASharedRequest) {
   const auto graph = make_graph(70, 15);
   const auto platform = make_platform();
-  MappingService service({.workers = 2});
+  MappingService service({.workers = 2, .cache = nullptr});
   MapRequest shared;  // one request object for the whole batch
   auto a = service.submit(make_job(graph, platform, "heft"), shared);
   auto b = service.submit(make_job(graph, platform, "heft"), shared);
@@ -302,7 +304,7 @@ TEST(MappingService, CancelIsPerJobEvenWithASharedRequest) {
 TEST(MappingService, TrySubmitBoundsEachClassAndSubmitAlwaysAdmits) {
   const auto graph = make_graph(71, 15);
   const auto platform = make_platform();
-  MappingService service({.workers = 1, .max_queued = 4});
+  MappingService service({.workers = 1, .max_queued = 4, .cache = nullptr});
   MapRequest slow;
   slow.deadline_ms = 60000.0;
   auto running = service.submit(
@@ -336,7 +338,7 @@ TEST(MappingService, TrySubmitBoundsEachClassAndSubmitAlwaysAdmits) {
 TEST(MappingService, WorkersServeHigherPrioritiesFirst) {
   const auto graph = make_graph(73, 15);
   const auto platform = make_platform();
-  MappingService service({.workers = 1});
+  MappingService service({.workers = 1, .cache = nullptr});
   std::mutex order_mutex;
   std::vector<std::uint64_t> order;
   const auto record = [&](std::uint64_t id, JobStatus,
@@ -378,7 +380,7 @@ TEST(MappingService, OnTerminalFiresExactlyOnce) {
   std::atomic<int> completed_fires{0};
   std::atomic<int> cancelled_fires{0};
   {
-    MappingService service({.workers = 1});
+    MappingService service({.workers = 1, .cache = nullptr});
     MapRequest slow;
     slow.deadline_ms = 60000.0;
     auto running = service.submit(
@@ -417,7 +419,7 @@ TEST(MappingService, OnTerminalFiresExactlyOnce) {
 TEST(MappingService, WaitForTimesOutAndCompletes) {
   const auto graph = make_graph(75, 15);
   const auto platform = make_platform();
-  MappingService service({.workers = 1});
+  MappingService service({.workers = 1, .cache = nullptr});
   EXPECT_TRUE(MappingService::JobHandle().wait_for(1.0));  // empty handle
 
   MapRequest slow;
@@ -433,7 +435,7 @@ TEST(MappingService, WaitForTimesOutAndCompletes) {
 TEST(MappingService, StatsAccountTheWholeLifecycle) {
   const auto graph = make_graph(76, 15);
   const auto platform = make_platform();
-  MappingService service({.workers = 2});
+  MappingService service({.workers = 2, .cache = nullptr});
   auto ok = service.submit(make_job(graph, platform, "heft"));
   auto bad = service.submit(make_job(graph, platform, "hft"));
   service.wait_all();
@@ -454,7 +456,7 @@ TEST(MappingService, StatsSnapshotsAreConsistentUnderLoad) {
   // not yet incremented) and the invariant below would fail.
   const auto graph = make_graph(77, 10);
   const auto platform = make_platform();
-  MappingService service({.workers = 4});
+  MappingService service({.workers = 4, .cache = nullptr});
 
   std::atomic<bool> done{false};
   std::atomic<std::size_t> violations{0};

@@ -4,12 +4,12 @@
 /// The load-bearing claims, each proven here:
 ///  * a cache hit is bit-identical to recomputation (repeated submits
 ///    hit and return the original report, trajectory included);
-///  * the LRU honors both the entry bound and the byte bound, evicting
-///    in recency order, and never admits oversized entries;
+///  * the LRU honors both the entry bound and the byte bound exactly,
+///    evicting in recency order, and never admits oversized entries;
 ///  * uncacheable jobs (deadlines, unpinned rng) report kNone and never
 ///    enter the memo;
-///  * the sharded cache survives concurrent hammering (run under
-///    ASan+UBSan in CI's sanitize job).
+///  * the cache survives concurrent hammering (run under ASan+UBSan in
+///    CI's sanitize job and under TSan in its TSan job).
 
 #include "serve/result_cache.hpp"
 
@@ -62,10 +62,10 @@ MapJobResult result_of(double makespan, std::size_t payload_tasks = 8) {
   return result;
 }
 
-// ---- ResultCache unit properties (shards=1: bounds are exact) ----
+// ---- ResultCache unit properties ----
 
 TEST(ResultCache, LruEvictsInRecencyOrderUnderTheEntryBound) {
-  ResultCache cache({.shards = 1, .max_entries = 3, .max_bytes = 0});
+  ResultCache cache({.max_entries = 3, .max_bytes = 0});
   for (std::uint64_t i = 0; i < 3; ++i) {
     cache.insert(key_of(i), result_of(1.0 + i));
   }
@@ -81,13 +81,11 @@ TEST(ResultCache, LruEvictsInRecencyOrderUnderTheEntryBound) {
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_EQ(stats.inserts, 4u);
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 4u);
 }
 
 TEST(ResultCache, ByteBoundEvictsAndOversizedEntriesAreNotAdmitted) {
   const std::size_t one = ResultCache::approx_bytes(result_of(1.0));
-  ResultCache cache({.shards = 1, .max_entries = 0, .max_bytes = 3 * one});
+  ResultCache cache({.max_entries = 0, .max_bytes = 3 * one});
   for (std::uint64_t i = 0; i < 3; ++i) {
     cache.insert(key_of(i), result_of(1.0 + i));
   }
@@ -99,7 +97,7 @@ TEST(ResultCache, ByteBoundEvictsAndOversizedEntriesAreNotAdmitted) {
   EXPECT_FALSE(cache.lookup(key_of(0)).has_value());
   EXPECT_LE(cache.stats().bytes, 3 * one);
 
-  // An entry bigger than the whole shard budget is simply dropped.
+  // An entry bigger than the whole byte budget is simply dropped.
   MapJobResult huge = result_of(9.0);
   huge.report.mapping = Mapping(100000, DeviceId{0});
   ASSERT_GT(ResultCache::approx_bytes(huge), 3 * one);
@@ -109,13 +107,46 @@ TEST(ResultCache, ByteBoundEvictsAndOversizedEntriesAreNotAdmitted) {
 }
 
 TEST(ResultCache, InsertRefreshesInsteadOfDuplicating) {
-  ResultCache cache({.shards = 1, .max_entries = 4, .max_bytes = 0});
+  ResultCache cache({.max_entries = 4, .max_bytes = 0});
   cache.insert(key_of(1), result_of(1.0));
   cache.insert(key_of(1), result_of(2.0));
   EXPECT_EQ(cache.stats().entries, 1u);
   const auto entry = cache.lookup(key_of(1));
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->report.predicted_makespan, 2.0);
+}
+
+TEST(ResultCache, DefaultOptionsHoldAtMostMaxEntries) {
+  for (const std::size_t max_entries : {1u, 4u}) {
+    ResultCacheOptions options;
+    options.max_entries = max_entries;
+    ResultCache cache(options);
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      cache.insert(key_of(i), result_of(1.0 + i));
+    }
+    const ResultCacheStats stats = cache.stats();
+    EXPECT_LE(stats.entries, max_entries);
+    EXPECT_EQ(stats.inserts, 1000u);
+    EXPECT_EQ(stats.evictions, 1000u - stats.entries);
+    // The newest entry always survives.
+    EXPECT_TRUE(cache.lookup(key_of(999)).has_value());
+  }
+}
+
+TEST(ResultCache, EntryWithinMaxBytesIsAdmitted) {
+  MapJobResult big = result_of(7.0, 20000);
+  const std::size_t bytes = ResultCache::approx_bytes(big);
+  ResultCacheOptions options;
+  options.max_bytes = 2 * bytes;
+  ResultCache cache(options);
+  // Bigger than an eighth of the budget: a cache that split its byte
+  // budget into eight slices would refuse it.
+  ASSERT_GT(bytes, options.max_bytes / 8);
+  cache.insert(key_of(1), big);
+  const auto entry = cache.lookup(key_of(1));
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->report.mapping, big.report.mapping);
+  EXPECT_EQ(cache.stats().bytes, bytes);
 }
 
 // ---- MappingService integration ----
@@ -238,8 +269,8 @@ TEST(ResultCacheService, UncacheableJobsReportNoneAndNeverInsert) {
 
 // ---- concurrency stress (meant for the ASan+UBSan CI job) ----
 
-TEST(ResultCacheStress, ConcurrentHammeringOfATinyShardedCache) {
-  ResultCache cache({.shards = 4, .max_entries = 16, .max_bytes = 1 << 16});
+TEST(ResultCacheStress, ConcurrentHammeringOfATinyCache) {
+  ResultCache cache({.max_entries = 16, .max_bytes = 1 << 16});
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
   std::vector<std::thread> threads;
@@ -271,7 +302,7 @@ TEST(ResultCacheStress, ServiceWithTinyCacheUnderRepeatedSubmits) {
     graphs.push_back(make_graph(80 + s, 12));
   }
   const auto cache = std::make_shared<ResultCache>(
-      ResultCacheOptions{.shards = 2, .max_entries = 4, .max_bytes = 0});
+      ResultCacheOptions{.max_entries = 4, .max_bytes = 0});
   MappingService service({.workers = 4, .cache = cache});
 
   std::vector<std::thread> submitters;

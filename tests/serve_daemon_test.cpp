@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -73,7 +74,7 @@ Json submit_frame(std::size_t tasks = 12, std::uint64_t seed = 1) {
 }
 
 TEST(ServeDaemon, SubmitSubscribeDoneRoundTrip) {
-  DaemonFixture fixture({.workers = 2});
+  DaemonFixture fixture({.endpoint = {}, .workers = 2, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
   EXPECT_EQ(client.hello_info().at("proto").as_string(), kWireProtocol);
 
@@ -107,7 +108,7 @@ TEST(ServeDaemon, SubmitSubscribeDoneRoundTrip) {
 }
 
 TEST(ServeDaemon, SubscribeAfterTerminalReplaysDone) {
-  DaemonFixture fixture({.workers = 1});
+  DaemonFixture fixture({.endpoint = {}, .workers = 1, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
   client.send(submit_frame());
   const auto accepted = client.recv(10000.0);
@@ -172,7 +173,8 @@ Json wire_stats(WireClient& client) {
 
 TEST(ServeDaemon, OverloadRejectionIsStructuredAndSurvivable) {
   // workers=1 + max_queued=1: one running, one queued, the rest refused.
-  DaemonFixture fixture({.workers = 1, .max_queued = 1});
+  DaemonFixture fixture(
+      {.endpoint = {}, .workers = 1, .max_queued = 1, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
   std::vector<std::uint64_t> jobs;
   ASSERT_NO_FATAL_FAILURE(saturate(client, jobs));
@@ -210,7 +212,8 @@ TEST(ServeDaemon, OverloadRejectionIsStructuredAndSurvivable) {
 }
 
 TEST(ServeDaemon, CacheHitIsAdmittedWhenTheClassQueueIsFull) {
-  DaemonFixture fixture({.workers = 1, .max_queued = 1});
+  DaemonFixture fixture(
+      {.endpoint = {}, .workers = 1, .max_queued = 1, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
 
   // A pinned construction seed makes the job cacheable; its first run
@@ -242,7 +245,7 @@ TEST(ServeDaemon, CacheHitIsAdmittedWhenTheClassQueueIsFull) {
 }
 
 TEST(ServeDaemon, UnknownMapperIsRejectedEagerly) {
-  DaemonFixture fixture({.workers = 1});
+  DaemonFixture fixture({.endpoint = {}, .workers = 1, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
   Json frame = submit_frame();
   frame.set("mapper", Json("definitely-not-a-mapper"));
@@ -262,7 +265,8 @@ TEST(ServeDaemon, DestructionWithJobsInFlightIsRaceFree) {
   // write; several rounds of teardown with jobs mid-flight keep
   // hitting it.
   for (int round = 0; round < 5; ++round) {
-    DaemonFixture fixture({.workers = 2, .max_queued = 8});
+    DaemonFixture fixture(
+        {.endpoint = {}, .workers = 2, .max_queued = 8, .journal_path = {}});
     WireClient client(fixture.daemon->endpoint());
     Json slow = submit_frame(24);
     slow.set("mapper", Json("anneal:iters=200000"));
@@ -277,7 +281,7 @@ TEST(ServeDaemon, DestructionWithJobsInFlightIsRaceFree) {
 }
 
 TEST(ServeDaemon, MalformedJsonClosesTheConnection) {
-  DaemonFixture fixture({.workers = 1});
+  DaemonFixture fixture({.endpoint = {}, .workers = 1, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
   client.send_raw("{this is not json}\n");
   const auto error = client.recv(10000.0);
@@ -301,7 +305,7 @@ TEST(ServeDaemon, MalformedJsonClosesTheConnection) {
 }
 
 TEST(ServeDaemon, DrainVerbFinishesInFlightAndExitsZero) {
-  DaemonFixture fixture({.workers = 2});
+  DaemonFixture fixture({.endpoint = {}, .workers = 2, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
   Json frame = submit_frame();
   frame.set("subscribe", Json(true));
@@ -323,7 +327,8 @@ TEST(ServeDaemon, DrainVerbFinishesInFlightAndExitsZero) {
 }
 
 TEST(ServeDaemon, DrainCancelsPastGraceStillExitsZero) {
-  DaemonFixture fixture({.workers = 1, .grace_ms = 100.0});
+  DaemonFixture fixture(
+      {.endpoint = {}, .workers = 1, .grace_ms = 100.0, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
   Json slow = submit_frame(24);
   slow.set("mapper", Json("anneal:iters=500000000"));
@@ -346,7 +351,8 @@ TEST(ServeDaemon, DrainCancelsPastGraceStillExitsZero) {
 
 TEST(ServeDaemon, TcpEphemeralPortServes) {
   DaemonFixture fixture({.endpoint = Endpoint::parse("tcp:127.0.0.1:0"),
-                         .workers = 1});
+                         .workers = 1,
+                         .journal_path = {}});
   EXPECT_NE(fixture.daemon->endpoint().port, 0);
   WireClient client(fixture.daemon->endpoint());
   client.send(submit_frame());
@@ -356,8 +362,8 @@ TEST(ServeDaemon, TcpEphemeralPortServes) {
 }
 
 TEST(ServeDaemon, BindRefusesATakenUnixEndpoint) {
-  DaemonFixture fixture({.workers = 1});
-  Daemon second({.endpoint = fixture.daemon->endpoint()});
+  DaemonFixture fixture({.endpoint = {}, .workers = 1, .journal_path = {}});
+  Daemon second({.endpoint = fixture.daemon->endpoint(), .journal_path = {}});
   EXPECT_THROW(second.bind(), Error);
 }
 
@@ -377,7 +383,8 @@ TEST(ServeDaemon, BindReclaimsAStaleUnixSocket) {
               0);
     ::close(fd);  // no unlink: the stale file stays
   }
-  DaemonFixture fixture({.endpoint = endpoint, .workers = 1});
+  DaemonFixture fixture(
+      {.endpoint = endpoint, .workers = 1, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
   client.send(submit_frame());
   const auto ok = client.recv(10000.0);
@@ -386,7 +393,7 @@ TEST(ServeDaemon, BindReclaimsAStaleUnixSocket) {
 }
 
 TEST(ServeDaemon, ResumeReplaysEventsMissedWhileDetached) {
-  DaemonFixture fixture({.workers = 1});
+  DaemonFixture fixture({.endpoint = {}, .workers = 1, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
   ASSERT_NE(client.session(), 0u);
   ASSERT_FALSE(client.session_token().empty());
@@ -447,8 +454,9 @@ TEST(ServeDaemon, ResumePastTheWindowFallsBackToHello) {
 }
 
 /// A hand-crafted journal: job 1 finished before the "crash", job 2 was
-/// acknowledged but never ran. The restarted daemon must answer status
-/// for job 1 verbatim and re-enqueue job 2 to completion.
+/// still running. Both carry the `started`/`incumbent` progress markers
+/// older daemons wrote, which recovery skips. The restarted daemon must
+/// answer status for job 1 verbatim and re-enqueue job 2 to completion.
 TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
   const std::string journal_path =
       "/tmp/spmap_daemon_test_journal_" + std::to_string(::getpid()) +
@@ -481,11 +489,22 @@ TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
     submit3.set("generate", std::move(generate));
     submit3.set("warm", Json(true));
 
+    const auto progress = [](std::uint64_t job) {
+      return std::vector<Json>{
+          Json(Json::Object{{"type", Json("started")}, {"job", Json(job)}}),
+          Json(Json::Object{{"type", Json("incumbent")},
+                            {"job", Json(job)},
+                            {"makespan", Json(50.0)},
+                            {"iteration", Json(std::uint64_t{3})},
+                            {"seconds", Json(0.01)}})};
+    };
+
     Journal journal(journal_path);
     journal.append(Json(Json::Object{{"type", Json("submitted")},
                                      {"job", Json(std::uint64_t{1})},
                                      {"submit", std::move(submit1)}}),
                    true);
+    for (const Json& record : progress(1)) journal.append(record, false);
     journal.append(Json(Json::Object{{"type", Json("terminal")},
                                      {"job", Json(std::uint64_t{1})},
                                      {"status", std::move(status1)}}),
@@ -494,6 +513,7 @@ TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
                                      {"job", Json(std::uint64_t{2})},
                                      {"submit", std::move(submit2)}}),
                    true);
+    for (const Json& record : progress(2)) journal.append(record, false);
     journal.append(Json(Json::Object{{"type", Json("submitted")},
                                      {"job", Json(std::uint64_t{3})},
                                      {"submit", std::move(submit3)}}),
@@ -501,7 +521,7 @@ TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
   }
 
   DaemonFixture fixture(
-      {.workers = 1, .journal_path = journal_path});
+      {.endpoint = {}, .workers = 1, .journal_path = journal_path});
   WireClient client(fixture.daemon->endpoint());
 
   // Job 1: the recorded terminal status, verbatim, under its old id.
@@ -545,6 +565,50 @@ TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
   std::remove(journal_path.c_str());
 }
 
+/// The journal holds only what recovery reads: one `submitted` and one
+/// `terminal` record per job, even for subscribed jobs that report
+/// incumbents while they run.
+TEST(ServeDaemon, JournalHoldsOnlySubmittedAndTerminalRecords) {
+  const std::string journal_path =
+      "/tmp/spmap_daemon_test_journal_" + std::to_string(::getpid()) +
+      "_records.journal";
+  std::remove(journal_path.c_str());
+  constexpr std::uint64_t kJobs = 4;
+  {
+    DaemonFixture fixture(
+        {.endpoint = {}, .workers = 2, .journal_path = journal_path});
+    WireClient client(fixture.daemon->endpoint());
+    for (std::uint64_t seed = 1; seed <= kJobs; ++seed) {
+      Json frame = submit_frame(12, seed);
+      frame.set("mapper", Json("anneal:iters=300"));
+      frame.set("subscribe", Json(true));
+      client.send(frame);
+    }
+    std::size_t incumbents = 0;
+    for (std::uint64_t done = 0; done < kJobs;) {
+      const auto frame = client.recv(30000.0);
+      ASSERT_TRUE(frame.has_value());
+      if (!frame->contains("event")) {
+        ASSERT_TRUE(frame->at("ok").as_bool()) << frame->dump();
+      } else if (frame->at("event").as_string() == "incumbent") {
+        ++incumbents;
+      } else if (frame->at("event").as_string() == "done") {
+        EXPECT_EQ(frame->at("state").as_string(), "done");
+        ++done;
+      }
+    }
+    EXPECT_GT(incumbents, 0u);
+  }
+
+  std::map<std::string, std::size_t> types;
+  for (const Json& record : replay_journal(journal_path).records) {
+    ++types[record.at("type").as_string()];
+  }
+  EXPECT_EQ(types, (std::map<std::string, std::size_t>{
+                       {"submitted", kJobs}, {"terminal", kJobs}}));
+  std::remove(journal_path.c_str());
+}
+
 /// End to end: run a pinned job against a journaled daemon, kill the
 /// daemon (hard drain), start a second daemon on the same journal — the
 /// result must still be answerable and bit-identical.
@@ -559,7 +623,7 @@ TEST(ServeDaemon, RestartOnTheSameJournalKeepsTerminalResults) {
   Endpoint endpoint;
   {
     DaemonFixture fixture(
-        {.workers = 1, .journal_path = journal_path});
+        {.endpoint = {}, .workers = 1, .journal_path = journal_path});
     endpoint = fixture.daemon->endpoint();
     WireClient client(endpoint);
     Json frame = submit_frame(12, /*seed=*/99);

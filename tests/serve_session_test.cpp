@@ -23,7 +23,7 @@ class FakeHost : public SessionHost {
               .code = WireErrorCode::kOverloaded,
               .message = "queue full for class " + request.priority_class};
     }
-    return {.accepted = true, .job = next_job++};
+    return {.accepted = true, .job = next_job++, .message = {}};
   }
 
   std::optional<Json> job_status(std::uint64_t job) override {
@@ -65,6 +65,8 @@ class FakeHost : public SessionHost {
     resume_calls.emplace_back(token, last_seq);
     if (token != resumable_token) {
       return {.ok = false,
+              .token = {},
+              .replay = {},
               .code = WireErrorCode::kUnknownSession,
               .message = "unknown session token"};
     }
@@ -235,7 +237,7 @@ TEST(SessionResume, UnknownTokenErrorsButAllowsAFreshHello) {
 }
 
 TEST(SessionResume, MalformedResumeCloses) {
-  for (const std::string line :
+  for (const std::string& line :
        {std::string("{\"op\":\"resume\",\"proto\":\"") + kWireProtocol +
             "\"}",  // no token/last_seq
         std::string("{\"op\":\"resume\",\"proto\":\"spmap-wire/99\","

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -125,53 +124,6 @@ TEST(ThreadPool, CallerExceptionBeatsWorkerException) {
     EXPECT_STREQ(e.what(), "worker 0");
   }
   EXPECT_EQ(pool.last_suppressed_exception_count(), 1u);
-}
-
-TEST(ThreadPool, ChunksVisitEveryIndexOnceInWorkerOrder) {
-  for (const std::size_t threads : {1u, 2u, 4u, 9u}) {
-    for (const std::size_t chunk : {1u, 3u, 8u, 50u, 5000u}) {
-      ThreadPool pool(threads);
-      const std::size_t n = 1234;
-      std::vector<int> hits(n, 0);
-      std::vector<std::size_t> owner(n, ~std::size_t{0});
-      std::mutex mu;
-      pool.parallel_for_chunks(
-          n, chunk,
-          [&](std::size_t begin, std::size_t end, std::size_t worker) {
-            EXPECT_LT(worker, pool.thread_count());
-            EXPECT_LE(end, n);
-            EXPECT_LE(end - begin, chunk);
-            std::lock_guard<std::mutex> lock(mu);
-            for (std::size_t i = begin; i < end; ++i) {
-              ++hits[i];
-              owner[i] = worker;
-            }
-          });
-      EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
-                static_cast<int>(n));
-      EXPECT_EQ(*std::min_element(hits.begin(), hits.end()), 1);
-      // Deterministic map: index i belongs to chunk i/chunk, which belongs
-      // to worker (i/chunk) % thread_count.
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(owner[i], (i / chunk) % pool.thread_count());
-      }
-    }
-  }
-}
-
-TEST(ThreadPool, ChunkZeroPromotedToOne) {
-  ThreadPool pool(3);
-  const std::size_t n = 17;
-  std::vector<int> hits(n, 0);
-  std::mutex mu;
-  pool.parallel_for_chunks(n, 0, [&](std::size_t begin, std::size_t end,
-                                     std::size_t /*worker*/) {
-    EXPECT_EQ(end - begin, 1u);
-    std::lock_guard<std::mutex> lock(mu);
-    for (std::size_t i = begin; i < end; ++i) ++hits[i];
-  });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
-            static_cast<int>(n));
 }
 
 }  // namespace
