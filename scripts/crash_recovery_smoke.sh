@@ -13,6 +13,9 @@
 #      The loadgen exits nonzero unless every acknowledged request is
 #      recorded terminal exactly once (lost=0, duplicated=0) and every
 #      completed request re-runs locally bit-identically (mismatches=0).
+#      The phase also fails unless the report shows at least one drop and
+#      one reconnect: the recovery path (fresh hello, then `status` by job
+#      id) must actually have run.
 #
 # Usage: scripts/crash_recovery_smoke.sh [BUILD_DIR]
 #   BUILD_DIR defaults to ./build. Optional env:
@@ -138,6 +141,13 @@ kill_daemon
 [ "$INJECTED" -ge "$RESTARTS" ] \
   || die "loadgen finished before all $RESTARTS restarts landed" \
          "(raise SPMAP_SMOKE_REQUESTS)"
-DROPS=$(grep -o '"drops": [0-9]*' "$WORK/chaos_report.json" | grep -o '[0-9]*')
-echo "phase 2 OK ($INJECTED restarts, $DROPS connection drops)"
+count_of() {
+  grep -o "\"$1\": [0-9]*" "$WORK/chaos_report.json" | grep -o '[0-9]*$' || true
+}
+DROPS=$(count_of drops)
+RECONNECTS=$(count_of reconnects)
+[ "${DROPS:-0}" -ge 1 ] || die "chaos report shows no connection drop"
+[ "${RECONNECTS:-0}" -ge 1 ] || die "chaos report shows no reconnect"
+echo "phase 2 OK ($INJECTED restarts, $DROPS connection drops," \
+  "$RECONNECTS reconnects)"
 echo "crash_recovery_smoke: all phases passed"

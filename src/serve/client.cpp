@@ -51,15 +51,6 @@ Socket WireClient::connect_with_backoff() {
   }
 }
 
-void WireClient::adopt_identity(const Json& answer) {
-  if (answer.contains("session") && answer.at("session").is_number()) {
-    session_ = static_cast<std::uint64_t>(answer.at("session").as_int());
-  }
-  if (answer.contains("token") && answer.at("token").is_string()) {
-    token_ = answer.at("token").as_string();
-  }
-}
-
 void WireClient::handshake_hello(double timeout_ms) {
   Json hello = Json::object();
   hello.set("op", Json("hello"));
@@ -70,41 +61,15 @@ void WireClient::handshake_hello(double timeout_ms) {
   require(answer->contains("ok") && answer->at("ok").is_bool() &&
               answer->at("ok").as_bool(),
           "WireClient: handshake refused: " + answer->dump());
-  adopt_identity(*answer);
   hello_info_ = *std::move(answer);
 }
 
-bool WireClient::reconnect(bool try_resume) {
+void WireClient::reconnect() {
   socket_ = connect_with_backoff();
   reader_ = FrameReader(options_.max_frame_bytes);
   pending_.clear();
   pending_next_ = 0;
-
-  if (try_resume && !token_.empty()) {
-    Json resume = Json::object();
-    resume.set("op", Json("resume"));
-    resume.set("proto", Json(kWireProtocol));
-    resume.set("token", Json(token_));
-    resume.set("last_seq", Json(last_event_seq_));
-    send(resume);
-    std::optional<Json> answer = recv(options_.connect_timeout_ms);
-    require(answer.has_value(), "WireClient: resume timed out");
-    if (answer->contains("ok") && answer->at("ok").is_bool() &&
-        answer->at("ok").as_bool()) {
-      // Resumed: the replayed events follow as ordinary frames and are
-      // picked up by the caller's next recv calls.
-      adopt_identity(*answer);
-      return true;
-    }
-    // unknown_session (daemon restarted or window closed): the session
-    // stayed in its handshake state — fall back to a fresh hello on the
-    // very same connection.
-  }
-  session_ = 0;
-  token_.clear();
-  last_event_seq_ = 0;
   handshake_hello(options_.connect_timeout_ms);
-  return false;
 }
 
 void WireClient::drop_connection() {
@@ -145,11 +110,6 @@ std::optional<Json> WireClient::recv(double timeout_ms) {
       }
       Json frame = Json::parse(line);
       require(frame.is_object(), "WireClient: non-object frame: " + line);
-      if (frame.contains("event_seq") && frame.at("event_seq").is_number()) {
-        last_event_seq_ = std::max(
-            last_event_seq_,
-            static_cast<std::uint64_t>(frame.at("event_seq").as_int()));
-      }
       return frame;
     }
     int wait_ms = -1;

@@ -6,18 +6,13 @@
 /// one client implementation, so a protocol change breaks loudly in one
 /// place instead of quietly in three.
 ///
-/// ## Reconnect and resume
+/// ## Reconnect
 ///
-/// The hello handshake yields a session id and token (when the server
-/// issues them); every server push carries a monotonic `event_seq`, which
-/// the client tracks across `recv`. After a connection loss,
-/// `reconnect()` re-dials with bounded exponential backoff and presents
-/// the token via the `resume` verb: on success the server replays exactly
-/// the events after `last_event_seq()` — nothing lost, nothing repeated —
-/// and the session (job table, subscriptions) continues as if the drop
-/// never happened. When the server no longer knows the token (it
-/// restarted, or the resume window closed), `reconnect()` falls back to a
-/// fresh hello and returns false so the caller can recover by job id.
+/// After a connection loss, `reconnect()` re-dials with bounded
+/// exponential backoff and sends a fresh `hello`. The old connection's
+/// subscriptions are gone with it; the caller asks for each of its jobs
+/// by id (`status`, or `subscribe`, which replays `done` for a terminal
+/// job), which a journaled daemon answers across restarts too.
 ///
 /// ## Thread-safety
 ///
@@ -56,7 +51,7 @@ class WireClient {
   /// `hello` handshake. Throws spmap::Error when the endpoint stays
   /// unreachable through every attempt or the handshake is refused.
   WireClient(const Endpoint& endpoint, WireClientOptions options);
-  /// Single-attempt convenience (the pre-resume signature).
+  /// Single-attempt convenience: no retries, default backoff.
   explicit WireClient(const Endpoint& endpoint,
                       double connect_timeout_ms = 5000.0,
                       std::size_t max_frame_bytes = kDefaultMaxFrameBytes);
@@ -79,22 +74,11 @@ class WireClient {
   /// The server-info fields the handshake answered with.
   const Json& hello_info() const { return hello_info_; }
 
-  /// Session identity from the handshake (0/empty when the server does
-  /// not issue tokens).
-  std::uint64_t session() const { return session_; }
-  const std::string& session_token() const { return token_; }
-  /// Highest `event_seq` seen across received frames — what `reconnect`
-  /// hands the server as the replay cursor.
-  std::uint64_t last_event_seq() const { return last_event_seq_; }
-
   /// Re-dials after a connection loss (same backoff schedule as the
-  /// constructor). With `try_resume` and a token in hand, presents the
-  /// `resume` verb: true means the session resumed and the missed events
-  /// are inbound; false means the server did not know the token (restart
-  /// or expired window) and a fresh hello replaced the session — the
-  /// caller re-queries its jobs by id. Throws when the endpoint stays
-  /// unreachable.
-  bool reconnect(bool try_resume = true);
+  /// constructor) and performs a fresh `hello`. Frames still unread from
+  /// the old connection are discarded. Throws when the endpoint stays
+  /// unreachable or the handshake is refused.
+  void reconnect();
 
   /// Abruptly kills the connection (shutdown, no goodbye) — the chaos
   /// loadgen's simulated connection loss. Pending send/recv calls fail
@@ -104,7 +88,6 @@ class WireClient {
  private:
   Socket connect_with_backoff();
   void handshake_hello(double timeout_ms);
-  void adopt_identity(const Json& answer);
 
   Endpoint endpoint_;
   WireClientOptions options_;
@@ -114,9 +97,6 @@ class WireClient {
   std::vector<std::string> pending_;
   std::size_t pending_next_ = 0;
   Json hello_info_;
-  std::uint64_t session_ = 0;
-  std::string token_;
-  std::uint64_t last_event_seq_ = 0;
 };
 
 }  // namespace spmap

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <tuple>
 #include <utility>
 
@@ -30,24 +29,6 @@ namespace {
 /// subscribed to a chatty job would otherwise grow our buffer without
 /// bound. Past this, the connection is dropped.
 constexpr std::size_t kMaxOutbufBytes = 64u << 20;
-
-/// Sequenced event lines kept per session for resume replay. A client
-/// that missed more than this cannot resume exactly and must re-hello;
-/// bounds detached-session memory.
-constexpr std::size_t kMaxSessionBacklog = 4096;
-
-/// 16 hex chars of token; uniqueness comes from the rng seeding (pid +
-/// wall entropy), not from the length.
-std::string make_token(Rng& rng) {
-  static const char* hex = "0123456789abcdef";
-  std::uint64_t bits = rng();
-  std::string token(16, '0');
-  for (char& ch : token) {
-    ch = hex[bits & 0xf];
-    bits >>= 4;
-  }
-  return token;
-}
 
 /// Signal-handler bridge: handlers may only touch lock-free state and
 /// async-signal-safe calls, so they set a flag and poke the self-pipe.
@@ -77,7 +58,7 @@ std::size_t generate_count(const Json& spec, const char* key,
 Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   // Construction is single-threaded and happens-before run() by the
   // usual object-publication rules, so the constructing thread holds the
-  // IO role for the duration (covers token_rng_ and init_journal()).
+  // IO role for the duration (covers init_journal()).
   ScopedThreadRole io(io_role_);
   if (options_.cache_entries > 0) {
     ResultCacheOptions cache_options;
@@ -101,15 +82,6 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
 
   reference_platform_ =
       std::make_shared<const Platform>(reference_platform());
-
-  // Token rng: wants uniqueness, not reproducibility — mix in wall
-  // entropy so a restarted daemon never re-issues a pre-restart token
-  // (a stale resume must fail cleanly, not adopt a stranger's session).
-  std::uint64_t entropy =
-      options_.seed ^ static_cast<std::uint64_t>(::getpid()) ^
-      static_cast<std::uint64_t>(
-          std::chrono::steady_clock::now().time_since_epoch().count());
-  token_rng_ = Rng(splitmix64(entropy));
 
   if (!options_.journal_path.empty()) init_journal();
 }
@@ -158,7 +130,6 @@ Json Daemon::server_info() const {
   info.set("server", Json("spmap-daemon"));
   info.set("workers", Json(service_->worker_count()));
   info.set("max_queued", Json(options_.max_queued));
-  info.set("resume_window_s", Json(options_.resume_window_s));
   info.set("cache_entries", Json(options_.cache_entries));
   return info;
 }
@@ -185,83 +156,11 @@ Json Daemon::stats_body() const {
   return body;
 }
 
-std::string Daemon::register_session(std::uint64_t session) {
-  SessionRecord record;
-  record.token = make_token(token_rng_);
-  record.conn = session;  // hello: the conn id is the session id
-  const std::string token = record.token;
-  sessions_[session] = std::move(record);
-  return token;
-}
-
-ResumeOutcome Daemon::resume_session(std::uint64_t conn,
-                                     const std::string& token,
-                                     std::uint64_t last_seq) {
-  ResumeOutcome outcome;
-  auto it = sessions_.begin();
-  for (; it != sessions_.end(); ++it) {
-    if (it->second.token == token) break;
-  }
-  if (it == sessions_.end()) {
-    outcome.message =
-        "unknown or expired session token (fall back to a fresh hello)";
-    return outcome;
-  }
-  SessionRecord& record = it->second;
-  if (record.conn != 0 && record.conn != conn) {
-    // The old connection is still around (half-open TCP: the peer died
-    // without a FIN reaching us). The token proves the resuming client
-    // is the session's owner; the newest connection wins.
-    const auto old_it = conns_.find(record.conn);
-    if (old_it != conns_.end()) old_it->second.socket.close();
-  }
-  record.conn = conn;
-  outcome.ok = true;
-  outcome.session = it->first;
-  outcome.token = record.token;
-  for (const auto& [seq, line] : record.backlog) {
-    if (seq > last_seq) outcome.replay.push_back(line);
-  }
-  logf("session %llu resumed on conn %llu (replaying %zu event(s) after "
-       "seq %llu)",
-       static_cast<unsigned long long>(it->first),
-       static_cast<unsigned long long>(conn), outcome.replay.size(),
-       static_cast<unsigned long long>(last_seq));
-  return outcome;
-}
-
 void Daemon::send_event(std::uint64_t session, const std::string& event,
                         Json body) {
-  const auto it = sessions_.find(session);
-  if (it == sessions_.end()) return;  // never helloed or expired
-  SessionRecord& record = it->second;
-  const std::uint64_t seq = record.next_seq++;
-  body.set("event_seq", Json(seq));
-  const std::string line = event_line(event, std::move(body));
-  record.backlog.emplace_back(seq, line);
-  while (record.backlog.size() > kMaxSessionBacklog) {
-    record.backlog.pop_front();
-  }
-  if (record.conn == 0) return;  // detached: the backlog waits for resume
-  const auto conn_it = conns_.find(record.conn);
-  if (conn_it == conns_.end() || conn_it->second.session.closed()) return;
-  enqueue_lines(conn_it->second, {line});
-}
-
-void Daemon::expire_sessions(double now) {
-  if (now - last_session_sweep_s_ < 1.0) return;
-  last_session_sweep_s_ = now;
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    const SessionRecord& record = it->second;
-    if (record.conn == 0 &&
-        now - record.detached_at > options_.resume_window_s) {
-      logf("session %llu expired (resume window closed)",
-           static_cast<unsigned long long>(it->first));
-      it = sessions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  const auto it = conns_.find(session);
+  if (it == conns_.end() || it->second.session.closed()) return;
+  enqueue_lines(it->second, {event_line(event, std::move(body))});
 }
 
 void Daemon::wake() const {
@@ -472,7 +371,7 @@ SubmitOutcome Daemon::submit(std::uint64_t session,
     // restart guarantee the client was promised.
     entry.submit_json = to_json(request);
     try {
-      journal_->append(submitted_record(id, entry), /*sync=*/true);
+      journal_->append(submitted_record(id, entry));
     } catch (const Error& ex) {
       entry.handle.cancel();
       logf("job %llu rejected: %s",
@@ -577,7 +476,7 @@ Json Daemon::submitted_record(std::uint64_t id, const JobEntry& entry) const {
 void Daemon::journal_append(const Json& record) {
   if (journal_ == nullptr) return;
   try {
-    journal_->append(record, /*sync=*/true);
+    journal_->append(record);
   } catch (const Error& ex) {
     // Degrade, don't die: a failed terminal append means the job is
     // re-executed after a restart (same deterministic result), never
@@ -717,8 +616,7 @@ void Daemon::init_journal() {
 
 // ---- IO loop ---------------------------------------------------------------
 
-void Daemon::accept_clients(double now) {
-  (void)now;
+void Daemon::accept_clients() {
   if (!listener_ || !listener_->valid()) return;
   for (;;) {
     Socket client = listener_->accept_client();
@@ -769,8 +667,7 @@ bool Daemon::flush_outbuf(Conn& conn) {
   return true;
 }
 
-void Daemon::conn_readable(std::uint64_t id, Conn& conn, double now) {
-  (void)id;
+void Daemon::conn_readable(Conn& conn, double now) {
   char buffer[4096];
   bool eof = false;
   std::vector<std::string> frames;
@@ -795,30 +692,14 @@ void Daemon::conn_readable(std::uint64_t id, Conn& conn, double now) {
   if (eof) conn.socket.close();
 }
 
-void Daemon::reap_connections(double now) {
+void Daemon::reap_connections() {
   for (auto it = conns_.begin(); it != conns_.end();) {
-    Conn& conn = it->second;
+    const Conn& conn = it->second;
     const bool dead = !conn.socket.valid();
     const bool finished = conn.session.closed() && conn.outbuf.empty();
     if (!dead && !finished) {
       ++it;
       continue;
-    }
-    // The session record outlives an *abrupt* disconnect (peer vanished
-    // mid-protocol): detach it and let `resume` re-attach within the
-    // resume window. A cleanly-closed session is done — drop the record.
-    const auto session_it = sessions_.find(conn.session.id());
-    if (session_it != sessions_.end() &&
-        session_it->second.conn == it->first) {
-      if (dead && !conn.session.closed()) {
-        session_it->second.conn = 0;
-        session_it->second.detached_at = now;
-        logf("session %llu detached (resumable %.0fs)",
-             static_cast<unsigned long long>(session_it->first),
-             options_.resume_window_s);
-      } else {
-        sessions_.erase(session_it);
-      }
     }
     logf("session %llu closed (%s)",
          static_cast<unsigned long long>(it->first),
@@ -909,8 +790,7 @@ int Daemon::run() {
         }
       }
     }
-    reap_connections(now);
-    expire_sessions(now);
+    reap_connections();
 
     fds.clear();
     fd_conn.clear();
@@ -944,14 +824,14 @@ int Daemon::run() {
         continue;
       }
       if (listener_->valid() && fds[i].fd == listener_->fd()) {
-        accept_clients(after);
+        accept_clients();
         continue;
       }
       const auto it = conns_.find(fd_conn[i]);
       if (it == conns_.end() || !it->second.socket.valid()) continue;
       Conn& conn = it->second;
       if (fds[i].revents & (POLLIN | POLLERR | POLLHUP)) {
-        conn_readable(fd_conn[i], conn, after);
+        conn_readable(conn, after);
       }
       if (conn.socket.valid() && (fds[i].revents & POLLOUT)) {
         flush_outbuf(conn);

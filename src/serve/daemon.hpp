@@ -43,7 +43,7 @@
 /// clean drain — every job terminal, every `done` event flushed —
 /// returns 0.
 ///
-/// ## Crash safety (journal) and reconnect (resume)
+/// ## Crash safety (journal) and reconnect
 ///
 /// With `journal_path` set, every accepted submission and every terminal
 /// status is written through an `spmap-journal/1` log (serve/journal.hpp)
@@ -54,14 +54,11 @@
 /// written and compacted from the IO thread only, extending the
 /// thread-safety contract above unchanged.
 ///
-/// Independently of the journal, every helloed connection gets a
-/// session token, and each session's pushed events carry a monotonic
-/// `event_seq`; a reconnecting client presents the token via the
-/// `resume` verb and receives exactly the events it missed (the daemon
-/// keeps a bounded per-session backlog for `resume_window_s` after an
-/// abrupt disconnect). Resumption is in-memory: it survives connection
-/// loss, not daemon restarts — after a restart clients fall back to a
-/// fresh hello and poll by job id, which the journal keeps answerable.
+/// A session is its connection: events go only to the connection that
+/// subscribed, and a lost connection takes its subscriptions with it. A
+/// client that reconnects sends a fresh `hello` and asks for each job by
+/// id — `status`, or `subscribe`, which replays `done` for a terminal
+/// job. The journal keeps both answerable across daemon restarts.
 
 #include <atomic>
 #include <cstdint>
@@ -119,11 +116,8 @@ struct DaemonOptions {
   /// Result-cache byte bound (estimated resident bytes; 0 = unbounded).
   std::size_t cache_bytes = 256u << 20;
   /// Crash-safety journal path (spmap-journal/1); empty disables the
-  /// journal (jobs are forgotten on restart, the pre-PR-7 behavior).
+  /// journal (jobs are forgotten on restart).
   std::string journal_path;
-  /// Seconds a session stays resumable after an abrupt disconnect; the
-  /// per-session event backlog is dropped once the window closes.
-  double resume_window_s = 120.0;
   /// Install SIGTERM/SIGINT handlers that trigger a graceful drain
   /// (process-global: for the CLI, not for embedded/test daemons).
   bool install_signal_handlers = false;
@@ -175,11 +169,6 @@ class Daemon : public SessionHost {
   bool draining() const override SPMAP_REQUIRES(io_role_);
   Json server_info() const override;
   Json stats_body() const override;
-  std::string register_session(std::uint64_t session) override
-      SPMAP_REQUIRES(io_role_);
-  ResumeOutcome resume_session(std::uint64_t conn, const std::string& token,
-                               std::uint64_t last_seq) override
-      SPMAP_REQUIRES(io_role_);
 
  private:
   /// One accepted connection: socket, protocol FSM, buffers.
@@ -202,24 +191,12 @@ class Daemon : public SessionHost {
     std::string priority_class;
     bool want_mapping = false;
     bool terminal = false;
-    std::set<std::uint64_t> subscribers;  ///< session ids
+    std::set<std::uint64_t> subscribers;  ///< connection ids
     /// Wire submit body, kept for journal compaction (journal mode only).
     Json submit_json;
     /// Terminal status restored from the journal after a restart — such
     /// an entry has no live handle; status answers from this verbatim.
     std::optional<Json> restored_status;
-  };
-
-  /// One resumable session (IO thread only): issued at hello, detached
-  /// on abrupt disconnect, re-attached by `resume`, expired after
-  /// `resume_window_s` detached seconds.
-  struct SessionRecord {
-    std::string token;
-    std::uint64_t conn = 0;       ///< attached connection id; 0 = detached
-    std::uint64_t next_seq = 1;   ///< next event_seq to assign
-    /// Recent sequenced event lines, for resume replay (bounded).
-    std::deque<std::pair<std::uint64_t, std::string>> backlog;
-    double detached_at = 0.0;     ///< clock_ seconds; valid when detached
   };
 
   /// Worker-to-IO-thread notification (see the header comment).
@@ -238,14 +215,13 @@ class Daemon : public SessionHost {
       SPMAP_EXCLUDES(events_mutex_);
   void handle_event(const Event& event) SPMAP_REQUIRES(io_role_);
 
-  void accept_clients(double now) SPMAP_REQUIRES(io_role_);
-  void conn_readable(std::uint64_t id, Conn& conn, double now)
-      SPMAP_REQUIRES(io_role_);
+  void accept_clients() SPMAP_REQUIRES(io_role_);
+  void conn_readable(Conn& conn, double now) SPMAP_REQUIRES(io_role_);
   /// Appends lines and flushes; false when the connection died.
   bool enqueue_lines(Conn& conn, const std::vector<std::string>& lines)
       SPMAP_REQUIRES(io_role_);
   bool flush_outbuf(Conn& conn) SPMAP_REQUIRES(io_role_);
-  void reap_connections(double now) SPMAP_REQUIRES(io_role_);
+  void reap_connections() SPMAP_REQUIRES(io_role_);
 
   void start_drain(double now) SPMAP_REQUIRES(io_role_);
 
@@ -257,15 +233,12 @@ class Daemon : public SessionHost {
   Json status_body(std::uint64_t id, const JobEntry& entry) const
       SPMAP_REQUIRES(io_role_);
 
-  /// Assigns `event_seq`, appends to the session's backlog, and sends the
-  /// line when the session has an attached live connection.
+  /// Sends the event to connection `session` if it is still open.
   void send_event(std::uint64_t session, const std::string& event,
                   Json body) SPMAP_REQUIRES(io_role_);
   /// Registers a terminal job in the retention FIFO, evicting past the
   /// retention bound.
   void retain_completed(std::uint64_t job) SPMAP_REQUIRES(io_role_);
-  /// Drops detached sessions whose resume window closed.
-  void expire_sessions(double now) SPMAP_REQUIRES(io_role_);
 
   // ---- journal (all IO-thread; no-ops when the journal is off) ----
   /// Replays `journal_path`, restores terminal jobs, re-enqueues
@@ -301,14 +274,10 @@ class Daemon : public SessionHost {
 
   WallTimer clock_;  ///< the IO loop's monotonic time base (seconds)
 
+  /// Open connections by id; ids are never reused, so a job's subscriber
+  /// id that outlived its connection names nothing.
   std::map<std::uint64_t, Conn> conns_ SPMAP_GUARDED_BY(io_role_);
   std::uint64_t next_session_id_ SPMAP_GUARDED_BY(io_role_) = 1;
-
-  /// Resumable sessions keyed by session id (== the id of the connection
-  /// that helloed them; a resumed session keeps its id across conns).
-  std::map<std::uint64_t, SessionRecord> sessions_ SPMAP_GUARDED_BY(io_role_);
-  Rng token_rng_ SPMAP_GUARDED_BY(io_role_);
-  double last_session_sweep_s_ SPMAP_GUARDED_BY(io_role_) = 0.0;
 
   std::map<std::uint64_t, JobEntry> jobs_ SPMAP_GUARDED_BY(io_role_);
   std::deque<std::uint64_t> completed_order_

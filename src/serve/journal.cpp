@@ -183,7 +183,7 @@ void Journal::close_file() {
   }
 }
 
-void Journal::append(const Json& record, bool sync) {
+void Journal::append(const Json& record) {
   if (failpoint("journal.append")) {
     throw Error("journal: injected append failure (failpoint)");
   }
@@ -193,7 +193,7 @@ void Journal::append(const Json& record, bool sync) {
                 std::strerror(errno));
   }
   failpoint("journal.sync");  // crash here = torn/unsynced tail
-  if (sync) fsync_file(file_, path_);
+  fsync_file(file_, path_);
   ++appended_;
 }
 

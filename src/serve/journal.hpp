@@ -35,8 +35,8 @@
 ///
 /// ## Durability
 ///
-/// `append(record, /*sync=*/true)` fsyncs before returning. The daemon
-/// syncs every record it writes: each one backs a wire acknowledgement.
+/// `append(record)` fsyncs before returning, every time: each record the
+/// daemon writes backs a wire acknowledgement, so none may sit unsynced.
 ///
 /// ## Compaction
 ///
@@ -109,10 +109,10 @@ class Journal {
 
   const std::string& path() const { return path_; }
 
-  /// Appends one record; `sync` fsyncs before returning (the commit
+  /// Appends one record and fsyncs it before returning (the commit
   /// barrier of acknowledged transitions). Throws spmap::Error when the
   /// write or sync fails — and honors the `journal.append` failpoint.
-  void append(const Json& record, bool sync);
+  void append(const Json& record);
 
   /// Atomically replaces the journal with `records` (compaction): writes
   /// `<path>.tmp`, fsyncs, renames over `path`, reopens for append.

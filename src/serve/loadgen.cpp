@@ -137,8 +137,7 @@ struct SessionOutcome {
   std::size_t cache_none = 0;
   // Chaos accounting (see LoadgenReport).
   std::size_t drops = 0;
-  std::size_t resumes = 0;
-  std::size_t rehellos = 0;
+  std::size_t reconnects = 0;
   std::size_t lost = 0;
   std::size_t duplicated = 0;
 };
@@ -207,96 +206,45 @@ void record_done(const Json& done, const RequestSpec& spec, double latency_ms,
   }
 }
 
-/// Closed loop: submit, wait for the `done`, repeat.
-void run_closed_session(const LoadgenOptions& options,
-                        const std::vector<MixEntry>& mix,
-                        std::uint64_t first_index, std::uint64_t count,
-                        SessionOutcome& out) {
-  WireClient client(options.endpoint, client_options(options, first_index));
-  out.connected = true;
-  const WallTimer clock;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t index = first_index + i;
-    const RequestSpec spec = request_spec(options, index, mix);
-    ++out.counts[spec.cls].submitted;
-    const double t0 = clock.seconds();
-    client.send(submit_frame(options, index, spec));
-    // Responses answer in request order and this session has nothing
-    // else outstanding: the first non-event frame is the submit answer.
-    std::optional<Json> answer;
-    for (;;) {
-      answer = client.recv(60e3);
-      if (!answer.has_value() || !answer->contains("event")) break;
-    }
-    if (!answer.has_value()) {
-      ++out.counts[spec.cls].failed;
-      note_error(out, "submit response timed out");
-      return;
-    }
-    if (!frame_ok(*answer)) {
-      if (frame_error_code(*answer) == "overloaded") {
-        ++out.counts[spec.cls].rejected;
-      } else {
-        ++out.counts[spec.cls].failed;
-        note_error(out, "submit refused: " + answer->dump());
-      }
-      continue;
-    }
-    const std::uint64_t job =
-        static_cast<std::uint64_t>(answer->at("job").as_int());
-    for (;;) {
-      std::optional<Json> frame = client.recv_event("done", 120e3);
-      if (!frame.has_value()) {
-        ++out.counts[spec.cls].failed;
-        note_error(out, "done event timed out");
-        return;
-      }
-      if (static_cast<std::uint64_t>(frame->at("job").as_int()) != job) {
-        continue;  // a straggler from an earlier request
-      }
-      record_done(*frame, spec, 1e3 * (clock.seconds() - t0), out);
-      break;
-    }
-  }
-}
-
-/// A uniform [0,1) roll from the session's deterministic chaos stream.
-bool chaos_roll(Rng& rng, double rate) {
-  return (static_cast<double>(rng() >> 11) * 0x1.0p-53) < rate;
-}
-
-/// Reconnects until the endpoint answers again (the daemon may be mid-
-/// restart under the supervisor). True when the session resumed; false
-/// when it fell back to a fresh hello.
-bool chaos_recover(WireClient& client, SessionOutcome& out) {
+/// Counts a lost connection and reconnects with a fresh hello, retrying
+/// until the endpoint answers again (the daemon may be mid-restart under
+/// the supervisor).
+void recover(WireClient& client, SessionOutcome& out) {
+  ++out.drops;
   const WallTimer timer;
   for (;;) {
     try {
-      const bool resumed = client.reconnect(/*try_resume=*/true);
-      if (resumed) {
-        ++out.resumes;
-      } else {
-        ++out.rehellos;
-      }
-      return resumed;
-    } catch (const Error& ex) {
+      client.reconnect();
+      ++out.reconnects;
+      return;
+    } catch (const Error&) {
       if (timer.seconds() > 60.0) throw;
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
   }
 }
 
-/// Chaos closed loop: one request at a time, but the connection is
-/// deliberately killed around the interesting points, and the session
-/// must still account for every acknowledged submit exactly once.
-void run_chaos_session(const LoadgenOptions& options,
-                       const std::vector<MixEntry>& mix,
-                       std::uint64_t first_index, std::uint64_t count,
-                       SessionOutcome& out) {
+/// Closed loop: submit, wait for the `done`, repeat. A timed-out answer
+/// or `done` ends the session. A lost connection ends it too, unless
+/// `chaos` is on: then the session drops the connection on purpose
+/// around the submit and await points, reconnects with a fresh hello
+/// after every loss, and polls `status` by job id for the result the
+/// lost subscription would have carried. Either way every acknowledged
+/// submit is recorded terminal exactly once.
+void run_closed_session(const LoadgenOptions& options,
+                        const std::vector<MixEntry>& mix,
+                        std::uint64_t first_index, std::uint64_t count,
+                        SessionOutcome& out) {
   WireClient client(options.endpoint, client_options(options, first_index));
   out.connected = true;
   std::uint64_t chaos_state = options.seed ^ (0xc4a05u + first_index);
   Rng chaos_rng(splitmix64(chaos_state));
+  const auto chaos_drop = [&] {
+    if (!options.chaos) return false;
+    // A uniform [0,1) roll from the session's deterministic chaos stream.
+    const double roll = static_cast<double>(chaos_rng() >> 11) * 0x1.0p-53;
+    return roll < options.chaos_drop_rate;
+  };
   const WallTimer clock;
   std::set<std::uint64_t> recorded;  // job ids already accounted terminal
 
@@ -318,120 +266,107 @@ void run_chaos_session(const LoadgenOptions& options,
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t index = first_index + i;
     const RequestSpec spec = request_spec(options, index, mix);
-    ++out.counts[spec.cls].submitted;
+    LoadgenClassStats& stats = out.counts[spec.cls];
+    ++stats.submitted;
     const double t0 = clock.seconds();
 
-    // ---- submit until acknowledged --------------------------------------
+    // ---- submit until answered ------------------------------------------
     // A drop between send and answer leaves the submit's fate unknown: we
     // re-submit. If the first copy *was* accepted it runs as an orphan
-    // whose done event we ignore (its job id is never known to us) — the
-    // daemon wastes a run, but the request is recorded exactly once.
-    std::uint64_t job = 0;
-    bool settled = false;  // rejected/failed before acknowledgement
+    // whose done event goes to the dead connection — the daemon wastes a
+    // run, but the request is recorded exactly once.
+    std::optional<Json> answer;
     for (;;) {
       try {
         client.send(submit_frame(options, index, spec));
-        if (options.chaos && chaos_roll(chaos_rng, options.chaos_drop_rate)) {
-          ++out.drops;
+        if (chaos_drop()) {
           client.drop_connection();
-          chaos_recover(client, out);
+          recover(client, out);
           continue;  // fate unknown: re-submit
         }
-        std::optional<Json> answer = next_answer();
-        if (!answer.has_value()) {
-          ++out.counts[spec.cls].failed;
-          note_error(out, "submit response timed out");
-          settled = true;
-          break;
-        }
-        if (!frame_ok(*answer)) {
-          if (frame_error_code(*answer) == "overloaded") {
-            ++out.counts[spec.cls].rejected;
-          } else {
-            ++out.counts[spec.cls].failed;
-            note_error(out, "submit refused: " + answer->dump());
-          }
-          settled = true;
-          break;
-        }
-        job = static_cast<std::uint64_t>(answer->at("job").as_int());
+        answer = next_answer();
         break;
       } catch (const Error&) {
-        ++out.drops;  // incidental: daemon killed mid-submit
-        chaos_recover(client, out);
+        if (!options.chaos) throw;
+        recover(client, out);  // incidental: daemon killed mid-submit
       }
     }
-    if (settled) continue;
+    if (!answer.has_value()) {
+      ++stats.failed;
+      note_error(out, "submit response timed out");
+      return;
+    }
+    if (!frame_ok(*answer)) {
+      if (frame_error_code(*answer) == "overloaded") {
+        ++stats.rejected;
+      } else {
+        ++stats.failed;
+        note_error(out, "submit refused: " + answer->dump());
+      }
+      continue;
+    }
+    const auto job = static_cast<std::uint64_t>(answer->at("job").as_int());
 
     // ---- post-ack injected drop -----------------------------------------
     // Counted in the await loop below, where the dead socket surfaces.
-    if (options.chaos && chaos_roll(chaos_rng, options.chaos_drop_rate)) {
-      client.drop_connection();
-    }
+    if (chaos_drop()) client.drop_connection();
 
     // ---- await the terminal result, across drops and restarts -----------
-    bool done = false;
-    bool poll_status = false;  // lost the subscription: fall back to status
+    // The submit's subscription carries the `done`; after a reconnect it
+    // is gone, so the session polls `status` by job id, which a journaled
+    // daemon answers across restarts.
+    bool poll_status = false;
+    std::string missing = "never turned terminal (120 s)";
     const WallTimer request_timer;
-    while (!done) {
-      if (request_timer.seconds() > 180.0) {
-        ++out.counts[spec.cls].failed;
-        ++out.lost;
-        note_error(out, "job " + std::to_string(job) +
-                            " never turned terminal (180s)");
-        break;
-      }
+    std::optional<Json> result;
+    while (!result.has_value()) {
+      const double left_ms = 120e3 - request_timer.millis();
+      if (left_ms <= 0.0) break;
       try {
-        if (poll_status) {
-          Json status = Json::object();
-          status.set("op", Json("status"));
-          status.set("job", Json(job));
-          client.send(status);
-          std::optional<Json> answer = next_answer();
-          if (!answer.has_value()) continue;
-          if (!frame_ok(*answer)) {
-            // The daemon does not know the job: an acknowledged submit
-            // was lost — exactly what the journal must prevent.
-            ++out.counts[spec.cls].failed;
-            ++out.lost;
-            note_error(out, "job " + std::to_string(job) +
-                                " unknown after reconnect: " +
-                                answer->dump());
-            break;
+        if (!poll_status) {
+          std::optional<Json> frame = client.recv_event("done", left_ms);
+          if (!frame.has_value()) continue;  // the deadline ends the wait
+          const auto jid =
+              static_cast<std::uint64_t>(frame->at("job").as_int());
+          if (jid == job) {
+            result = std::move(frame);
+          } else if (recorded.count(jid) != 0) {
+            ++out.duplicated;  // an already-recorded job delivered again
           }
-          const std::string state = answer->at("state").as_string();
-          if (state == "queued" || state == "running") {
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
-            continue;
-          }
-          record_done(*answer, spec, 1e3 * (clock.seconds() - t0), out);
-          recorded.insert(job);
-          done = true;
           continue;
         }
-        std::optional<Json> frame = client.recv_event("done", 120e3);
-        if (!frame.has_value()) continue;  // request_timer bounds us
-        const auto jid =
-            static_cast<std::uint64_t>(frame->at("job").as_int());
-        if (jid != job) {
-          // A replayed orphan or straggler; double delivery of an
-          // already-recorded job counts as duplication.
-          if (recorded.count(jid) != 0) ++out.duplicated;
+        Json status = Json::object();
+        status.set("op", Json("status"));
+        status.set("job", Json(job));
+        client.send(status);
+        std::optional<Json> reply = next_answer();
+        if (!reply.has_value()) continue;
+        if (!frame_ok(*reply)) {
+          missing = "unknown after reconnect: " + reply->dump();
+          break;
+        }
+        const std::string state = reply->at("state").as_string();
+        if (state == "queued" || state == "running") {
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
           continue;
         }
-        record_done(*frame, spec, 1e3 * (clock.seconds() - t0), out);
-        recorded.insert(job);
-        done = true;
+        result = std::move(reply);
       } catch (const Error&) {
-        ++out.drops;
-        const bool resumed = chaos_recover(client, out);
-        // Resumed: the missed events (the done included, if it fired
-        // while we were gone) were just replayed — keep listening. Fresh
-        // hello: the subscription is gone; poll status by job id, which
-        // a journaled daemon answers across restarts.
-        if (!resumed) poll_status = true;
+        if (!options.chaos) throw;
+        recover(client, out);
+        poll_status = true;
       }
     }
+    if (!result.has_value()) {
+      // An acknowledged submit with no terminal result: exactly what the
+      // journal must prevent across restarts.
+      ++stats.failed;
+      if (options.chaos) ++out.lost;
+      note_error(out, "job " + std::to_string(job) + " " + missing);
+      return;
+    }
+    record_done(*result, spec, 1e3 * (clock.seconds() - t0), out);
+    recorded.insert(job);
   }
 }
 
@@ -621,11 +556,7 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
             first += options.requests / options.sessions +
                      (t < options.requests % options.sessions ? 1 : 0);
           }
-          if (options.chaos) {
-            run_chaos_session(options, mix, first, base + extra, out);
-          } else {
-            run_closed_session(options, mix, first, base + extra, out);
-          }
+          run_closed_session(options, mix, first, base + extra, out);
         }
       } catch (const std::exception& ex) {
         note_error(out, std::string("session failed: ") + ex.what());
@@ -660,8 +591,7 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
       }
     }
     report.drops += out.drops;
-    report.resumes += out.resumes;
-    report.rehellos += out.rehellos;
+    report.reconnects += out.reconnects;
     report.lost += out.lost;
     report.duplicated += out.duplicated;
     report.cache_hits += out.cache_hits;
@@ -735,8 +665,7 @@ Json loadgen_report_json(const LoadgenOptions& options,
     doc.set("chaos", Json(true));
     doc.set("chaos_drop_rate", Json(options.chaos_drop_rate));
     doc.set("drops", Json(report.drops));
-    doc.set("resumes", Json(report.resumes));
-    doc.set("rehellos", Json(report.rehellos));
+    doc.set("reconnects", Json(report.reconnects));
     doc.set("lost", Json(report.lost));
     doc.set("duplicated", Json(report.duplicated));
   }

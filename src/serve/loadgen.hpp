@@ -83,11 +83,11 @@ struct LoadgenOptions {
   /// First backoff delay between connect attempts.
   double backoff_ms = 50.0;
   /// Chaos mode (closed loop only): deterministically drop the
-  /// connection around submit/await points and recover via resume — or
-  /// via re-hello + status polling when the daemon restarted and no
-  /// longer knows the session. Tightens the accounting invariant to
-  /// "every acknowledged submit is recorded terminal exactly once":
-  /// `lost` and `duplicated` in the report must stay zero.
+  /// connection around submit/await points, and after every loss
+  /// reconnect with a fresh hello and poll `status` by job id. Tightens
+  /// the accounting invariant to "every acknowledged submit is recorded
+  /// terminal exactly once": `lost` and `duplicated` in the report must
+  /// stay zero.
   bool chaos = false;
   /// Probability of an injected drop at each opportunity point.
   double chaos_drop_rate = 0.15;
@@ -127,8 +127,7 @@ struct LoadgenReport {
   std::size_t cache_none = 0;
   // Chaos-mode accounting (all zero outside chaos mode).
   std::size_t drops = 0;       ///< connection losses, injected + incidental
-  std::size_t resumes = 0;     ///< reconnects that resumed the session
-  std::size_t rehellos = 0;    ///< reconnects that fell back to fresh hello
+  std::size_t reconnects = 0;  ///< successful reconnects (fresh hello each)
   std::size_t lost = 0;        ///< acknowledged submits with no terminal
   std::size_t duplicated = 0;  ///< terminal results delivered twice
   /// First few protocol/session errors, for diagnostics.

@@ -169,7 +169,7 @@ std::vector<std::string> Session::on_frame(const std::string& line,
 
   if (state_ == SessionState::kHandshake) return handle_hello(frame);
 
-  if (frame.op == "hello" || frame.op == "resume") {
+  if (frame.op == "hello") {
     return {error_line(WireErrorCode::kBadRequest, "handshake already done",
                        Json(Json::Object{{"op", Json(frame.op)}}))};
   }
@@ -216,12 +216,11 @@ std::vector<std::string> Session::on_server_drain() {
 }
 
 std::vector<std::string> Session::handle_hello(const Frame& frame) {
-  if (frame.op == "resume") return handle_resume(frame);
   if (frame.op != "hello") {
     state_ = SessionState::kClosed;
     return {error_line(WireErrorCode::kHandshakeRequired,
                        "first frame must be {\"op\":\"hello\",\"proto\":\"" +
-                           std::string(kWireProtocol) + "\"} (or resume)")};
+                           std::string(kWireProtocol) + "\"}")};
   }
   if (!frame.body.contains("proto") || !frame.body.at("proto").is_string() ||
       frame.body.at("proto").as_string() != kWireProtocol) {
@@ -234,65 +233,11 @@ std::vector<std::string> Session::handle_hello(const Frame& frame) {
   Json body = Json::object();
   body.set("op", Json("hello"));
   body.set("proto", Json(kWireProtocol));
-  const std::string token = host_->register_session(id_);
-  if (!token.empty()) {
-    body.set("session", Json(id_));
-    body.set("token", Json(token));
-  }
   Json info = host_->server_info();
   for (auto& [key, value] : info.as_object()) {
     body.set(key, std::move(value));
   }
   return {ok_line(std::move(body))};
-}
-
-std::vector<std::string> Session::handle_resume(const Frame& frame) {
-  std::string token;
-  std::uint64_t last_seq = 0;
-  try {
-    frame.body.require_keys("resume", {"op", "proto", "token", "last_seq"});
-    require(frame.body.contains("proto") &&
-                frame.body.at("proto").is_string() &&
-                frame.body.at("proto").as_string() == kWireProtocol,
-            std::string("server speaks ") + kWireProtocol);
-    require(frame.body.contains("token") &&
-                frame.body.at("token").is_string() &&
-                !frame.body.at("token").as_string().empty(),
-            "\"token\" must be the non-empty token hello issued");
-    token = frame.body.at("token").as_string();
-    last_seq = static_cast<std::uint64_t>(
-        count_field(frame.body, "last_seq", 0));
-  } catch (const Error& ex) {
-    state_ = SessionState::kClosed;
-    return {error_line(WireErrorCode::kBadHandshake, ex.what())};
-  }
-  ResumeOutcome outcome = host_->resume_session(id_, token, last_seq);
-  if (!outcome.ok) {
-    // Stay in kHandshake: the client falls back to a fresh hello on the
-    // same connection (the daemon it reconnected to may have restarted
-    // and legitimately not know the token).
-    return {error_line(outcome.code, outcome.message,
-                       Json(Json::Object{{"op", Json("resume")}}))};
-  }
-  // Adopt the old session's identity: the host re-pointed its job table
-  // and subscriptions at this connection under the resumed id.
-  id_ = outcome.session;
-  state_ = host_->draining() ? SessionState::kDraining
-                             : SessionState::kActive;
-  Json body = Json::object();
-  body.set("op", Json("resume"));
-  body.set("proto", Json(kWireProtocol));
-  body.set("session", Json(outcome.session));
-  body.set("token", Json(outcome.token));
-  body.set("replayed", Json(static_cast<std::uint64_t>(
-                           outcome.replay.size())));
-  std::vector<std::string> lines;
-  lines.reserve(1 + outcome.replay.size());
-  lines.push_back(ok_line(std::move(body)));
-  for (std::string& line : outcome.replay) {
-    lines.push_back(std::move(line));
-  }
-  return lines;
 }
 
 std::vector<std::string> Session::handle_submit(const Frame& frame) {

@@ -21,11 +21,8 @@
 ///             v                     v    v                        v done
 ///          kClosed <------------------------------------------ kClosed
 ///
-///  * kHandshake — a valid `hello` (or `resume`, which re-attaches the
-///    connection to a detached session and replays missed events)
-///    advances; an unknown resume token answers `unknown_session` and
-///    stays in kHandshake so the client can fall back to a fresh hello;
-///    anything else answers with an error and closes.
+///  * kHandshake — a valid `hello` advances; anything else answers with
+///    an error and closes.
 ///  * kActive — verbs served; `frame_too_long` / `bad_utf8` / `bad_json`
 ///    answer and close (the stream can no longer be trusted), while
 ///    `unknown_op` / `bad_request` / `unknown_job` answer and keep the
@@ -102,19 +99,6 @@ Json to_json(const WireSubmit& request);
 /// spmap::Error with a client-ready message on schema violations.
 WireSubmit wire_submit_from_json(const Json& body);
 
-/// What the host answered a `resume` handshake with. On success the
-/// session adopts `session`/`token`, and `replay` holds the event lines
-/// (with `event_seq` numbers the client missed) to send right after the
-/// ok response — ordering stays inside the FSM, pure and testable.
-struct ResumeOutcome {
-  bool ok = false;
-  std::uint64_t session = 0;
-  std::string token;
-  std::vector<std::string> replay;
-  WireErrorCode code = WireErrorCode::kUnknownSession;  ///< when !ok
-  std::string message;                                  ///< when !ok
-};
-
 /// The daemon-side effects a session can trigger. All calls happen on the
 /// daemon's IO thread, synchronously under a frame.
 class SessionHost {
@@ -142,24 +126,6 @@ class SessionHost {
   /// Body of the `stats` verb: live admission/lifecycle/cache counters.
   /// Default: empty (minimal hosts without observability).
   virtual Json stats_body() const { return Json::object(); }
-  /// Issues a resume token for a freshly-helloed session. An empty token
-  /// means the host does not support resumption (tests, minimal hosts):
-  /// the hello response then omits session/token.
-  virtual std::string register_session(std::uint64_t session) {
-    (void)session;
-    return {};
-  }
-  /// Re-attaches connection `conn` to the detached session owning
-  /// `token`, replaying events after `last_seq`. Default: unsupported.
-  virtual ResumeOutcome resume_session(std::uint64_t conn,
-                                       const std::string& token,
-                                       std::uint64_t last_seq) {
-    (void)conn;
-    (void)last_seq;
-    ResumeOutcome outcome;
-    outcome.message = "unknown session token \"" + token + "\"";
-    return outcome;
-  }
 };
 
 struct SessionConfig {
@@ -195,7 +161,6 @@ class Session {
 
  private:
   std::vector<std::string> handle_hello(const Frame& frame);
-  std::vector<std::string> handle_resume(const Frame& frame);
   std::vector<std::string> handle_submit(const Frame& frame);
   std::vector<std::string> handle_status(const Frame& frame);
   std::vector<std::string> handle_stats(const Frame& frame);
@@ -203,7 +168,7 @@ class Session {
   std::vector<std::string> handle_subscribe(const Frame& frame);
   std::vector<std::string> handle_drain(const Frame& frame);
 
-  std::uint64_t id_;
+  const std::uint64_t id_;
   SessionHost* host_;
   SessionConfig config_;
   SessionState state_ = SessionState::kHandshake;

@@ -17,7 +17,6 @@ const char* to_string(WireErrorCode code) {
     case WireErrorCode::kUnknownOp: return "unknown_op";
     case WireErrorCode::kBadRequest: return "bad_request";
     case WireErrorCode::kUnknownJob: return "unknown_job";
-    case WireErrorCode::kUnknownSession: return "unknown_session";
     case WireErrorCode::kOverloaded: return "overloaded";
     case WireErrorCode::kDraining: return "draining";
     case WireErrorCode::kIdleTimeout: return "idle_timeout";

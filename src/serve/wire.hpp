@@ -46,7 +46,6 @@ enum class WireErrorCode {
   kUnknownOp,          ///< unrecognized verb (session survives)
   kBadRequest,         ///< malformed/missing fields (session survives)
   kUnknownJob,         ///< job id the server does not know
-  kUnknownSession,     ///< resume token the server does not know/expired
   kOverloaded,         ///< admission rejected: queue full for the class
   kDraining,           ///< server is draining; no new work accepted
   kIdleTimeout,        ///< session closed for inactivity

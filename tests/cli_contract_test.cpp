@@ -132,6 +132,9 @@ std::vector<CliCase> cli_cases() {
           {"import_without_wf", cli, "import", 2},
           {"missing_input_file", cli, "evaluate --in /nonexistent.json", 1},
           {"daemon_bad_endpoint", cli, "daemon --listen bogus^spec", 1},
+          // The daemon has no session-resume window to configure.
+          {"daemon_resume_window_unknown", cli,
+           "daemon --listen bogus^spec --resume-window-s 5", 2},
           {"generate_ok", cli,
            "generate --type sp --tasks 6 --seed 1 --out " + graph, 0},
       });

@@ -392,65 +392,51 @@ TEST(ServeDaemon, BindReclaimsAStaleUnixSocket) {
   EXPECT_TRUE(ok->at("ok").as_bool());
 }
 
-TEST(ServeDaemon, ResumeReplaysEventsMissedWhileDetached) {
+/// The one way back after a lost connection: a fresh connection asks for
+/// the job by id. `status` answers the terminal result and `subscribe`
+/// replays its `done` exactly once.
+TEST(ServeDaemon, LostConnectionRecoversByJobId) {
   DaemonFixture fixture({.endpoint = {}, .workers = 1, .journal_path = {}});
   WireClient client(fixture.daemon->endpoint());
-  ASSERT_NE(client.session(), 0u);
-  ASSERT_FALSE(client.session_token().empty());
-
-  Json frame = submit_frame();
+  // An endless anneal stopped by a 300 ms deadline: still running when
+  // the connection drops, done soon after.
+  Json frame = submit_frame(24);
+  frame.set("mapper", Json("anneal:iters=500000000"));
+  frame.set("deadline_ms", Json(300.0));
   frame.set("subscribe", Json(true));
   client.send(frame);
   const auto accepted = client.recv(10000.0);
   ASSERT_TRUE(accepted.has_value() && accepted->at("ok").as_bool());
   const auto job = static_cast<std::uint64_t>(accepted->at("job").as_int());
 
-  // Vanish before the job finishes; let it complete while detached.
+  // Vanish before the job finishes; its done event goes nowhere.
   client.drop_connection();
+  client.reconnect();
+  Json status;
   for (int i = 0; i < 600; ++i) {
-    const ServiceStats stats = fixture.daemon->service_stats();
-    if (stats.done + stats.failed + stats.cancelled >= 1) break;
+    client.send(
+        Json(Json::Object{{"op", Json("status")}, {"job", Json(job)}}));
+    const auto answer = client.recv(10000.0);
+    ASSERT_TRUE(answer.has_value() && answer->at("ok").as_bool());
+    status = *answer;
+    if (status.at("state").as_string() == "done") break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  ASSERT_EQ(status.at("state").as_string(), "done") << status.dump();
+  EXPECT_GT(status.at("makespan").as_double(), 0.0);
 
-  // Resume: the done event fired into the detached session's backlog and
-  // must be replayed now, exactly once.
-  ASSERT_TRUE(client.reconnect(/*try_resume=*/true));
+  client.send(
+      Json(Json::Object{{"op", Json("subscribe")}, {"job", Json(job)}}));
+  const auto ok = client.recv(10000.0);
+  ASSERT_TRUE(ok.has_value() && ok->at("ok").as_bool());
   const auto done = client.recv_event("done", 10000.0);
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(static_cast<std::uint64_t>(done->at("job").as_int()), job);
-  EXPECT_EQ(done->at("state").as_string(), "done");
-  EXPECT_GT(done->at("event_seq").as_int(), 0);
-
-  // Nothing is replayed twice: no second done for the same job.
-  const auto extra = client.recv_event("done", 300.0);
-  EXPECT_FALSE(extra.has_value());
-}
-
-TEST(ServeDaemon, ResumePastTheWindowFallsBackToHello) {
-  // resume_window_s = 0: a detached session is dropped at the very next
-  // housekeeping sweep, so the resume must be refused — and the protocol
-  // fallback (fresh hello on the same connection) must leave the client
-  // fully usable.
-  DaemonOptions options;
-  options.workers = 1;
-  options.resume_window_s = 0.0;
-  DaemonFixture fixture(std::move(options));
-  WireClient client(fixture.daemon->endpoint());
-  ASSERT_FALSE(client.session_token().empty());
-  const std::uint64_t old_session = client.session();
-
-  client.drop_connection();
-  // The daemon reaps the dead connection and (window 0) expires the
-  // session at its next sweep; sweeps are spaced >= 1s apart.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2200));
-
-  EXPECT_FALSE(client.reconnect(/*try_resume=*/true));
-  EXPECT_NE(client.session(), old_session);
-  client.send(submit_frame());
-  const auto ok = client.recv(10000.0);
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_TRUE(ok->at("ok").as_bool());
+  EXPECT_DOUBLE_EQ(done->at("makespan").as_double(),
+                   status.at("makespan").as_double());
+  EXPECT_FALSE(done->contains("event_seq"));
+  // Exactly once: no second done follows.
+  EXPECT_FALSE(client.recv_event("done", 300.0).has_value());
 }
 
 /// A hand-crafted journal: job 1 finished before the "crash", job 2 was
@@ -502,22 +488,18 @@ TEST(ServeDaemon, JournalRecoveryAnswersTerminalAndRequeuesUnfinished) {
     Journal journal(journal_path);
     journal.append(Json(Json::Object{{"type", Json("submitted")},
                                      {"job", Json(std::uint64_t{1})},
-                                     {"submit", std::move(submit1)}}),
-                   true);
-    for (const Json& record : progress(1)) journal.append(record, false);
+                                     {"submit", std::move(submit1)}}));
+    for (const Json& record : progress(1)) journal.append(record);
     journal.append(Json(Json::Object{{"type", Json("terminal")},
                                      {"job", Json(std::uint64_t{1})},
-                                     {"status", std::move(status1)}}),
-                   true);
+                                     {"status", std::move(status1)}}));
     journal.append(Json(Json::Object{{"type", Json("submitted")},
                                      {"job", Json(std::uint64_t{2})},
-                                     {"submit", std::move(submit2)}}),
-                   true);
-    for (const Json& record : progress(2)) journal.append(record, false);
+                                     {"submit", std::move(submit2)}}));
+    for (const Json& record : progress(2)) journal.append(record);
     journal.append(Json(Json::Object{{"type", Json("submitted")},
                                      {"job", Json(std::uint64_t{3})},
-                                     {"submit", std::move(submit3)}}),
-                   true);
+                                     {"submit", std::move(submit3)}}));
   }
 
   DaemonFixture fixture(

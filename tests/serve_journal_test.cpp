@@ -116,9 +116,9 @@ TEST(ServeJournal, AppendAndReplayRoundTrips) {
   TempPath path;
   {
     Journal journal(path.str());
-    journal.append(record("submitted", 1), /*sync=*/true);
-    journal.append(record("started", 1), /*sync=*/false);
-    journal.append(record("terminal", 1), /*sync=*/true);
+    journal.append(record("submitted", 1));
+    journal.append(record("started", 1));
+    journal.append(record("terminal", 1));
     EXPECT_EQ(journal.appended(), 3u);
   }
   const JournalReplay replay = replay_journal(path.str());
@@ -133,11 +133,11 @@ TEST(ServeJournal, ReplayAcrossReopenAppends) {
   TempPath path;
   {
     Journal journal(path.str());
-    journal.append(record("submitted", 1), true);
+    journal.append(record("submitted", 1));
   }
   {
     Journal journal(path.str());  // append mode: earlier records survive
-    journal.append(record("terminal", 1), true);
+    journal.append(record("terminal", 1));
   }
   const JournalReplay replay = replay_journal(path.str());
   EXPECT_EQ(replay.records.size(), 2u);
@@ -216,8 +216,8 @@ TEST(ServeJournal, RewriteCompactsAtomicallyAndKeepsAppending) {
   TempPath path;
   Journal journal(path.str());
   for (std::uint64_t job = 1; job <= 8; ++job) {
-    journal.append(record("submitted", job), false);
-    journal.append(record("terminal", job), job % 2 == 0);
+    journal.append(record("submitted", job));
+    journal.append(record("terminal", job));
   }
   EXPECT_EQ(journal.appended(), 16u);
 
@@ -230,7 +230,7 @@ TEST(ServeJournal, RewriteCompactsAtomicallyAndKeepsAppending) {
   journal.rewrite(keep);
   EXPECT_EQ(journal.appended(), 0u);
 
-  journal.append(record("submitted", 9), true);
+  journal.append(record("submitted", 9));
 
   const JournalReplay replay = replay_journal(path.str());
   ASSERT_EQ(replay.records.size(), 5u);

@@ -1,11 +1,13 @@
 /// The per-connection session FSM (serve/session.hpp) against a scripted
 /// SessionHost: handshake paths, submit validation, drain refusals, idle
-/// timeout, double-cancel idempotence — no sockets, no daemon.
+/// timeout, double-cancel idempotence — no sockets. One handshake case
+/// runs the FSM against an unbound Daemon, the production host.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "serve/daemon.hpp"
 #include "serve/session.hpp"
 
 namespace spmap {
@@ -55,38 +57,8 @@ class FakeHost : public SessionHost {
     return Json(Json::Object{{"server", Json("fake")}});
   }
 
-  std::string register_session(std::uint64_t session) override {
-    registered.push_back(session);
-    return issue_tokens ? "tok-" + std::to_string(session) : std::string();
-  }
-
-  ResumeOutcome resume_session(std::uint64_t conn, const std::string& token,
-                               std::uint64_t last_seq) override {
-    resume_calls.emplace_back(token, last_seq);
-    if (token != resumable_token) {
-      return {.ok = false,
-              .token = {},
-              .replay = {},
-              .code = WireErrorCode::kUnknownSession,
-              .message = "unknown session token"};
-    }
-    ResumeOutcome outcome;
-    outcome.ok = true;
-    outcome.session = resumed_session_id;
-    outcome.token = token;
-    outcome.replay = replay_lines;
-    (void)conn;
-    return outcome;
-  }
-
   bool accept_submits = true;
   std::uint64_t next_job = 1;
-  bool issue_tokens = false;
-  std::string resumable_token;
-  std::uint64_t resumed_session_id = 0;
-  std::vector<std::string> replay_lines;
-  std::vector<std::uint64_t> registered;
-  std::vector<std::pair<std::string, std::uint64_t>> resume_calls;
   std::vector<WireSubmit> submits;
   std::vector<std::uint64_t> submit_sessions;
   std::vector<std::uint64_t> cancels;
@@ -168,7 +140,9 @@ TEST(SessionHandshake, SecondHelloIsABadRequestButSurvives) {
   EXPECT_EQ(session.state(), SessionState::kActive);
 }
 
-// ---- resume handshake ------------------------------------------------------
+// ---- no session resume -----------------------------------------------------
+// A session is its connection: there is no token to present on a new one,
+// and a client that lost its connection re-hellos and asks by job id.
 
 std::string resume_line(const std::string& token, std::uint64_t last_seq) {
   return std::string("{\"op\":\"resume\",\"proto\":\"") + kWireProtocol +
@@ -176,20 +150,21 @@ std::string resume_line(const std::string& token, std::uint64_t last_seq) {
          "\",\"last_seq\":" + std::to_string(last_seq) + "}";
 }
 
-TEST(SessionResume, HelloCarriesSessionAndTokenWhenTheHostIssuesThem) {
-  FakeHost host;
-  host.issue_tokens = true;
-  Session session(5, host);
+TEST(SessionResume, HelloCarriesNeitherSessionNorToken) {
+  // Against the daemon itself, the only production host: the handshake
+  // hands out no identity to resume later.
+  Daemon daemon({.endpoint = {}, .workers = 1, .journal_path = {}});
+  Session session(5, daemon);
   const Json response = answer(session, hello_line());
   EXPECT_TRUE(response.at("ok").as_bool());
-  EXPECT_EQ(response.at("session").as_int(), 5);
-  EXPECT_EQ(response.at("token").as_string(), "tok-5");
-  ASSERT_EQ(host.registered.size(), 1u);
-  EXPECT_EQ(host.registered[0], 5u);
+  EXPECT_EQ(response.at("server").as_string(), "spmap-daemon");
+  EXPECT_FALSE(response.contains("session"));
+  EXPECT_FALSE(response.contains("token"));
+  EXPECT_EQ(session.state(), SessionState::kActive);
 }
 
 TEST(SessionResume, HelloOmitsIdentityWhenTheHostDoesNot) {
-  FakeHost host;  // issue_tokens = false
+  FakeHost host;
   Session session(5, host);
   const Json response = answer(session, hello_line());
   EXPECT_TRUE(response.at("ok").as_bool());
@@ -197,43 +172,15 @@ TEST(SessionResume, HelloOmitsIdentityWhenTheHostDoesNot) {
   EXPECT_FALSE(response.contains("token"));
 }
 
-TEST(SessionResume, KnownTokenResumesAdoptsIdentityAndReplays) {
+TEST(SessionResume, ResumeFirstFrameAnswersHandshakeRequiredAndCloses) {
   FakeHost host;
-  host.resumable_token = "tok-3";
-  host.resumed_session_id = 3;
-  host.replay_lines = {"{\"event\":\"done\",\"job\":1,\"event_seq\":4}\n",
-                       "{\"event\":\"done\",\"job\":2,\"event_seq\":5}\n"};
-  Session session(9, host);  // fresh conn id 9, resuming old session 3
-  const auto lines = session.on_frame(resume_line("tok-3", 3), 0.0);
-  ASSERT_EQ(lines.size(), 3u);  // the ok + both replayed events
-  const Json ok = Json::parse(lines[0]);
-  EXPECT_TRUE(ok.at("ok").as_bool());
-  EXPECT_EQ(ok.at("session").as_int(), 3);
-  EXPECT_EQ(ok.at("token").as_string(), "tok-3");
-  EXPECT_EQ(ok.at("replayed").as_int(), 2);
-  EXPECT_EQ(Json::parse(lines[1]).at("event_seq").as_int(), 4);
-  EXPECT_EQ(Json::parse(lines[2]).at("event_seq").as_int(), 5);
-  EXPECT_EQ(session.state(), SessionState::kActive);
-  EXPECT_EQ(session.id(), 3u);  // the session IS the old session now
-  ASSERT_EQ(host.resume_calls.size(), 1u);
-  EXPECT_EQ(host.resume_calls[0].first, "tok-3");
-  EXPECT_EQ(host.resume_calls[0].second, 3u);
-}
-
-TEST(SessionResume, UnknownTokenErrorsButAllowsAFreshHello) {
-  FakeHost host;
-  host.issue_tokens = true;
   Session session(9, host);
-  const Json refused = answer(session, resume_line("tok-dead", 0));
+  const Json refused = answer(session, resume_line("9f2c4e1a0b7d5386", 4));
   EXPECT_FALSE(refused.at("ok").as_bool());
-  EXPECT_EQ(error_code(refused), "unknown_session");
-  EXPECT_FALSE(session.closed());
-  EXPECT_EQ(session.state(), SessionState::kHandshake);
-
-  // The same connection can still hello from scratch.
-  const Json hello = answer(session, hello_line());
-  EXPECT_TRUE(hello.at("ok").as_bool());
-  EXPECT_EQ(session.state(), SessionState::kActive);
+  EXPECT_EQ(error_code(refused), "handshake_required");
+  EXPECT_TRUE(session.closed());
+  // No fallback hello on the same connection: the client re-dials.
+  EXPECT_TRUE(session.on_frame(hello_line(), 0.0).empty());
 }
 
 TEST(SessionResume, MalformedResumeCloses) {
@@ -247,18 +194,17 @@ TEST(SessionResume, MalformedResumeCloses) {
     FakeHost host;
     Session session(9, host);
     const Json response = answer(session, line);
-    EXPECT_EQ(error_code(response), "bad_handshake") << line;
+    EXPECT_EQ(error_code(response), "handshake_required") << line;
     EXPECT_TRUE(session.closed()) << line;
   }
 }
 
-TEST(SessionResume, ResumeAfterHelloIsABadRequest) {
+TEST(SessionResume, ResumeAfterHelloIsAnUnknownOp) {
   FakeHost host;
-  host.issue_tokens = true;
   Session session(9, host);
   answer(session, hello_line());
   const Json response = answer(session, resume_line("tok-9", 0));
-  EXPECT_EQ(error_code(response), "bad_request");
+  EXPECT_EQ(error_code(response), "unknown_op");
   EXPECT_EQ(session.state(), SessionState::kActive);
 }
 

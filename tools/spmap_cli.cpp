@@ -128,8 +128,7 @@ int usage() {
                "  daemon       --listen unix:PATH|tcp:HOST:PORT "
                "[--workers N] [--max-queued N] [--idle-timeout-s S] "
                "[--grace-ms MS] [--seed S] [--journal FILE] "
-               "[--retention N] [--resume-window-s S] "
-               "[--cache-entries N] [--cache-bytes N] "
+               "[--retention N] [--cache-entries N] [--cache-bytes N] "
                "[--failpoints SPEC] [--quiet]   (spmap-wire/1 "
                "serving daemon; see docs/SERVING.md)\n"
                "  list-mappers [--verbose] [--markdown]   (all registered "
@@ -404,8 +403,7 @@ int cmd_daemon(int argc, char** argv) {
   const Flags flags(argc, argv,
                     {"listen", "workers", "max-queued", "idle-timeout-s",
                      "grace-ms", "seed", "journal", "retention",
-                     "resume-window-s", "cache-entries", "cache-bytes",
-                     "failpoints", "quiet"});
+                     "cache-entries", "cache-bytes", "failpoints", "quiet"});
   DaemonOptions options;
   options.endpoint = Endpoint::parse(flags.get_required("listen"));
   const std::int64_t workers = flags.get_int("workers", 2);
@@ -428,10 +426,6 @@ int cmd_daemon(int argc, char** argv) {
                                      options.completed_retention));
   require(retention >= 1, "daemon: --retention must be >= 1");
   options.completed_retention = static_cast<std::size_t>(retention);
-  options.resume_window_s =
-      flags.get_double("resume-window-s", options.resume_window_s);
-  require(options.resume_window_s >= 0.0,
-          "daemon: --resume-window-s must be >= 0");
   // Cache is on by default (cached answers are bit-identical to
   // recomputation); --cache-entries 0 disables it.
   const std::int64_t cache_entries = flags.get_int(

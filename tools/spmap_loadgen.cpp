@@ -41,9 +41,10 @@
 ///   --backoff-ms MS    first backoff delay between connect attempts
 ///   --chaos            closed loop only: deterministically drop the
 ///                      connection around submit/await points and recover
-///                      via resume or re-hello + status polling; the run
-///                      fails unless every acknowledged submit is recorded
-///                      terminal exactly once (lost=0, duplicated=0)
+///                      by reconnecting with a fresh hello and polling
+///                      status by job id; the run fails unless every
+///                      acknowledged submit is recorded terminal exactly
+///                      once (lost=0, duplicated=0)
 ///   --chaos-drop-rate P   injected drop probability per opportunity
 ///   --json FILE        write the spmap-loadgen-report/1 document
 ///   --quiet            no human-readable summary on stdout
@@ -113,10 +114,8 @@ void print_summary(const LoadgenOptions& options,
   }
   if (options.chaos) {
     std::printf(
-        "chaos: drops=%zu resumes=%zu rehellos=%zu lost=%zu "
-        "duplicated=%zu\n",
-        report.drops, report.resumes, report.rehellos, report.lost,
-        report.duplicated);
+        "chaos: drops=%zu reconnects=%zu lost=%zu duplicated=%zu\n",
+        report.drops, report.reconnects, report.lost, report.duplicated);
   }
 }
 
