@@ -48,8 +48,6 @@ std::vector<CellResult> run_point(const Scenario& scenario,
       job.mapper_spec = scenario.mappers[m].spec;
       job.graph = cases[c];
       job.platform = platform;
-      // Inner evaluator: BFS only (the linear-time mapping cost function).
-      job.inner_orders = 0;
       job.reporting = reporting;
       job.construction_rng = rngs[c * mapper_count + m];
       handles.push_back(service.submit(std::move(job)));

@@ -117,7 +117,7 @@ MapReport DecompositionMapper::map(const Evaluator& eval,
                                    const MapRequest& request) {
   RunControl control(request);
   EvalContext ctx;
-  const PoolLease lease(request, params_.threads);
+  const PoolLease lease(params_.threads);
   Search s{.eval = eval, .ctx = ctx, .control = control, .pool = lease.get(),
            .ops = {&subgraphs_, eval.cost().platform().device_count()},
            .mapping = eval.default_mapping(),

@@ -202,7 +202,6 @@ MapReport LocalSearchMapper::map(const Evaluator& eval,
     init_request.seed = *request.seed ^ 0x9e3779b97f4a7c15ULL;
   }
   init_request.cancel = request.cancel;
-  init_request.pool = request.pool;
   // Like every explicit-request driver, fold in the bounds baked into the
   // init= sub-spec (e.g. init=nsga:deadline_ms=20).
   MapReport seed = init_->map(
@@ -266,7 +265,7 @@ MapReport LocalSearchMapper::map(const Evaluator& eval,
   // search so the trajectory's timestamps stay monotonic.
   control.record_incumbent(seed.predicted_makespan, 0);
 
-  const PoolLease lease(request, params_.threads);
+  const PoolLease lease(params_.threads);
   ThreadPool* pool = lease.get();
   const std::size_t workers =
       pool == nullptr ? 1 : std::max<std::size_t>(1, pool->thread_count());

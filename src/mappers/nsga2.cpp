@@ -154,7 +154,7 @@ MapReport Nsga2Mapper::map(const Evaluator& eval, const MapRequest& request) {
   // random stream — and hence its trajectory — identical to evaluating
   // each individual on the spot; the batch itself is bit-identical for
   // every thread count.
-  const PoolLease lease(request, params_.threads);
+  const PoolLease lease(params_.threads);
   auto evaluate_cohort = [&](std::vector<Individual>& cohort) {
     std::vector<Mapping> mappings;
     mappings.reserve(cohort.size());

@@ -40,13 +40,8 @@ MapRequest merge_run_bounds(const MapRequest& baked, MapRequest request) {
   return request;
 }
 
-PoolLease::PoolLease(const MapRequest& request, std::size_t threads) {
-  if (request.pool != nullptr) {
-    pool_ = request.pool;
-  } else if (threads > 1) {
-    owned_ = std::make_unique<ThreadPool>(threads);
-    pool_ = owned_.get();
-  }
+PoolLease::PoolLease(std::size_t threads) {
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
 
 PoolLease::~PoolLease() = default;

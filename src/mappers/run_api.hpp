@@ -8,7 +8,7 @@
 ///
 ///  * `MapRequest` bounds and observes one run: a wall-clock deadline, an
 ///    iteration/evaluation budget, a cooperative `CancelToken`, an optional
-///    per-run seed and shared `ThreadPool`, and an incumbent callback.
+///    per-run seed, and an incumbent callback.
 ///  * `MapReport` explains one run: the mapping and its predicted makespan
 ///    (as every mapper always returned), plus wall time, the incumbent
 ///    trajectory, and a `TerminationReason` saying *why* the run stopped.
@@ -26,8 +26,8 @@
 /// ## Determinism
 ///
 /// With a pinned seed and *budget-only* limits (no deadline, no
-/// cancellation), a report is bit-identical for every `threads=` value and
-/// every shared pool — except the wall-clock fields (`wall_seconds` and
+/// cancellation), a report is bit-identical for every `threads=` value —
+/// except the wall-clock fields (`wall_seconds` and
 /// `IncumbentRecord::seconds`), which measure real time. Deadlines and
 /// cancellation are inherently racy against the scheduler and exempt from
 /// the determinism contract.
@@ -151,10 +151,6 @@ struct MapRequest {
   std::optional<std::uint64_t> seed;
   /// Cooperative cancellation; the run polls it in its inner loop.
   CancelToken cancel;
-  /// Shared worker pool. When set, mappers with a `threads=` option use it
-  /// instead of constructing a private pool (results stay bit-identical
-  /// for every pool size). The pool must outlive the run.
-  ThreadPool* pool = nullptr;
   /// Fired on every new incumbent, from the run's own thread. Parallel
   /// mappers may replay the winning trajectory at the end of the run
   /// instead of interleaving callbacks (see each mapper's contract).
@@ -282,30 +278,29 @@ class RunControl {
 /// Folds the bounds of `baked` (a mapper's default request, built from the
 /// shared `deadline_ms=`/`max_evals=`/`max_iters=` spec options) into
 /// `request`: each bound takes the tighter of the two (non-zero minimum).
-/// Cancel token, seed, pool and callback stay `request`'s own — a baked
-/// request never carries those. Drivers that accept explicit requests for
+/// Cancel token, seed and callback stay `request`'s own — a baked request
+/// never carries those. Drivers that accept explicit requests for
 /// registry-built mappers (MappingService, the CLI) run
 /// `merge_run_bounds(mapper.default_request(), request)` so spec-level
 /// bounds are honored alongside caller-level ones.
 MapRequest merge_run_bounds(const MapRequest& baked, MapRequest request);
 
-/// Resolves the worker pool of a run: the request's shared pool when set,
-/// else a freshly constructed private pool of `threads` workers (none when
-/// `threads <= 1` — the serial path stays allocation-free).
+/// The private worker pool of a run with a `threads=` option: `threads`
+/// workers, or none when `threads <= 1` (the serial path stays
+/// allocation-free). Results are bit-identical for every thread count.
 class PoolLease {
  public:
-  PoolLease(const MapRequest& request, std::size_t threads);
+  explicit PoolLease(std::size_t threads);
   ~PoolLease();
 
   PoolLease(const PoolLease&) = delete;
   PoolLease& operator=(const PoolLease&) = delete;
 
   /// nullptr means "run serially".
-  ThreadPool* get() const { return pool_; }
+  ThreadPool* get() const { return pool_.get(); }
 
  private:
-  ThreadPool* pool_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace spmap

@@ -44,15 +44,6 @@ void signal_drain_handler(int) {
   }
 }
 
-std::size_t generate_count(const Json& spec, const char* key,
-                           std::size_t fallback) {
-  if (!spec.contains(key)) return fallback;
-  const Json& v = spec.at(key);
-  require(v.is_number() && v.as_double() >= 0.0,
-          std::string("generate.") + key + " must be a non-negative number");
-  return static_cast<std::size_t>(v.as_int());
-}
-
 }  // namespace
 
 Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
@@ -257,15 +248,15 @@ TaskGraph graph_from_generate_spec(const Json& spec) {
     require(spec.at("type").is_string(), "generate.type must be a string");
     type = spec.at("type").as_string();
   }
-  Rng rng(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(generate_count(spec, "seed", 1))));
+  const auto count = [&spec](const char* key, std::uint64_t fallback) {
+    return uint_field(spec, key, "generate.").value_or(fallback);
+  };
+  Rng rng(count("seed", 1));
   WorkloadSpec workload;
   if (type == "sp" || type == "almost-sp") {
     workload.kind = type == "sp" ? WorkloadKind::Sp : WorkloadKind::AlmostSp;
-    workload.tasks = generate_count(spec, "tasks", 30);
-    if (type == "almost-sp") {
-      workload.extra_edges = generate_count(spec, "extra_edges", 10);
-    }
+    workload.tasks = count("tasks", 30);
+    if (type == "almost-sp") workload.extra_edges = count("extra_edges", 10);
   } else if (type == "workflow") {
     workload.kind = WorkloadKind::Workflow;
     workload.family = "montage";
@@ -274,7 +265,7 @@ TaskGraph graph_from_generate_spec(const Json& spec) {
               "generate.family must be a string");
       workload.family = spec.at("family").as_string();
     }
-    workload.width = generate_count(spec, "width", 12);
+    workload.width = count("width", 12);
   } else {
     throw Error("generate.type must be sp, almost-sp or workflow, got \"" +
                 type + "\"");
@@ -299,7 +290,6 @@ std::pair<MapJob, MapRequest> Daemon::service_job(
                            platform_from_json(*request.platform).platform)
                      : reference_platform_;
   job.mapper_spec = request.mapper_spec;
-  job.inner_orders = 0;
   job.reporting_orders = request.reporting_orders;
   job.priority = request.priority;
   if (request.construction_seed.has_value()) {

@@ -1,11 +1,9 @@
 #include "serve/loadgen.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -60,7 +58,9 @@ std::vector<MixEntry> parse_mix(const std::string& mix) {
 /// The deterministic identity of request `index`: every stream (class
 /// pick, generation, construction, run seed) is a splitmix64 draw from a
 /// state derived from the base seed and the index alone — independent of
-/// session scheduling, so `verify` can reconstruct any request.
+/// session scheduling, so `verify` can reconstruct any request. The seeds
+/// keep 53 bits: the wire carries integers below 2^53 exactly and refuses
+/// larger ones.
 struct RequestSpec {
   std::string cls;
   std::uint64_t generate_seed = 0;
@@ -77,9 +77,9 @@ RequestSpec request_spec(const LoadgenOptions& options, std::uint64_t index,
   std::uint64_t state =
       options.seed + (index + 1) * 0x9e3779b97f4a7c15ULL;
   RequestSpec spec;
-  spec.generate_seed = splitmix64(state);
-  spec.construction_seed = splitmix64(state);
-  spec.run_seed = splitmix64(state);
+  spec.generate_seed = splitmix64(state) >> 11;
+  spec.construction_seed = splitmix64(state) >> 11;
+  spec.run_seed = splitmix64(state) >> 11;
   std::uint64_t total = 0;
   for (const MixEntry& entry : mix) total += entry.weight;
   std::uint64_t pick = splitmix64(state) % total;
@@ -145,7 +145,6 @@ struct SessionOutcome {
 WireClientOptions client_options(const LoadgenOptions& options,
                                  std::uint64_t session_index) {
   WireClientOptions copts;
-  copts.connect_timeout_ms = options.connect_timeout_ms;
   copts.connect_retries = options.connect_retries;
   copts.backoff_ms = options.backoff_ms;
   copts.jitter_seed = options.seed ^ (0x6a17e500u + session_index);
@@ -224,17 +223,16 @@ void recover(WireClient& client, SessionOutcome& out) {
   }
 }
 
-/// Closed loop: submit, wait for the `done`, repeat. A timed-out answer
+/// One session: submit, wait for the `done`, repeat. A timed-out answer
 /// or `done` ends the session. A lost connection ends it too, unless
 /// `chaos` is on: then the session drops the connection on purpose
 /// around the submit and await points, reconnects with a fresh hello
 /// after every loss, and polls `status` by job id for the result the
 /// lost subscription would have carried. Either way every acknowledged
 /// submit is recorded terminal exactly once.
-void run_closed_session(const LoadgenOptions& options,
-                        const std::vector<MixEntry>& mix,
-                        std::uint64_t first_index, std::uint64_t count,
-                        SessionOutcome& out) {
+void run_session(const LoadgenOptions& options,
+                 const std::vector<MixEntry>& mix, std::uint64_t first_index,
+                 std::uint64_t count, SessionOutcome& out) {
   WireClient client(options.endpoint, client_options(options, first_index));
   out.connected = true;
   std::uint64_t chaos_state = options.seed ^ (0xc4a05u + first_index);
@@ -370,90 +368,6 @@ void run_closed_session(const LoadgenOptions& options,
   }
 }
 
-/// Open loop: submit on a cadence, collect completions as they arrive.
-void run_open_session(const LoadgenOptions& options,
-                      const std::vector<MixEntry>& mix,
-                      std::uint64_t session_index, SessionOutcome& out) {
-  WireClient client(options.endpoint,
-                    client_options(options, session_index));
-  out.connected = true;
-  const WallTimer clock;
-  const double interval_s = 1.0 / std::max(options.rate_hz, 1e-3);
-
-  struct InFlight {
-    RequestSpec spec;
-    double t0 = 0.0;
-  };
-  std::deque<InFlight> awaiting_answer;       // submit responses, in order
-  std::map<std::uint64_t, InFlight> running;  // by job id
-  double next_submit = 0.0;
-  std::uint64_t submitted = 0;
-
-  const auto pump = [&](double wait_ms) {
-    std::optional<Json> frame = client.recv(wait_ms);
-    if (!frame.has_value()) return;
-    if (frame->contains("ok")) {
-      require(!awaiting_answer.empty(),
-              "loadgen: response without an outstanding request");
-      InFlight flight = awaiting_answer.front();
-      awaiting_answer.pop_front();
-      if (!frame_ok(*frame)) {
-        if (frame_error_code(*frame) == "overloaded") {
-          ++out.counts[flight.spec.cls].rejected;
-        } else {
-          ++out.counts[flight.spec.cls].failed;
-          note_error(out, "submit refused: " + frame->dump());
-        }
-        return;
-      }
-      running.emplace(static_cast<std::uint64_t>(frame->at("job").as_int()),
-                      flight);
-      return;
-    }
-    if (frame->contains("event") &&
-        frame->at("event").as_string() == "done") {
-      const auto it = running.find(
-          static_cast<std::uint64_t>(frame->at("job").as_int()));
-      if (it == running.end()) return;
-      record_done(*frame, it->second.spec,
-                  1e3 * (clock.seconds() - it->second.t0), out);
-      running.erase(it);
-    }
-    // incumbent/draining events: observed, not accounted
-  };
-
-  while (clock.seconds() < options.duration_s) {
-    if (clock.seconds() >= next_submit) {
-      // Open-loop request indices interleave sessions: session s takes
-      // indices s, s+N, s+2N... — still a pure function of the index.
-      const std::uint64_t index =
-          session_index + submitted * options.sessions;
-      const RequestSpec spec = request_spec(options, index, mix);
-      ++out.counts[spec.cls].submitted;
-      awaiting_answer.push_back({spec, clock.seconds()});
-      client.send(submit_frame(options, index, spec));
-      ++submitted;
-      next_submit += interval_s;
-    }
-    pump(2.0);
-  }
-  // Drain the tail: wait for outstanding work, bounded.
-  const WallTimer drain;
-  while ((!running.empty() || !awaiting_answer.empty()) &&
-         drain.seconds() < 60.0) {
-    pump(50.0);
-  }
-  for (const auto& [job, flight] : running) {
-    (void)job;
-    ++out.counts[flight.spec.cls].failed;
-    note_error(out, "request never finished before the drain window");
-  }
-  for (const InFlight& flight : awaiting_answer) {
-    ++out.counts[flight.spec.cls].failed;
-    note_error(out, "submit was never answered");
-  }
-}
-
 /// Re-runs every completed request through a local MappingService with
 /// the identical job construction and demands bit-identical makespans.
 /// With --distinct, repeated identities are re-executed locally only
@@ -490,12 +404,7 @@ void verify_samples(const LoadgenOptions& options,
       job.graph = std::make_shared<const TaskGraph>(
           graph_from_generate_spec(generate));
       job.platform = platform;
-      job.inner_orders = 0;
-      if (options.reporting_orders > 0) {
-        job.reporting_orders = options.reporting_orders;
-      } else {
-        job.reporting_orders = 0;
-      }
+      job.reporting_orders = options.reporting_orders;
       job.construction_rng = Rng(sample.spec.construction_seed);
 
       MapRequest request;
@@ -530,8 +439,6 @@ void verify_samples(const LoadgenOptions& options,
 
 LoadgenReport run_loadgen(const LoadgenOptions& options) {
   require(options.sessions >= 1, "loadgen: sessions must be >= 1");
-  require(!options.chaos || !options.open_loop,
-          "loadgen: chaos mode requires the closed loop");
   const std::vector<MixEntry> mix = parse_mix(options.mix);
 
   std::vector<SessionOutcome> outcomes(options.sessions);
@@ -543,21 +450,13 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
     threads.emplace_back([&, s] {
       SessionOutcome& out = outcomes[s];
       try {
-        if (options.open_loop) {
-          run_open_session(options, mix, s, out);
-        } else {
-          // Closed loop: split `requests` across sessions, remainder to
-          // the first ones, contiguous global index ranges.
-          const std::uint64_t base = options.requests / options.sessions;
-          const std::uint64_t extra =
-              s < options.requests % options.sessions ? 1 : 0;
-          std::uint64_t first = 0;
-          for (std::size_t t = 0; t < s; ++t) {
-            first += options.requests / options.sessions +
-                     (t < options.requests % options.sessions ? 1 : 0);
-          }
-          run_closed_session(options, mix, first, base + extra, out);
-        }
+        // Split `requests` across sessions, remainder to the first ones,
+        // contiguous global index ranges.
+        const std::uint64_t base = options.requests / options.sessions;
+        const std::uint64_t extra = options.requests % options.sessions;
+        const std::uint64_t first =
+            s * base + std::min<std::uint64_t>(s, extra);
+        run_session(options, mix, first, base + (s < extra ? 1 : 0), out);
       } catch (const std::exception& ex) {
         note_error(out, std::string("session failed: ") + ex.what());
       }
@@ -631,7 +530,6 @@ Json loadgen_report_json(const LoadgenOptions& options,
   Json doc = Json::object();
   doc.set("schema", Json("spmap-loadgen-report/1"));
   doc.set("endpoint", Json(options.endpoint.to_string()));
-  doc.set("mode", Json(options.open_loop ? "open" : "closed"));
   doc.set("sessions", Json(report.sessions));
   doc.set("mix", Json(options.mix));
   doc.set("mapper", Json(options.mapper));
@@ -639,12 +537,7 @@ Json loadgen_report_json(const LoadgenOptions& options,
   doc.set("max_evals", Json(options.max_evaluations));
   doc.set("seed", Json(options.seed));
   if (options.distinct > 0) doc.set("distinct", Json(options.distinct));
-  if (options.open_loop) {
-    doc.set("rate_hz", Json(options.rate_hz));
-    doc.set("duration_s", Json(options.duration_s));
-  } else {
-    doc.set("requests", Json(options.requests));
-  }
+  doc.set("requests", Json(options.requests));
   doc.set("wall_seconds", Json(report.wall_seconds));
   doc.set("throughput_rps", Json(report.throughput_rps));
   doc.set("submitted", Json(report.submitted));

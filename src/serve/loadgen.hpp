@@ -2,27 +2,21 @@
 /// \file loadgen.hpp
 /// Load generator for the spmap serving daemon.
 ///
-/// Simulates N concurrent client sessions against a running daemon, in
-/// two driving modes:
-///
-///  * **closed loop** (default) — every session submits its next request
-///    the moment the previous one finished (`done` event). Measures
-///    capacity: the daemon is always saturated with exactly N in-flight
-///    requests.
-///  * **open loop** — every session submits on a fixed cadence
-///    (`rate_hz` per session) regardless of completions, for
-///    `duration_s`. Measures behaviour under an offered load the daemon
-///    does not control — including structured `overloaded` rejections,
-///    which are counted, not errors.
+/// Simulates N concurrent client sessions against a running daemon in a
+/// closed loop: every session submits its next request the moment the
+/// previous one finished (`done` event), so the daemon holds exactly N
+/// in-flight requests. Structured `overloaded` answers are counted, not
+/// errors. The daemon's benchmark under an open-loop load is perfbench's
+/// `serve_open` workload, not this tool.
 ///
 /// Requests are deterministic: request `i` of the run derives its
 /// generation seed, construction seed and run seed from `seed` and `i`
-/// (splitmix64 streams), pins both seeds on the wire, and bounds the run
-/// by evaluations only (no deadline) — so `verify` can re-run any
-/// completed request locally through the identical MappingService path
-/// and demand a bit-identical makespan. The request mix assigns priority
-/// classes by deterministic weighted draw (`mix`, e.g.
-/// "high=1,normal=2,low=1").
+/// (splitmix64 streams, cut to 53 bits so they travel the wire exactly),
+/// pins both seeds on the wire, and bounds the run by evaluations only
+/// (no deadline) — so `verify` can re-run any completed request locally
+/// through the identical MappingService path and demand a bit-identical
+/// makespan. The request mix assigns priority classes by deterministic
+/// weighted draw (`mix`, e.g. "high=1,normal=2,low=1").
 ///
 /// Latency is measured per class from submit-write to `done`-event
 /// arrival (full wire round trip including queueing), reported as
@@ -42,14 +36,8 @@ struct LoadgenOptions {
   Endpoint endpoint;
   /// Concurrent client sessions (one connection + thread each).
   std::size_t sessions = 8;
-  /// Total requests across all sessions (closed loop).
+  /// Total requests across all sessions.
   std::size_t requests = 64;
-  /// Open-loop mode: submit on a cadence instead of on completion.
-  bool open_loop = false;
-  /// Per-session submit rate (open loop).
-  double rate_hz = 20.0;
-  /// Open-loop run length in seconds.
-  double duration_s = 2.0;
   /// Priority-class mix, "class=weight[,class=weight...]".
   std::string mix = "normal=1";
   /// Mapper spec submitted with every request.
@@ -76,18 +64,16 @@ struct LoadgenOptions {
   /// Re-run every completed request locally and compare makespans
   /// bit-identically.
   bool verify = false;
-  double connect_timeout_ms = 5000.0;
   /// Extra connect attempts with exponential backoff (WireClientOptions);
   /// chaos recovery raises this floor on its own.
   std::size_t connect_retries = 0;
   /// First backoff delay between connect attempts.
   double backoff_ms = 50.0;
-  /// Chaos mode (closed loop only): deterministically drop the
-  /// connection around submit/await points, and after every loss
-  /// reconnect with a fresh hello and poll `status` by job id. Tightens
-  /// the accounting invariant to "every acknowledged submit is recorded
-  /// terminal exactly once": `lost` and `duplicated` in the report must
-  /// stay zero.
+  /// Chaos mode: deterministically drop the connection around
+  /// submit/await points, and after every loss reconnect with a fresh
+  /// hello and poll `status` by job id. Tightens the accounting invariant
+  /// to "every acknowledged submit is recorded terminal exactly once":
+  /// `lost` and `duplicated` in the report must stay zero.
   bool chaos = false;
   /// Probability of an injected drop at each opportunity point.
   double chaos_drop_rate = 0.15;

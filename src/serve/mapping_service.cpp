@@ -168,7 +168,6 @@ std::optional<MappingService::JobHandle> MappingService::submit_locked(
           .u64(request.max_iterations)
           .boolean(request.seed.has_value())
           .u64(request.seed.value_or(0))
-          .u64(job.inner_orders)
           .boolean(has_reporting_pass)
           .u64(reporting_orders)
           .u64(job.construction_rng->fingerprint());
@@ -323,7 +322,8 @@ JobStatus MappingService::execute(JobState& state) {
     }
     const CostModel& cost =
         job.reporting != nullptr ? job.reporting->cost() : *owned_cost;
-    const Evaluator inner(cost, {.random_orders = job.inner_orders});
+    // The mapper prices against the breadth-first order alone.
+    const Evaluator inner(cost);
 
     WallTimer timer;
     Rng rng = state.construction_rng;

@@ -64,9 +64,10 @@
 /// would only pollute the memo) and neither the request nor the spec
 /// carries a wall-clock deadline. The key covers the exact graph +
 /// platform content hashes (sched/problem_hash.hpp), the canonical
-/// mapper spec, the request bounds + seed, the evaluation protocol
-/// (inner/reporting orders) and the rng fingerprint — everything the
-/// determinism contract needs for cached == computed, bit for bit.
+/// mapper spec, the request bounds + seed, the reporting protocol and the
+/// rng fingerprint — everything the determinism contract needs for
+/// cached == computed, bit for bit (the mapper always runs against the
+/// breadth-first evaluator).
 ///
 /// A hit turns the job terminal inside submit: no queue slot (it is
 /// admitted even when the queue is full), no worker, `on_terminal` fired
@@ -165,9 +166,6 @@ struct MapJob {
   std::string mapper_spec;
   std::shared_ptr<const TaskGraph> graph;
   std::shared_ptr<const Platform> platform;
-  /// Random schedule orders of the *inner* evaluator the mapper runs
-  /// against (0 = breadth-first only, the mapping-loop default).
-  std::size_t inner_orders = 0;
   /// Random schedule orders of the *reporting* evaluator (paper protocol:
   /// min over BFS + N random schedules; 0 = BFS only). Unset skips the
   /// reporting pass entirely: `reported_makespan` then equals the report's

@@ -33,23 +33,6 @@ double number_field(const Json& body, const char* key, double fallback) {
   return v.as_double();
 }
 
-std::size_t count_field(const Json& body, const char* key,
-                        std::size_t fallback) {
-  if (!body.contains(key)) return fallback;
-  const Json& v = body.at(key);
-  require(v.is_number() && v.as_double() >= 0.0,
-          std::string("\"") + key + "\" must be a non-negative number");
-  return static_cast<std::size_t>(v.as_int());
-}
-
-std::optional<std::uint64_t> seed_field(const Json& body, const char* key) {
-  if (!body.contains(key)) return std::nullopt;
-  const Json& v = body.at(key);
-  require(v.is_number() && v.as_double() >= 0.0,
-          std::string("\"") + key + "\" must be a non-negative number");
-  return static_cast<std::uint64_t>(v.as_int());
-}
-
 bool bool_field(const Json& body, const char* key, bool fallback) {
   if (!body.contains(key)) return fallback;
   const Json& v = body.at(key);
@@ -58,10 +41,9 @@ bool bool_field(const Json& body, const char* key, bool fallback) {
 }
 
 std::uint64_t job_field(const Json& body) {
-  require(body.contains("job") && body.at("job").is_number() &&
-              body.at("job").as_double() >= 0.0,
-          "\"job\" must be a non-negative number");
-  return static_cast<std::uint64_t>(body.at("job").as_int());
+  const std::optional<std::uint64_t> job = uint_field(body, "job");
+  require(job.has_value(), "\"job\" is required");
+  return *job;
 }
 
 int priority_of_class(const std::string& cls) {
@@ -133,11 +115,11 @@ WireSubmit wire_submit_from_json(const Json& body) {
   }
   request.deadline_ms = number_field(body, "deadline_ms", 0.0);
   require(request.deadline_ms >= 0.0, "\"deadline_ms\" must be >= 0");
-  request.max_evaluations = count_field(body, "max_evals", 0);
-  request.max_iterations = count_field(body, "max_iters", 0);
-  request.seed = seed_field(body, "seed");
-  request.construction_seed = seed_field(body, "construction_seed");
-  request.reporting_orders = count_field(body, "reporting_orders", 0);
+  request.max_evaluations = uint_field(body, "max_evals").value_or(0);
+  request.max_iterations = uint_field(body, "max_iters").value_or(0);
+  request.seed = uint_field(body, "seed");
+  request.construction_seed = uint_field(body, "construction_seed");
+  request.reporting_orders = uint_field(body, "reporting_orders").value_or(0);
   request.subscribe = bool_field(body, "subscribe", false);
   request.want_mapping = bool_field(body, "return_mapping", false);
   return request;

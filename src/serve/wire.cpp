@@ -1,5 +1,6 @@
 #include "serve/wire.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -111,6 +112,17 @@ std::optional<WireErrorCode> parse_frame(const std::string& line, Frame& out,
   out.op = body.at("op").as_string();
   out.body = std::move(body);
   return std::nullopt;
+}
+
+std::optional<std::uint64_t> uint_field(const Json& body,
+                                        const std::string& key,
+                                        const std::string& prefix) {
+  if (!body.contains(key)) return std::nullopt;
+  const Json& v = body.at(key);
+  const double d = v.is_number() ? v.as_double() : -1.0;
+  require(d >= 0.0 && d < kJsonExactIntLimit && std::nearbyint(d) == d,
+          "\"" + prefix + key + "\" must be an integer in [0, 2^53)");
+  return static_cast<std::uint64_t>(d);
 }
 
 std::string ok_line(Json body) {

@@ -19,6 +19,7 @@
 /// from that connection's IO thread). The free functions are pure.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -98,6 +99,15 @@ struct Frame {
 /// and fills `message` with the human diagnostic; on success fills `out`.
 std::optional<WireErrorCode> parse_frame(const std::string& line, Frame& out,
                                          std::string& message);
+
+/// The reader of every non-negative integer on the wire (counts, seeds,
+/// job ids): nullopt when `body` lacks `key`, else an integer in
+/// [0, 2^53), the range a JSON number carries exactly. Anything else
+/// throws spmap::Error naming `prefix + key`, which the session answers
+/// as `bad_request`.
+std::optional<std::uint64_t> uint_field(const Json& body,
+                                        const std::string& key,
+                                        const std::string& prefix = "");
 
 // ---- response/event builders (each returns one '\n'-terminated line) ----
 

@@ -22,6 +22,8 @@ double Json::as_double() const {
 std::int64_t Json::as_int() const {
   const double d = as_double();
   require(std::nearbyint(d) == d, "Json: number is not integral");
+  require(std::fabs(d) < kJsonExactIntLimit,
+          "Json: integer magnitude must be below 2^53");
   return static_cast<std::int64_t>(d);
 }
 

@@ -5,8 +5,9 @@
 /// Used by the graph / workflow (de)serialization layer. Supports the full
 /// JSON data model (null, bool, number, string, array, object) with ordered
 /// object keys for deterministic output. Not a general-purpose library:
-/// numbers are doubles, strings must be UTF-8, and parse errors throw
-/// spmap::Error with a byte offset.
+/// numbers are doubles, so integers are exact only below 2^53 in magnitude
+/// (`as_int` refuses the rest), strings must be UTF-8, and parse errors
+/// throw spmap::Error with a byte offset.
 
 #include <cstdint>
 #include <map>
@@ -16,6 +17,9 @@
 #include <vector>
 
 namespace spmap {
+
+/// 2^53: a double holds every integer of smaller magnitude exactly.
+inline constexpr double kJsonExactIntLimit = 9007199254740992.0;
 
 /// A JSON document node.
 class Json {
@@ -47,6 +51,8 @@ class Json {
 
   bool as_bool() const;
   double as_double() const;
+  /// Throws spmap::Error unless the number is an integer of magnitude
+  /// below 2^53.
   std::int64_t as_int() const;
   const std::string& as_string() const;
   const Array& as_array() const;

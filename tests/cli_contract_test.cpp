@@ -30,7 +30,6 @@ const std::vector<std::string>& tool_sources() {
       std::string(SPMAP_SOURCE_DIR) + "/tools/spmap_cli.cpp",
       std::string(SPMAP_SOURCE_DIR) + "/tools/spmap_loadgen.cpp",
       std::string(SPMAP_SOURCE_DIR) + "/bench/perf_report_main.cpp",
-      std::string(SPMAP_SOURCE_DIR) + "/bench/serve_report_main.cpp",
   };
   return sources;
 }
@@ -140,7 +139,14 @@ std::vector<CliCase> cli_cases() {
       });
 #endif
 #ifdef SPMAP_LOADGEN_PATH
-  cases.push_back({"loadgen_without_endpoint", SPMAP_LOADGEN_PATH, "", 2});
+  const std::string loadgen = SPMAP_LOADGEN_PATH;
+  cases.insert(cases.end(),
+               {
+                   {"loadgen_without_endpoint", loadgen, "", 2},
+                   // The load generator has one (closed) loop.
+                   {"loadgen_open_loop_unknown", loadgen,
+                    "--endpoint unix:/nonexistent.sock --open-loop", 2},
+               });
 #endif
   return cases;
 }

@@ -291,18 +291,7 @@ TEST(RunApi, TrajectoryMonotonicUnderReportingEvaluator) {
   expect_monotone_trajectory(mapper->map(reporting, MapRequest{}));
 }
 
-// ---- shared pool + baked requests ----
-
-TEST(RunApi, SharedPoolMatchesPrivatePool) {
-  const RunApiCase c(25);
-  ThreadPool pool(4);
-  MapRequest shared;
-  shared.pool = &pool;
-  const MapReport a = c.run("nsga:generations=6,pop=12,seed=8", shared);
-  const MapReport b =
-      c.run("nsga:generations=6,pop=12,seed=8,threads=4", MapRequest{});
-  expect_reports_identical(a, b, "shared-pool");
-}
+// ---- baked requests ----
 
 TEST(RunApi, SharedRunOptionsBakeIntoDefaultRequest) {
   const RunApiCase c(26);

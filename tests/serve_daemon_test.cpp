@@ -256,6 +256,20 @@ TEST(ServeDaemon, UnknownMapperIsRejectedEagerly) {
   EXPECT_EQ(response->at("error").at("code").as_string(), "bad_request");
 }
 
+TEST(ServeDaemon, GenerateSpecIntegersMustBeExact) {
+  // generate.seed and the counts share the wire's integer reader: below
+  // 2^53 they are taken as sent, above it they are refused.
+  Json spec = Json::object();
+  spec.set("tasks", Json(std::size_t{8}));
+  spec.set("seed", Json(9007199254740991.0));
+  EXPECT_EQ(graph_from_generate_spec(spec).dag.node_count(), 8u);
+  spec.set("seed", Json(1e19));
+  EXPECT_THROW(graph_from_generate_spec(spec), Error);
+  spec.set("seed", Json(std::size_t{1}));
+  spec.set("tasks", Json(-1.0));
+  EXPECT_THROW(graph_from_generate_spec(spec), Error);
+}
+
 TEST(ServeDaemon, DestructionWithJobsInFlightIsRaceFree) {
   // Regression for a TSan-caught write-after-close: a worker's
   // on_terminal callback pokes the wake pipe (push_event -> wake ->

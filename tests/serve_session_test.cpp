@@ -264,7 +264,8 @@ TEST(SessionSubmit, ValidSubmitReachesTheHost) {
   answer(session, hello_line());
   const Json response = answer(
       session, submit_line(",\"class\":\"high\",\"max_evals\":100,"
-                           "\"seed\":5,\"subscribe\":true,\"tag\":42"));
+                           "\"seed\":5,\"subscribe\":true,\"tag\":42,"
+                           "\"construction_seed\":9007199254740991"));
   EXPECT_TRUE(response.at("ok").as_bool());
   EXPECT_EQ(response.at("job").as_int(), 1);
   EXPECT_EQ(response.at("class").as_string(), "high");
@@ -277,6 +278,9 @@ TEST(SessionSubmit, ValidSubmitReachesTheHost) {
   EXPECT_EQ(seen.max_evaluations, 100u);
   ASSERT_TRUE(seen.seed.has_value());
   EXPECT_EQ(*seen.seed, 5u);
+  // The largest integer a wire number carries exactly passes unchanged.
+  ASSERT_TRUE(seen.construction_seed.has_value());
+  EXPECT_EQ(*seen.construction_seed, 9007199254740991u);
   EXPECT_TRUE(seen.subscribe);
   EXPECT_TRUE(seen.generate.has_value());
   EXPECT_FALSE(seen.graph.has_value());
@@ -300,6 +304,13 @@ TEST(SessionSubmit, TableDrivenBadRequests) {
       {"class_not_string", submit_line(",\"class\":3")},
       {"negative_deadline", submit_line(",\"deadline_ms\":-1")},
       {"negative_seed", submit_line(",\"seed\":-4")},
+      // Wire numbers are doubles: a seed at or above 2^53 would reach the
+      // host as another seed than the client pinned.
+      {"seed_1e19", submit_line(",\"seed\":1e19")},
+      {"seed_above_2_53", submit_line(",\"seed\":9007199254740993")},
+      {"construction_seed_1e300",
+       submit_line(",\"construction_seed\":1e300")},
+      {"fractional_count", submit_line(",\"max_evals\":2.5")},
       {"unknown_key", submit_line(",\"bogus\":1")},
       {"warm_start_removed", submit_line(",\"warm\":true")},
       {"graph_not_object", "{\"op\":\"submit\",\"mapper\":\"spff\","

@@ -25,6 +25,17 @@ TEST(Json, TypeErrorsThrow) {
   EXPECT_THROW(Json().at("k"), Error);
 }
 
+TEST(Json, IntegersReadBackExactlyOnlyBelow2To53) {
+  // A double holds every integer of magnitude below 2^53 exactly; as_int
+  // refuses larger ones instead of rounding them or converting out of
+  // int64 range.
+  EXPECT_EQ(Json::parse("9007199254740991").as_int(), 9007199254740991);
+  EXPECT_EQ(Json::parse("-9007199254740991").as_int(), -9007199254740991);
+  EXPECT_THROW(Json::parse("9007199254740992").as_int(), Error);
+  EXPECT_THROW(Json::parse("1e19").as_int(), Error);
+  EXPECT_THROW(Json::parse("-1e300").as_int(), Error);
+}
+
 TEST(Json, ObjectSetAndAt) {
   Json o = Json::object();
   o.set("a", 1);

@@ -1,16 +1,11 @@
 /// spmap_loadgen — load generator / correctness checker for the spmap
 /// serving daemon (`spmap_cli daemon`, docs/SERVING.md).
 ///
-/// Drives N concurrent client sessions against a running daemon and
-/// reports per-priority-class throughput and latency percentiles. Two
-/// driving modes (src/serve/loadgen.hpp):
-///
-///   closed loop (default)  each session submits again the moment its
-///                          previous request finished — capacity test
-///   --open-loop            each session submits at --rate-hz for
-///                          --duration-s regardless of completions —
-///                          overload test; structured `overloaded`
-///                          rejections are counted, not errors
+/// Drives N concurrent client sessions against a running daemon in a
+/// closed loop (each session submits again the moment its previous
+/// request finished; src/serve/loadgen.hpp) and reports per-priority-class
+/// throughput and latency percentiles. Structured `overloaded` rejections
+/// are counted, not errors.
 ///
 /// Requests are a pure function of --seed and the request index, with
 /// generation/construction/run seeds pinned on the wire; --verify re-runs
@@ -21,10 +16,7 @@
 /// Flags:
 ///   --endpoint E       unix:PATH or tcp:HOST:PORT (required)
 ///   --sessions N       concurrent connections (default 8)
-///   --requests N       total requests, closed loop (default 64)
-///   --open-loop        open-loop mode
-///   --rate-hz R        per-session submit rate, open loop (default 20)
-///   --duration-s S     open-loop run length (default 2)
+///   --requests N       total requests (default 64)
 ///   --mix SPEC         class mix, e.g. high=1,normal=2,low=1
 ///   --mapper SPEC      mapper submitted with every request
 ///   --tasks N          generated problem size (default 24)
@@ -39,12 +31,12 @@
 ///   --verify           local bit-identity re-execution
 ///   --connect-retries N   extra connect attempts with backoff
 ///   --backoff-ms MS    first backoff delay between connect attempts
-///   --chaos            closed loop only: deterministically drop the
-///                      connection around submit/await points and recover
-///                      by reconnecting with a fresh hello and polling
-///                      status by job id; the run fails unless every
-///                      acknowledged submit is recorded terminal exactly
-///                      once (lost=0, duplicated=0)
+///   --chaos            deterministically drop the connection around
+///                      submit/await points and recover by reconnecting
+///                      with a fresh hello and polling status by job id;
+///                      the run fails unless every acknowledged submit is
+///                      recorded terminal exactly once (lost=0,
+///                      duplicated=0)
 ///   --chaos-drop-rate P   injected drop probability per opportunity
 ///   --json FILE        write the spmap-loadgen-report/1 document
 ///   --quiet            no human-readable summary on stdout
@@ -71,8 +63,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: spmap_loadgen --endpoint unix:PATH|tcp:HOST:PORT "
-               "[--sessions N] [--requests N] [--open-loop] [--rate-hz R] "
-               "[--duration-s S] [--mix high=1,normal=2,low=1] "
+               "[--sessions N] [--requests N] [--mix high=1,normal=2,low=1] "
                "[--mapper SPEC] [--tasks N] [--max-evals N] "
                "[--reporting-orders N] [--seed S] [--distinct K] "
                "[--min-hit-rate P] [--verify] "
@@ -83,9 +74,8 @@ int usage() {
 
 void print_summary(const LoadgenOptions& options,
                    const LoadgenReport& report) {
-  std::printf("endpoint=%s mode=%s sessions=%zu\n",
-              options.endpoint.to_string().c_str(),
-              options.open_loop ? "open" : "closed", report.sessions);
+  std::printf("endpoint=%s sessions=%zu\n",
+              options.endpoint.to_string().c_str(), report.sessions);
   std::printf(
       "submitted=%zu completed=%zu rejected=%zu failed=%zu "
       "wall_s=%.3f throughput_rps=%.1f\n",
@@ -124,10 +114,9 @@ void print_summary(const LoadgenOptions& options,
 int main(int argc, char** argv) {
   try {
     const Flags flags(argc, argv,
-                      {"endpoint", "sessions", "requests", "open-loop",
-                       "rate-hz", "duration-s", "mix", "mapper", "tasks",
-                       "max-evals", "reporting-orders", "seed", "distinct",
-                       "min-hit-rate", "verify",
+                      {"endpoint", "sessions", "requests", "mix", "mapper",
+                       "tasks", "max-evals", "reporting-orders", "seed",
+                       "distinct", "min-hit-rate", "verify",
                        "connect-retries", "backoff-ms", "chaos",
                        "chaos-drop-rate", "json", "quiet"});
     const std::string endpoint = flags.get("endpoint", "");
@@ -141,11 +130,6 @@ int main(int argc, char** argv) {
     const std::int64_t requests = flags.get_int("requests", 64);
     require(requests >= 1, "loadgen: --requests must be >= 1");
     options.requests = static_cast<std::size_t>(requests);
-    options.open_loop = flags.get_bool("open-loop", false);
-    options.rate_hz = flags.get_double("rate-hz", 20.0);
-    require(options.rate_hz > 0.0, "loadgen: --rate-hz must be > 0");
-    options.duration_s = flags.get_double("duration-s", 2.0);
-    require(options.duration_s > 0.0, "loadgen: --duration-s must be > 0");
     options.mix = flags.get("mix", "normal=1");
     options.mapper = flags.get("mapper", "spff");
     const std::int64_t tasks = flags.get_int("tasks", 24);
@@ -171,8 +155,6 @@ int main(int argc, char** argv) {
     options.backoff_ms = flags.get_double("backoff-ms", 50.0);
     require(options.backoff_ms > 0.0, "loadgen: --backoff-ms must be > 0");
     options.chaos = flags.get_bool("chaos", false);
-    require(!options.chaos || !options.open_loop,
-            "loadgen: --chaos requires the closed loop");
     options.chaos_drop_rate = flags.get_double("chaos-drop-rate", 0.15);
     require(options.chaos_drop_rate >= 0.0 && options.chaos_drop_rate < 1.0,
             "loadgen: --chaos-drop-rate must be in [0, 1)");
