@@ -27,6 +27,9 @@
 #      and by the incremental engine's recording sweep and `step`
 #      (src/sched/incremental_evaluator.cpp) — every other per-position
 #      timing loop is `sweep`, so the timing arithmetic has one loop.
+#   8. `tail_of` is defined only in src/sched/sweep_kernel.hpp — the tail
+#      bound behind every cutoff (`evaluate_moves` and the incremental
+#      engine's `probe`) has one implementation.
 set -u
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -88,6 +91,13 @@ matches=$(grep -rnE --include='*.hpp' --include='*.cpp' \
   grep -v -e '^src/sched/sweep_kernel\.hpp:' \
     -e '^src/sched/incremental_evaluator\.cpp:' || true)
 report "time_node( outside sweep (src/sched/sweep_kernel.hpp) and the incremental engine (src/sched/incremental_evaluator.cpp): price a run of positions with sweep" "$matches"
+
+# Rule 8: one tail bound. A definition is `tail_of(` after a return type;
+# as in rule 6, only code before any `//` counts.
+matches=$(grep -rnE --include='*.hpp' --include='*.cpp' \
+  '^[^/]*\b(double|float|auto)[[:space:]]+tail_of[[:space:]]*\(' \
+  src/ bench/ tools/ | grep -v '^src/sched/sweep_kernel\.hpp:' || true)
+report "tail_of( defined outside src/sched/sweep_kernel.hpp: call the one tail bound there" "$matches"
 
 if [ "$failures" -ne 0 ]; then
   echo "lint_invariants: FAILED" >&2

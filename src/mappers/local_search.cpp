@@ -61,8 +61,9 @@ RestartResult run_hillclimb(IncrementalEvaluator& inc, std::size_t devices,
   for (; i < iterations; ++i) {
     if (interrupted(control, r)) break;
     const TaskReassignment move = random_reassignment(inc.mapping(), devices, rng);
-    // Trace-free probe first: the common rejected case records nothing.
-    const double probed = inc.probe(move);
+    // Trace-free probe first: the common rejected case records nothing,
+    // and stops once it cannot end below `best`.
+    const double probed = inc.probe(move, best);
     if (probed < best) {
       best = probed;
       inc.apply(move);
@@ -137,10 +138,16 @@ RestartResult run_tabu(IncrementalEvaluator& inc, std::size_t devices,
         break;
       }
       const TaskReassignment move = random_reassignment(inc.mapping(), devices, rng);
-      const double probed = inc.probe(move);
+      // Once the round holds a candidate only a probe below it can win, and
+      // a tabu move counts only below the incumbent: the probe may stop at
+      // the smaller of the two.
+      const bool tabu = tabu_until[move.node.v] >= round;
+      const double probed = inc.probe(
+          move, std::min(have_move ? best_probed : kInfeasible,
+                         tabu ? r.makespan : kInfeasible));
       ++probes;
       // Tabu unless it aspires (beats the best mapping seen so far).
-      if (tabu_until[move.node.v] >= round && probed >= r.makespan) continue;
+      if (tabu && probed >= r.makespan) continue;
       if (!have_move || probed < best_probed) {
         have_move = true;
         best_probed = probed;

@@ -20,7 +20,10 @@
 /// evaluator's breadth-first schedule order, so a candidate costs
 /// O(affected suffix) instead of a full O(V + E) sweep. `probe` prices a
 /// candidate without touching the committed state; only accepted moves
-/// are applied.
+/// are applied. hillclimb passes its best makespan as the probe cutoff,
+/// tabu the round's best candidate (for a tabu move, at most the
+/// incumbent), anneal none (Metropolis needs the exact delta); results are
+/// exact probes' results, and a stopped probe still counts once.
 ///
 /// `restarts=` independent searches (distinct rng streams, same seed
 /// mapping) run on a ThreadPool via the static partition; the reported

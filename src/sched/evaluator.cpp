@@ -1,41 +1,9 @@
 #include "sched/evaluator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 namespace spmap {
-
-namespace {
-
-/// Lower bound on makespan - start(v) for task v on its device under
-/// `map`, from its consumers' tails (so valid while no descendant of v
-/// moves): the longer of v's run and, over its out-edges, the least the
-/// consumer can start after v (a stream's fill share of v's run on a
-/// shared FPGA, v's run on any other shared device, v's run plus the bare
-/// transfer across devices; link waits only add to it) plus its tail.
-double tail_of(const SweepTables& t, const DeviceId* map, std::uint32_t v,
-               const double* tail) {
-  const std::size_t m = t.devices;
-  const std::uint32_t d = map[v].v;
-  const double exec = t.exec[v * m + d];
-  const double shared = t.is_fpga[d] != 0 ? t.fill[d] * exec : exec;
-  double bound = exec;
-  for (std::uint32_t k = t.flat.out_begin(NodeId(v));
-       k < t.flat.out_end(NodeId(v)); ++k) {
-    const std::uint32_t c = t.flat.out_dst(k);
-    const std::size_t li = d * m + map[c].v;
-    const double lead =
-        map[c].v == d
-            ? shared
-            : exec + (t.latency[li] +
-                      t.flat.out_data_mb(k) / 1000.0 / t.bandwidth[li]);
-    bound = std::max(bound, lead + tail[c]);
-  }
-  return bound;
-}
-
-}  // namespace
 
 SweepTables::SweepTables(const CostModel& cost)
     : flat(cost.dag()), exec(cost.exec_data()) {
@@ -240,12 +208,8 @@ std::span<const double> Evaluator::evaluate_moves(const Mapping& base,
   const bool stops = cutoff < kInfeasible;
   if (stops) {
     ctx.tail_.resize(n);
-    for (auto it = plans_[0].rbegin(); it != plans_[0].rend(); ++it) {
-      ctx.tail_[it->node] =
-          tail_of(tables_, base.device.data(), it->node, ctx.tail_.data());
-    }
+    fill_tails(tables_, base.device.data(), plans_[0], ctx.tail_.data());
   }
-  const double limit = cutoff + std::abs(cutoff) * 1e-9;
 
   const std::size_t workers = pool == nullptr ? 1 : pool->thread_count();
   if (ctx.workers_.size() + 1 < workers) ctx.workers_.resize(workers - 1);
@@ -330,7 +294,7 @@ std::span<const double> Evaluator::evaluate_moves(const Mapping& base,
       });
     };
     if (stops) {
-      price_all(TailStop<true>{ctx.tail_.data(), limit});
+      price_all(TailStop<true>{ctx.tail_.data(), tail_limit(cutoff)});
     } else {
       price_all(TailStop<false>{});
     }

@@ -50,15 +50,16 @@
 /// the same loop, bit-identical to `evaluate` at about half the cost, and
 /// its area verdict is O(|move|) instead of an O(V) scan. Given a cutoff,
 /// a candidate's sweep may also stop early: one reverse pass over the base
-/// gives each task a *tail*, a lower bound on makespan - start(task) along
-/// its out-edges on the base's devices (HEFT's upward rank on the fixed
-/// mapping), valid for every task that neither moved nor has a moved
-/// descendant — every position after the candidate's last moved task pl
-/// (checked there with the moved task's tail on its new device). Once
-/// start + tail exceeds the cutoff (plus 1e-9 relative slack for the
-/// different rounding of the two sums), the candidate cannot end below it
-/// and the sweep stops. A candidate whose makespan is below the cutoff is
-/// swept to the end and stays exact.
+/// gives each task a *tail* (`tail_of` in sched/sweep_kernel.hpp), a lower
+/// bound on makespan - start(task) along its out-edges on the base's
+/// devices (HEFT's upward rank on the fixed mapping), valid for every task
+/// that neither moved nor has a moved descendant — every position after
+/// the candidate's last moved task pl (checked there with the moved task's
+/// tail on its new device). Once start + tail exceeds the cutoff (plus
+/// 1e-9 relative slack for the different rounding of the two sums), the
+/// candidate cannot end below it and the sweep stops. A candidate whose
+/// makespan is below the cutoff is swept to the end and stays exact. The
+/// incremental engine's `probe` takes the same cutoff contract.
 ///
 /// ## Thread-safety contract
 ///

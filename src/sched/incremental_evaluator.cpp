@@ -81,6 +81,7 @@ IncrementalEvaluator::IncrementalEvaluator(const Evaluator& eval,
   seen_link_.assign(m_, 0);
   probe_start_.resize(n_);
   probe_finish_.resize(n_);
+  tail_.resize(n_);
 
   reset(Mapping(n_, platform.default_device()));
 }
@@ -135,6 +136,7 @@ double IncrementalEvaluator::reset(const Mapping& mapping) {
   mapping_ = mapping;
   apply_count_ = 0;
   probe_count_ = 0;
+  tails_valid_ = false;
   full_recording_sweep();
   probe_start_ = start_;
   probe_finish_ = finish_;
@@ -484,6 +486,7 @@ double IncrementalEvaluator::apply(TaskReassignment move) {
   if (move.device.v == old_dev) return makespan();
 
   mapping_.device[move.node.v] = move.device;
+  tails_valid_ = false;
   shift_move_uses(move.node.v, old_dev, move.device.v);
   move_area(move.node, old_dev, move.device.v);
 
@@ -535,12 +538,22 @@ void IncrementalEvaluator::clear_marks() {
   moved_ = kNoDevice;
 }
 
-double IncrementalEvaluator::sweep_suffix(std::size_t p, double run_max) {
+double IncrementalEvaluator::sweep_suffix(std::size_t p, double run_max,
+                                          double limit, std::size_t& swept) {
   const PlanNode* walk = plan_->data();
-  run_max = sweep(*t_, mapping_.device.data(), walk + p, walk + n_,
-                  probe_start_.data(), probe_finish_.data(), cur_slot_.data(),
-                  cur_link_.data(), run_max);
-  for (const PlanNode* it = walk + p; it != walk + n_; ++it) {
+  const PlanNode* stopped = nullptr;
+  const auto run = [&](auto stop) {
+    return sweep(*t_, mapping_.device.data(), walk + p, walk + n_,
+                 probe_start_.data(), probe_finish_.data(), cur_slot_.data(),
+                 cur_link_.data(), run_max, stop);
+  };
+  run_max = limit < kInfeasible
+                ? run(TailStop<true>{tail_.data(), limit, &stopped})
+                : run(TailStop<false>{});
+  const PlanNode* end = stopped == nullptr ? walk + n_ : stopped + 1;
+  stopped_probes_ += stopped == nullptr ? 0 : 1;
+  swept += static_cast<std::size_t>(end - (walk + p));
+  for (const PlanNode* it = walk + p; it != end; ++it) {
     probe_start_[it->node] = start_[it->node];
     probe_finish_[it->node] = finish_[it->node];
   }
@@ -563,16 +576,23 @@ bool IncrementalEvaluator::route_to_sweep() {
   return ++sweep_streak_ % kDensityRefreshEvery != 0;
 }
 
-double IncrementalEvaluator::probe(TaskReassignment move) {
+double IncrementalEvaluator::probe(TaskReassignment move, double cutoff) {
   SPMAP_ASSERT(move.node.v < n_);
   SPMAP_ASSERT(move.device.v < m_);
   ++probe_count_;
-  const std::uint32_t old_dev = mapping_.device[move.node.v].v;
+  const std::uint32_t u = move.node.v;
+  const std::uint32_t old_dev = mapping_.device[u].v;
   if (move.device.v == old_dev) return makespan();
+  const bool stops = cutoff < kInfeasible;
+  if (stops && !tails_valid_) {
+    fill_tails(*t_, mapping_.device.data(), *plan_, tail_.data());
+    tails_valid_ = true;
+  }
 
-  // Area verdict, trace-free: update_area's arithmetic on a local count.
+  // Area first, trace-free: update_area's arithmetic on a local count. An
+  // infeasible candidate needs no sweep.
   int over = over_budget_count_;
-  mapping_.device[move.node.v] = move.device;
+  mapping_.device[u] = move.device;
   const std::uint8_t* is_fpga = t_->is_fpga.data();
   if (is_fpga[old_dev] || is_fpga[move.device.v]) {
     const double area = eval_->cost().area(move.node);
@@ -585,21 +605,32 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
       if (was_over != now_over) over += now_over ? 1 : -1;
     }
   }
+  // The moved task's tail on its new device; its consumers' tails stand.
+  const double committed_tail = tail_[u];
+  if (stops) tail_[u] = tail_of(*t_, mapping_.device.data(), u, tail_.data());
+  const double value =
+      over == 0 ? price_probe(u, old_dev, tail_limit(cutoff)) : kInfeasible;
+  tail_[u] = committed_tail;
+  mapping_.device[u] = DeviceId(old_dev);
+  return value;
+}
 
-  const std::size_t p0 = pos_[move.node.v];
+double IncrementalEvaluator::price_probe(std::uint32_t u, std::uint32_t old_dev,
+                                         double limit) {
+  const std::size_t p0 = pos_[u];
   double run_max = p0 == 0 ? 0.0 : prefix_max_[p0 - 1];
-
+  if (run_max > limit) {  // the committed prefix alone passes the cutoff
+    ++stopped_probes_;
+    return run_max;
+  }
   if (route_to_sweep()) {
     ++fb_probes_;
-    fb_swept_total_ += n_ - p0;
     reconstruct_state(p0, false);
-    run_max = sweep_suffix(p0, run_max);
-    mapping_.device[move.node.v] = DeviceId(old_dev);
-    return over == 0 ? run_max : kInfeasible;
+    return sweep_suffix(p0, run_max, limit, fb_swept_total_);
   }
 
   ++inc_probes_;
-  moved_ = move.node.v;
+  moved_ = u;
   moved_old_dev_ = old_dev;
   reconstruct_state(p0, true);
   limit_ = last_consumer_pos_[moved_];
@@ -616,14 +647,26 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
     // the switch comes earlier.
     if ((replayed >= 256 || (n_ <= 512 && replayed >= 64)) &&
         recomputed + (replayed >> 3) >= replayed) {
-      replayed += n_ - p;
-      run_max = sweep_suffix(p, run_max);
+      run_max = sweep_suffix(p, run_max, limit, replayed);
       p = n_;
       break;
     }
     ++replayed;
-    recomputed += step<true>(p) ? 1 : 0;
-    run_max = std::max(run_max, probe_finish_[plan[p].node]);
+    const std::uint32_t v = plan[p].node;
+    const bool changed = step<true>(p);
+    recomputed += changed ? 1 : 0;
+    run_max = std::max(run_max, probe_finish_[v]);
+    // A recomputed task's start + tail bounds the probed makespan; a clean
+    // one keeps its committed start and tail, which sum to at most the
+    // committed makespan, and only its finish joins the running maximum.
+    const double bound =
+        changed ? std::max(run_max, probe_start_[v] + tail_[v]) : run_max;
+    if (bound > limit) {
+      ++stopped_probes_;
+      run_max = bound;
+      p = n_;
+      break;
+    }
   }
   // Read-only fold: past the stop point every time is committed, so the
   // probed makespan rejoins the committed prefix-max curve exactly as
@@ -649,8 +692,7 @@ double IncrementalEvaluator::probe(TaskReassignment move) {
   // Roll back the scratch marks and the view; the committed state was
   // never touched.
   clear_marks();
-  mapping_.device[move.node.v] = DeviceId(old_dev);
-  return over == 0 ? run_max : kInfeasible;
+  return run_max;
 }
 
 }  // namespace spmap

@@ -75,7 +75,22 @@
 /// bit-identical values (tests/property_incremental_test.cpp forces each
 /// and compares), so the route only affects speed, never results, and two
 /// engines fed the same calls take the same routes. `apply()` always runs
-/// incrementally — it must maintain the committed records.
+/// incrementally — it must maintain the committed records. A probe stopped
+/// at its cutoff (below) adds the positions it visited over n - p0.
+///
+/// ## Cutoffs
+///
+/// A probe may stop once its running maximum finish, or a recomputed task's
+/// start plus its *tail* (`tail_of`, sched/sweep_kernel.hpp: HEFT's upward
+/// rank on the committed mapping), exceeds the cutoff plus `tail_limit`'s
+/// slack. The first probe with a finite cutoff after a reset or a
+/// device-changing apply fills the tails in one reverse pass. They hold at
+/// every position after the moved task, whose descendants lie past it and
+/// keep their devices; the moved task takes its new device's tail for the
+/// probe's duration. A clean position's start + tail is at most the
+/// committed makespan, so the incremental route checks recomputed ones
+/// only; the suffix sweep and the dense-cascade bail-out run `sweep` with
+/// a `TailStop`. An area-infeasible candidate returns before any sweep.
 ///
 /// ## Thread-safety
 ///
@@ -138,9 +153,11 @@ class IncrementalEvaluator {
   /// The makespan the move *would* produce, leaving the state untouched:
   /// recomputed times go to the probe view only, nothing committed is
   /// written, and the view is restored before returning, so a rejected
-  /// candidate costs only the replay itself. The returned value is
-  /// bit-identical to what apply() would return.
-  double probe(TaskReassignment move);
+  /// candidate costs only the replay itself. `cutoff` has
+  /// `Evaluator::evaluate_moves`'s contract: a move whose makespan is below
+  /// it gets exactly what apply() would return, bit for bit; any other
+  /// may stop early ("Cutoffs" above) and return some value >= `cutoff`.
+  double probe(TaskReassignment move, double cutoff = kInfeasible);
 
   /// Makespan of the current mapping under the bound schedule order;
   /// `kInfeasible` while any FPGA area budget is exceeded (matching
@@ -184,6 +201,8 @@ class IncrementalEvaluator {
   std::size_t incremental_replayed_total() const { return inc_replayed_total_; }
   /// Positions re-simulated by suffix-sweep-path probes.
   std::size_t fallback_swept_total() const { return fb_swept_total_; }
+  /// Probes stopped at their cutoff (lifetime total).
+  std::size_t stopped_probe_count() const { return stopped_probes_; }
 
  private:
   /// Sentinel: un-dirtied limit (no pending influence).
@@ -214,11 +233,16 @@ class IncrementalEvaluator {
   /// when the position was recomputed.
   template <bool kProbe>
   bool step(std::size_t p);
-  /// Re-simulates every position from `p` to the end against the cur state
-  /// with the flat `sweep` (sched/sweep_kernel.hpp) — no skip detection, no
-  /// base state — on the probe view, restores the view's committed times
-  /// over those positions, and returns the folded makespan.
-  double sweep_suffix(std::size_t p, double run_max);
+  /// Prices the probe of `u`, already on its new device with its new tail,
+  /// on the routed path: the exact makespan, or the bound above `limit`.
+  double price_probe(std::uint32_t u, std::uint32_t old_dev, double limit);
+  /// Re-simulates the positions from `p` on against the cur state with the
+  /// flat `sweep` (sched/sweep_kernel.hpp) — no skip detection, no base
+  /// state — on the probe view, until a tail bound exceeds `limit`;
+  /// restores the view over the positions it swept, adds their count to
+  /// `swept`, and returns the folded makespan or the stopping bound.
+  double sweep_suffix(std::size_t p, double run_max, double limit,
+                      std::size_t& swept);
   /// Auto-mode routing of one probe: true to take the suffix-sweep path.
   bool route_to_sweep();
   /// Clears the per-replay dirty/diff marks of apply() and probe().
@@ -307,6 +331,10 @@ class IncrementalEvaluator {
   std::size_t fb_probes_ = 0;
   std::size_t inc_replayed_total_ = 0;
   std::size_t fb_swept_total_ = 0;
+  std::size_t stopped_probes_ = 0;
+  /// Per-node tails on the committed mapping (see "Cutoffs" above).
+  std::vector<double> tail_;
+  bool tails_valid_ = false;
 
   // ---- per-apply scratch ----
   std::vector<double> cur_slot_, cur_link_;    // replayed (new) state

@@ -29,6 +29,7 @@
 /// suffix route all run it.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -174,12 +175,57 @@ template <class Slots, class OnEdge = NoRecord>
   return {start_v, start_v + exec_v, streamed};
 }
 
+/// Lower bound on makespan - start(v) for task v on its device under
+/// `map`, from its consumers' tails (so valid while no descendant of v
+/// moves): the longer of v's run and, over its out-edges, the least the
+/// consumer can start after v (a stream's fill share of v's run on a
+/// shared FPGA, v's run on any other shared device, v's run plus the bare
+/// transfer across devices; link waits only add to it) plus its tail:
+/// HEFT's upward rank on the fixed mapping, behind every cutoff.
+inline double tail_of(const SweepTables& t, const DeviceId* map,
+                      std::uint32_t v, const double* tail) {
+  const std::size_t m = t.devices;
+  const std::uint32_t d = map[v].v;
+  const double exec = t.exec[v * m + d];
+  const double shared = t.is_fpga[d] != 0 ? t.fill[d] * exec : exec;
+  double bound = exec;
+  for (std::uint32_t k = t.flat.out_begin(NodeId(v));
+       k < t.flat.out_end(NodeId(v)); ++k) {
+    const std::uint32_t c = t.flat.out_dst(k);
+    const std::size_t li = d * m + map[c].v;
+    const double lead =
+        map[c].v == d
+            ? shared
+            : exec + (t.latency[li] +
+                      t.flat.out_data_mb(k) / 1000.0 / t.bandwidth[li]);
+    bound = std::max(bound, lead + tail[c]);
+  }
+  return bound;
+}
+
+/// Every task's `tail_of` under `map`, in one reverse pass over a walk
+/// plan (a topological walk puts each consumer after its producers).
+inline void fill_tails(const SweepTables& t, const DeviceId* map,
+                       const WalkPlan& plan, double* tail) {
+  for (auto it = plan.rbegin(); it != plan.rend(); ++it) {
+    tail[it->node] = tail_of(t, map, it->node, tail);
+  }
+}
+
+/// The stop limit for a cutoff: 1e-9 relative slack covers the different
+/// rounding of start + tail and of the sweep's own sums.
+inline double tail_limit(double cutoff) {
+  return cutoff + std::abs(cutoff) * 1e-9;
+}
+
 /// Early-stop policy of `sweep`: active, the sweep ends as soon as a
-/// task's start + tail, a lower bound on the makespan, exceeds `limit`.
+/// task's start + tail, a lower bound on the makespan, exceeds `limit`,
+/// and `stopped_at`, when set, receives that task's position.
 template <bool kActive>
 struct TailStop {
   const double* tail = nullptr;
   double limit = std::numeric_limits<double>::infinity();
+  const PlanNode** stopped_at = nullptr;
 };
 
 /// Prices walk positions [first, last) under `map`, writing each node's
@@ -207,7 +253,10 @@ template <bool kStops = false>
     run_max = std::max(run_max, nt.finish);
     if constexpr (kStops) {
       const double bound = nt.start + stop.tail[pn.node];
-      if (bound > stop.limit) return bound;
+      if (bound > stop.limit) {
+        if (stop.stopped_at != nullptr) *stop.stopped_at = first;
+        return bound;
+      }
     }
   }
   return run_max;

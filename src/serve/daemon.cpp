@@ -394,7 +394,11 @@ Json Daemon::status_body(std::uint64_t id, const JobEntry& entry) const {
   body.set("job", Json(id));
   body.set("class", Json(entry.priority_class));
   const JobStatus status = entry.handle.status();
-  body.set("state", Json(to_string(status)));
+  // Terminal only once the IO thread has journaled it (`entry.terminal`):
+  // until then a finished job reads running.
+  const bool live = status == JobStatus::kQueued ||
+                    status == JobStatus::kRunning || entry.terminal;
+  body.set("state", Json(to_string(live ? status : JobStatus::kRunning)));
   if (!entry.terminal) return body;
 
   const MapJobResult& result = entry.handle.wait();  // terminal: immediate

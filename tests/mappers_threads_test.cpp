@@ -248,5 +248,42 @@ TEST(LocalSearch, PinnedExactResults) {
   }
 }
 
+// Degenerate graphs for the local searches and their tail bounds: a single
+// task, 16 independent tasks and a two-task chain, on the paper and the
+// many-core platforms. Each run returns a mapping of the graph's size,
+// priced exactly as a fresh evaluation prices it.
+TEST(LocalSearch, DegenerateGraphsGiveExactMappings) {
+  Dag single(1);
+  Dag edgeless(16);
+  Dag chain(2);
+  chain.add_edge(NodeId(0u), NodeId(1u));
+  const char* const specs[] = {
+      "hillclimb:init=cpu,iters=300", "anneal:init=cpu,iters=300",
+      "tabu:init=cpu,iters=300",
+      "hillclimb:init=heft,restarts=2,threads=2"};
+  const std::pair<const char*, Platform> platforms[] = {
+      {"paper", reference_platform()}, {"manycore", manycore_platform()}};
+  for (const auto& [platform_name, platform] : platforms) {
+    for (const Dag* dag : {&single, &edgeless, &chain}) {
+      Rng rng(11);
+      const TaskAttrs attrs = random_task_attrs(*dag, rng);
+      const CostModel cost(*dag, attrs, platform);
+      const Evaluator eval(cost);
+      for (const char* spec : specs) {
+        const std::string where = std::string(spec) + " on " +
+                                  std::to_string(dag->node_count()) +
+                                  " tasks, " + platform_name;
+        Rng mapper_rng(1);
+        const MapReport r = MapperRegistry::instance()
+                                .create(spec, *dag, mapper_rng)
+                                ->map(eval, MapRequest{});
+        ASSERT_EQ(r.mapping.size(), dag->node_count()) << where;
+        EXPECT_EQ(r.predicted_makespan, Evaluator(cost).evaluate(r.mapping))
+            << where;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace spmap

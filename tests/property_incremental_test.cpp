@@ -11,9 +11,15 @@
 /// and every hybrid probe mode: kAuto (online routing), kForceIncremental
 /// and kForceFallback. Agreement in the forced modes proves each probe path
 /// is bit-identical on its own, not just whichever one the router happens
-/// to pick; a mixed-route case redraws the mode before every probe.
+/// to pick; a mixed-route case redraws the mode before every probe. A
+/// cutoff case checks probes given a cutoff: exact below it, at or above
+/// it otherwise.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 
 #include "graph/generators.hpp"
 #include "model/platform.hpp"
@@ -32,6 +38,56 @@ struct IncCase {
   bool wide = false;  // wide manycore platform instead of the paper one
   ProbeMode mode = ProbeMode::kAuto;
 };
+
+constexpr ProbeMode kInc = ProbeMode::kForceIncremental;
+constexpr ProbeMode kFb = ProbeMode::kForceFallback;
+
+constexpr IncCase kGrid[] = {
+    // Paper platform, auto routing (the production configuration).
+    IncCase{2, 0, 30, 41}, IncCase{8, 0, 60, 42}, IncCase{8, 4, 60, 43},
+    IncCase{25, 0, 80, 44}, IncCase{25, 12, 80, 45},
+    IncCase{60, 0, 120, 46}, IncCase{60, 30, 120, 47},
+    IncCase{120, 60, 160, 48}, IncCase{250, 50, 200, 49},
+    IncCase{500, 0, 220, 50},
+    // Wide manycore platform, auto routing.
+    IncCase{25, 12, 80, 51, true}, IncCase{60, 30, 120, 52, true},
+    IncCase{250, 50, 200, 53, true}, IncCase{500, 0, 220, 54, true},
+    // Forced modes: each probe path must be exact on its own, on both
+    // platforms, dense and sparse graphs alike.
+    IncCase{60, 30, 120, 55, false, kFb},
+    IncCase{120, 60, 160, 56, false, kFb},
+    IncCase{500, 0, 220, 57, false, kFb},
+    IncCase{120, 60, 160, 58, false, kInc},
+    IncCase{60, 30, 120, 59, true, kFb},
+    IncCase{250, 50, 200, 60, true, kFb},
+    IncCase{250, 50, 200, 61, true, kInc},
+    IncCase{500, 0, 220, 62, true, kInc},
+};
+
+// Stopped probes of the cutoff case, summed over the wide-manycore cases.
+// A cutoff that never stops a probe would pass every per-probe check, so
+// once all of those cases ran, the sum must be positive.
+class WideStopTally : public ::testing::Environment {
+ public:
+  void add(std::size_t stopped) {
+    ++cases_;
+    stopped_ += stopped;
+  }
+  void TearDown() override {
+    const auto wide = std::count_if(std::begin(kGrid), std::end(kGrid),
+                                    [](const IncCase& c) { return c.wide; });
+    if (cases_ == static_cast<std::size_t>(wide)) {
+      EXPECT_GT(stopped_, 0u) << "no wide-manycore probe stopped";
+    }
+  }
+
+ private:
+  std::size_t cases_ = 0;
+  std::size_t stopped_ = 0;
+};
+
+WideStopTally* const wide_stops = static_cast<WideStopTally*>(
+    ::testing::AddGlobalTestEnvironment(new WideStopTally));
 
 class IncrementalProperty : public ::testing::TestWithParam<IncCase> {
  protected:
@@ -184,31 +240,66 @@ TEST_P(IncrementalProperty, MixedRoutesAgreeWithEvaluateOrder) {
   }
 }
 
-constexpr ProbeMode kInc = ProbeMode::kForceIncremental;
-constexpr ProbeMode kFb = ProbeMode::kForceFallback;
+// The cutoff contract: a probe whose makespan is below its cutoff returns
+// evaluate_order's value bit for bit; any other probe returns some value
+// >= the cutoff. Cutoffs are drawn around the exact value (equal, one ulp
+// either side, 1.5x) and at the committed makespan, where tail bounds can
+// stop a worse candidate. The walk runs once in the case's own mode and
+// once with the mode redrawn before every probe.
+TEST_P(IncrementalProperty, CutoffProbesAreExactBelowTheCutoff) {
+  constexpr ProbeMode kModes[] = {ProbeMode::kAuto,
+                                  ProbeMode::kForceIncremental,
+                                  ProbeMode::kForceFallback};
+  EvalContext ctx;
+  std::size_t stopped = 0;
+  for (const bool mixed : {false, true}) {
+    IncrementalEvaluator inc(*eval_);
+    inc.set_probe_mode(GetParam().mode);
+    Mapping current = random_feasible_mapping(*cost_, rng_);
+    inc.reset(current);
+    const auto random_move = [&] {
+      const NodeId node(
+          static_cast<std::uint32_t>(rng_.below(dag_.node_count())));
+      const DeviceId device(
+          static_cast<std::uint32_t>(rng_.below(platform_.device_count())));
+      return TaskReassignment{node, device};
+    };
+    for (std::size_t i = 0; i < GetParam().moves; ++i) {
+      const std::size_t probes = 1 + rng_.below(4);
+      for (std::size_t k = 0; k < probes; ++k) {
+        if (mixed) inc.set_probe_mode(kModes[rng_.below(3)]);
+        const TaskReassignment move = random_move();
+        Mapping probed = current;
+        probed[move.node] = move.device;
+        const double exact =
+            cost_->area_feasible(probed)
+                ? eval_->evaluate_order(probed, inc.order(), ctx)
+                : kInfeasible;
+        const double cutoffs[] = {exact, std::nextafter(exact, 0.0),
+                                  std::nextafter(exact, kInfeasible),
+                                  1.5 * exact, inc.order_makespan()};
+        const double cutoff = cutoffs[rng_.below(5)];
+        const double got = inc.probe(move, cutoff);
+        if (exact < cutoff) {
+          ASSERT_EQ(got, exact) << "step " << i << " probe " << k;
+        } else {
+          ASSERT_GE(got, cutoff) << "step " << i << " probe " << k;
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_agreement(inc, current))
+            << "step " << i << " probe " << k;
+      }
+      const TaskReassignment move = random_move();
+      inc.apply(move);
+      current[move.node] = move.device;
+      ASSERT_NO_FATAL_FAILURE(expect_agreement(inc, current)) << "step " << i;
+    }
+    if (GetParam().wide) stopped += inc.stopped_probe_count();
+  }
+  if (GetParam().wide) wide_stops->add(stopped);
+}
 
 INSTANTIATE_TEST_SUITE_P(
-    Grid, IncrementalProperty,
-    ::testing::Values(
-        // Paper platform, auto routing (the production configuration).
-        IncCase{2, 0, 30, 41}, IncCase{8, 0, 60, 42}, IncCase{8, 4, 60, 43},
-        IncCase{25, 0, 80, 44}, IncCase{25, 12, 80, 45},
-        IncCase{60, 0, 120, 46}, IncCase{60, 30, 120, 47},
-        IncCase{120, 60, 160, 48}, IncCase{250, 50, 200, 49},
-        IncCase{500, 0, 220, 50},
-        // Wide manycore platform, auto routing.
-        IncCase{25, 12, 80, 51, true}, IncCase{60, 30, 120, 52, true},
-        IncCase{250, 50, 200, 53, true}, IncCase{500, 0, 220, 54, true},
-        // Forced modes: each probe path must be exact on its own, on both
-        // platforms, dense and sparse graphs alike.
-        IncCase{60, 30, 120, 55, false, kFb},
-        IncCase{120, 60, 160, 56, false, kFb},
-        IncCase{500, 0, 220, 57, false, kFb},
-        IncCase{120, 60, 160, 58, false, kInc},
-        IncCase{60, 30, 120, 59, true, kFb},
-        IncCase{250, 50, 200, 60, true, kFb},
-        IncCase{250, 50, 200, 61, true, kInc},
-        IncCase{500, 0, 220, 62, true, kInc}),
+    Grid, IncrementalProperty, ::testing::ValuesIn(kGrid),
     [](const ::testing::TestParamInfo<IncCase>& info) {
       const char* mode = info.param.mode == kInc  ? "_finc"
                          : info.param.mode == kFb ? "_ffb"

@@ -1,10 +1,13 @@
 /// The per-connection session FSM (serve/session.hpp) against a scripted
 /// SessionHost: handshake paths, submit validation, drain refusals, idle
-/// timeout, double-cancel idempotence — no sockets. One handshake case
-/// runs the FSM against an unbound Daemon, the production host.
+/// timeout, double-cancel idempotence — no sockets. One handshake case and
+/// one status case run the FSM against an unbound Daemon, the production
+/// host.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "serve/daemon.hpp"
@@ -161,6 +164,30 @@ TEST(SessionResume, HelloCarriesNeitherSessionNorToken) {
   EXPECT_FALSE(response.contains("session"));
   EXPECT_FALSE(response.contains("token"));
   EXPECT_EQ(session.state(), SessionState::kActive);
+}
+
+TEST(SessionStatus, FinishedJobReadsRunningUntilTheDaemonCommitsIt) {
+  // An unbound daemon runs no IO loop, so it never handles a job's
+  // terminal event and never journals its terminal record: however long
+  // ago the worker finished, status must not report the job terminal.
+  Daemon daemon({.endpoint = {}, .workers = 1, .journal_path = {}});
+  Session session(6, daemon);
+  answer(session, hello_line());
+  const Json ack = answer(
+      session, "{\"op\":\"submit\",\"mapper\":\"spff\","
+               "\"generate\":{\"type\":\"sp\",\"tasks\":8,\"seed\":1}}");
+  ASSERT_TRUE(ack.at("ok").as_bool());
+  for (int i = 0; i < 5000 && daemon.stats_body().at("done").as_int() < 1;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(daemon.stats_body().at("done").as_int(), 1);
+  const Json status = answer(
+      session, "{\"op\":\"status\",\"job\":" +
+                   std::to_string(ack.at("job").as_int()) + "}");
+  ASSERT_TRUE(status.at("ok").as_bool());
+  EXPECT_EQ(status.at("state").as_string(), "running");
+  EXPECT_FALSE(status.contains("makespan"));
 }
 
 TEST(SessionResume, HelloOmitsIdentityWhenTheHostDoesNot) {
