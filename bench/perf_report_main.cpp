@@ -163,16 +163,20 @@ void report_incremental(Json& results, const char* config, const Dag& dag,
   const double full_s = time_per_call(
       min_seconds, [&] { sink = sink + eval.evaluate(mapping, ctx); });
 
+  // Each timed call is one whole pass of the move stream on one engine, so
+  // every window prices the same moves, however short it is.
   IncrementalEvaluator inc(eval);
   inc.reset(mapping);
   const std::vector<TaskReassignment> moves =
       benchcase::random_moves(1024, mapping, platform.device_count(), 12);
-  std::size_t i = 0;
   volatile double probe_sink = 0.0;
-  const double inc_s = time_per_call(min_seconds, [&] {
-    probe_sink = probe_sink + inc.probe(moves[i]);
-    i = (i + 1) & 1023;
-  });
+  const double inc_s =
+      time_per_call(min_seconds, [&] {
+        for (const TaskReassignment& move : moves) {
+          probe_sink = probe_sink + inc.probe(move);
+        }
+      }) /
+      static_cast<double>(moves.size());
 
   // Per-path replay metrics from the engine's own counters, over exactly
   // one pass of the move stream on a fresh engine: the timed loop above

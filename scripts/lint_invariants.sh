@@ -30,6 +30,9 @@
 #   8. `tail_of` is defined only in src/sched/sweep_kernel.hpp — the tail
 #      bound behind every cutoff (`evaluate_moves` and the incremental
 #      engine's `probe`) has one implementation.
+#   9. `replace_min` and every `struct ...Slots` are defined only in
+#      src/sched/sweep_kernel.hpp — each way of holding slot-ready times
+#      (`ArgminSlots`, the `SortedSlots` ring) has one implementation.
 set -u
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -98,6 +101,15 @@ matches=$(grep -rnE --include='*.hpp' --include='*.cpp' \
   '^[^/]*\b(double|float|auto)[[:space:]]+tail_of[[:space:]]*\(' \
   src/ bench/ tools/ | grep -v '^src/sched/sweep_kernel\.hpp:' || true)
 report "tail_of( defined outside src/sched/sweep_kernel.hpp: call the one tail bound there" "$matches"
+
+# Rule 9: one implementation of each slot form. A definition is
+# `replace_min(` after a return type, or a `struct` whose name ends in
+# `Slots`; as in rule 6, only code before any `//` counts.
+matches=$(grep -rnE --include='*.hpp' --include='*.cpp' \
+  -e '^[^/]*\b(void|double|bool|auto)[[:space:]]+replace_min[[:space:]]*\(' \
+  -e '^[^/]*\bstruct[[:space:]]+[A-Za-z0-9_]*Slots\b' \
+  src/ bench/ tools/ | grep -v '^src/sched/sweep_kernel\.hpp:' || true)
+report "replace_min( or a struct ...Slots defined outside src/sched/sweep_kernel.hpp: use ArgminSlots or the SortedSlots ring there" "$matches"
 
 if [ "$failures" -ne 0 ]; then
   echo "lint_invariants: FAILED" >&2

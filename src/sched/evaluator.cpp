@@ -88,7 +88,7 @@ double Evaluator::evaluate_plan(const Mapping& mapping, const WalkPlan& plan,
   std::fill_n(ctx.slot_ready(), ctx.reset_len_, 0.0);
   return sweep(tables_, mapping.device.data(), plan.data(),
                plan.data() + plan.size(), ctx.start(), ctx.finish(),
-               ctx.slot_ready(), ctx.link_ready(), 0.0);
+               ctx.slot_ready(), nullptr, ctx.link_ready(), 0.0);
 }
 
 double Evaluator::evaluate(const Mapping& mapping, EvalContext& ctx) const {
@@ -252,7 +252,7 @@ std::span<const double> Evaluator::evaluate_moves(const Mapping& base,
         const Move& move = moves[i];
         cursor_max = sweep(tables_, base.device.data(), walk + cursor,
                            walk + p0, c.start(), c.finish(), c.slot_ready(),
-                           c.link_ready(), cursor_max);
+                           nullptr, c.link_ready(), cursor_max);
         cursor = p0;
         double makespan = cursor_max;
         if (p0 < n) {
@@ -266,7 +266,7 @@ std::span<const double> Evaluator::evaluate_moves(const Mapping& base,
           const DeviceId* map = c.moved_.device.data();
           const PlanNode* pl = walk + ctx.last_[i];
           makespan = sweep(tables_, map, walk + p0, pl + 1, c.start(),
-                           c.finish(), slot, link, cursor_max);
+                           c.finish(), slot, nullptr, link, cursor_max);
           double bound = 0.0;  // the moved task's, on its new device
           if constexpr (kStops) {
             bound = c.start()[pl->node] +
@@ -275,7 +275,8 @@ std::span<const double> Evaluator::evaluate_moves(const Mapping& base,
           makespan = bound > stop.limit
                          ? bound
                          : sweep(tables_, map, pl + 1, walk + n, c.start(),
-                                 c.finish(), slot, link, makespan, stop);
+                                 c.finish(), slot, nullptr, link, makespan,
+                                 stop);
           for (const NodeId v : move.nodes) c.moved_[v] = base[v];
         }
         double& out = ctx.makespans_[i];

@@ -1,7 +1,6 @@
 #include "sched/incremental_evaluator.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace spmap {
 
@@ -63,6 +62,7 @@ IncrementalEvaluator::IncrementalEvaluator(const Evaluator& eval,
   edge_arrival_.resize(flat.edge_count());
   prefix_max_.resize(n_);
   checkpoints_.resize(blocks_ * (s_total_ + m_));
+  checkpoint_heads_.resize(blocks_ * m_);
   block_slot_uses_.assign(blocks_ * m_, 0);
   block_link_uses_.assign(blocks_ * m_, 0);
   total_slot_uses_.assign(m_, 0);
@@ -73,6 +73,8 @@ IncrementalEvaluator::IncrementalEvaluator(const Evaluator& eval,
   cur_link_.resize(m_);
   base_slot_.resize(s_total_);
   base_link_.resize(m_);
+  cur_head_.resize(m_);
+  base_head_.resize(m_);
   slot_differs_.assign(m_, 0);
   link_differs_.assign(m_, 0);
   diff_listed_.assign(m_, 0);
@@ -170,7 +172,8 @@ double IncrementalEvaluator::reset(const Mapping& mapping) {
 void IncrementalEvaluator::full_recording_sweep() {
   std::fill(cur_slot_.begin(), cur_slot_.end(), 0.0);
   std::fill(cur_link_.begin(), cur_link_.end(), 0.0);
-  const SortedSlots slots{cur_slot_.data(), t_->slot_offset.data()};
+  std::fill(cur_head_.begin(), cur_head_.end(), 0);
+  const SortedSlots slots = cur_slots();
   const auto record = [&](std::uint32_t k, std::uint32_t, std::uint32_t,
                           bool xfer, double arrival) {
     edge_xfer_[k] = xfer ? 1 : 0;
@@ -178,11 +181,7 @@ void IncrementalEvaluator::full_recording_sweep() {
   };
   double run_max = 0.0;
   for (std::size_t p = 0; p < n_; ++p) {
-    if (p % kStride == 0) {
-      double* ck = checkpoint(p / kStride);
-      std::copy(cur_slot_.begin(), cur_slot_.end(), ck);
-      std::copy(cur_link_.begin(), cur_link_.end(), ck + s_total_);
-    }
+    if (p % kStride == 0) snapshot_checkpoint(p / kStride);
     const PlanNode pn = (*plan_)[p];
     const NodeTime nt =
         time_node(*t_, mapping_.device.data(), pn, cur_link_.data(),
@@ -199,10 +198,11 @@ void IncrementalEvaluator::full_recording_sweep() {
 void IncrementalEvaluator::reconstruct_state(std::size_t p0, bool with_base) {
   const std::size_t c = p0 / kStride;
   const double* ck = checkpoint(c);
-  double* slots = with_base ? base_slot_.data() : cur_slot_.data();
+  const SortedSlots slots = with_base ? base_slots() : cur_slots();
   double* links = with_base ? base_link_.data() : cur_link_.data();
-  std::copy(ck, ck + s_total_, slots);
+  std::copy(ck, ck + s_total_, slots.ready);
   std::copy(ck + s_total_, ck + s_total_ + m_, links);
+  std::copy_n(checkpoint_heads(c), m_, slots.head);
   if (with_base) {
     // Seed the seen-use counters with the whole-block prefix...
     std::fill(seen_slot_.begin(), seen_slot_.end(), 0);
@@ -233,23 +233,15 @@ void IncrementalEvaluator::reconstruct_state(std::size_t p0, bool with_base) {
       }
     }
     if (!streamed_[p]) {
-      pop_min_insert(slots, d, finish_[u]);
+      slots.replace_min(d, finish_[u]);
       if (with_base) ++seen_slot_[d];
     }
   }
   if (with_base) {
-    std::copy(base_slot_.begin(), base_slot_.end(), cur_slot_.begin());
-    std::copy(base_link_.begin(), base_link_.end(), cur_link_.begin());
+    cur_slot_ = base_slot_;
+    cur_link_ = base_link_;
+    cur_head_ = base_head_;
   }
-}
-
-bool IncrementalEvaluator::slot_span_equal(std::uint32_t device) const {
-  // Bitwise compare: for the nonnegative finite times in these spans it
-  // matches value equality (a hypothetical -0.0 vs +0.0 would only read as
-  // "differs", which is conservative — an extra recompute, never a skip).
-  const std::size_t b = t_->slot_offset[device];
-  return std::memcmp(cur_slot_.data() + b, base_slot_.data() + b,
-                     (t_->slot_offset[device + 1] - b) * sizeof(double)) == 0;
 }
 
 void IncrementalEvaluator::touch_slot_device(std::uint32_t device) {
@@ -270,7 +262,8 @@ void IncrementalEvaluator::touch_link_device(std::uint32_t device) {
 
 void IncrementalEvaluator::refresh_touched_diffs() {
   for (const std::uint32_t d : touched_slot_devs_) {
-    const std::uint8_t differs = slot_span_equal(d) ? 0 : 1;
+    const std::uint8_t differs =
+        cur_slots().same_span(base_slots(), d) ? 0 : 1;
     if (differs != slot_differs_[d]) {
       slot_differs_[d] = differs;
       diff_device_count_ += differs ? 1 : std::size_t(-1);
@@ -325,6 +318,7 @@ void IncrementalEvaluator::patch_tail_checkpoints(std::size_t p) {
         std::copy(cur_slot_.begin() + t_->slot_offset[dev],
                   cur_slot_.begin() + t_->slot_offset[dev + 1],
                   ck + t_->slot_offset[dev]);
+        checkpoint_heads(c)[dev] = cur_head_[dev];
       }
       if (link_differs_[dev]) ck[s_total_ + dev] = cur_link_[dev];
     }
@@ -366,8 +360,8 @@ bool IncrementalEvaluator::step(std::size_t p) {
     }
     if (!streamed_[p]) {
       const double fv = finish_[u];
-      pop_min_insert(base_slot_.data(), d, fv);
-      pop_min_insert(cur_slot_.data(), d, fv);
+      base_slots().replace_min(d, fv);
+      cur_slots().replace_min(d, fv);
       ++seen_slot_[d];
     }
     return false;
@@ -413,7 +407,7 @@ bool IncrementalEvaluator::step(std::size_t p) {
     }
   };
   if (!streamed_[p]) {
-    pop_min_insert(base_slot_.data(), d_old, finish_[u]);
+    base_slots().replace_min(d_old, finish_[u]);
     touch_slot_device(d_old);
     if constexpr (kProbe) ++seen_slot_[d_old];
   }
@@ -421,8 +415,8 @@ bool IncrementalEvaluator::step(std::size_t p) {
   // times and otherwise the committed ones; an apply writes both.
   const NodeTime nt =
       time_node(*t_, mapping_.device.data(), pn, cur_link_.data(),
-                probe_start_.data(), probe_finish_.data(),
-                SortedSlots{cur_slot_.data(), t_->slot_offset.data()}, on_edge);
+                probe_start_.data(), probe_finish_.data(), cur_slots(),
+                on_edge);
   probe_start_[u] = nt.start;
   probe_finish_[u] = nt.finish;
   if constexpr (!kProbe) {
@@ -454,6 +448,7 @@ void IncrementalEvaluator::snapshot_checkpoint(std::size_t c) {
   double* ck = checkpoint(c);
   std::copy(cur_slot_.begin(), cur_slot_.end(), ck);
   std::copy(cur_link_.begin(), cur_link_.end(), ck + s_total_);
+  std::copy(cur_head_.begin(), cur_head_.end(), checkpoint_heads(c));
 }
 
 double IncrementalEvaluator::area_after(std::uint32_t device,
@@ -543,9 +538,11 @@ double IncrementalEvaluator::sweep_suffix(std::size_t p, double run_max,
   const PlanNode* walk = plan_->data();
   const PlanNode* stopped = nullptr;
   const auto run = [&](auto stop) {
-    return sweep(*t_, mapping_.device.data(), walk + p, walk + n_,
-                 probe_start_.data(), probe_finish_.data(), cur_slot_.data(),
-                 cur_link_.data(), run_max, stop);
+    return sweep<SortedSlots>(*t_, mapping_.device.data(), walk + p,
+                              walk + n_, probe_start_.data(),
+                              probe_finish_.data(), cur_slot_.data(),
+                              cur_head_.data(), cur_link_.data(), run_max,
+                              stop);
   };
   run_max = limit < kInfeasible
                 ? run(TailStop<true>{tail_.data(), limit, &stopped})

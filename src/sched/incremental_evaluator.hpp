@@ -30,9 +30,13 @@
 /// per-device slot-ready times in slot-index order and picks the argmin,
 /// while this engine keeps each device's slot multiset *sorted* (slots are
 /// interchangeable — only the multiset of ready times affects any start
-/// time, never the slot index). The canonical form is what makes
-/// "state has re-converged to the baseline" detectable by an elementwise
-/// compare, which is what bounds the affected suffix.
+/// time, never the slot index), as a ring with one head index per device
+/// (`SortedSlots`, sched/sweep_kernel.hpp). The canonical form is the
+/// ring's *logical* order, read from its head: two rings are the same
+/// state when their logical orders compare equal, whatever their heads
+/// (checkpoints carry the heads). That is what makes "state has
+/// re-converged to the baseline" detectable by an elementwise compare,
+/// which is what bounds the affected suffix.
 /// `tests/property_incremental_test.cpp` asserts the three-way agreement
 /// after every apply and probe over randomized reassignment sequences.
 ///
@@ -49,11 +53,12 @@
 /// ## The hybrid probe
 ///
 /// Delta re-pricing only pays when the perturbation heals before the walk
-/// ends: every visited position costs ~2-3x a plain sweep position (dual
+/// ends: every visited position costs ~2-5x a plain sweep position (dual
 /// base/cur state, skip tests, diff refreshes), so on *saturated* configs
 /// where a reassignment cascades through most of the suffix it loses to a
-/// plain sweep. `probe()` therefore routes each call through one of two
-/// exact paths:
+/// plain sweep. Both paths take slots through the same rings, where a slot
+/// costs O(1) when its new ready time is the latest. `probe()` therefore
+/// routes each call through one of two exact paths:
 ///
 ///  * **incremental** — the skip-detecting suffix replay described above;
 ///    once nearly everything it has visited needed recomputing it finishes
@@ -250,12 +255,19 @@ class IncrementalEvaluator {
   double* checkpoint(std::size_t c) {
     return checkpoints_.data() + c * (s_total_ + m_);
   }
-  /// Drops the device's minimum slot-ready time and inserts `value`,
-  /// keeping the span sorted — the canonical form of the full sweep's
-  /// "earliest-ready slot" pick + overwrite (value-identical; see header).
-  void pop_min_insert(double* slots, std::uint32_t device, double value) const {
-    SortedSlots{slots, t_->slot_offset.data()}.replace_min(device, value);
+  std::uint32_t* checkpoint_heads(std::size_t c) {
+    return checkpoint_heads_.data() + c * m_;
   }
+  /// The replayed (new) and committed (old) slot rings: the canonical form
+  /// of the full sweep's "earliest-ready slot" pick + overwrite
+  /// (value-identical; see header).
+  SortedSlots cur_slots() {
+    return {cur_slot_.data(), cur_head_.data(), t_->slot_offset.data()};
+  }
+  SortedSlots base_slots() {
+    return {base_slot_.data(), base_head_.data(), t_->slot_offset.data()};
+  }
+  /// Copies the cur (slot, link) state into checkpoint `c`.
   void snapshot_checkpoint(std::size_t c);
   /// True once no unvisited position can read any remaining divergent
   /// state: past `limit_`, and every device with a lingering slot/link diff
@@ -277,7 +289,6 @@ class IncrementalEvaluator {
   /// Use-count bookkeeping for remapping `node` from `from` to `to`.
   void shift_move_uses(std::uint32_t node, std::uint32_t from,
                        std::uint32_t to);
-  bool slot_span_equal(std::uint32_t device) const;
   void touch_slot_device(std::uint32_t device);
   void touch_link_device(std::uint32_t device);
   void refresh_touched_diffs();
@@ -304,6 +315,7 @@ class IncrementalEvaluator {
   std::vector<double> edge_arrival_;        // per in-edge slot
   std::vector<double> prefix_max_;          // per position
   std::vector<double> checkpoints_;         // [blocks_][s_total + m]
+  std::vector<std::uint32_t> checkpoint_heads_;  // [blocks_][m]: ring heads
   /// Committed-record use counts per (checkpoint block, device): how many
   /// positions in the block occupy an execution slot of the device, and how
   /// many transfer-edge endpoints touch the device's link. They answer
@@ -339,6 +351,7 @@ class IncrementalEvaluator {
   // ---- per-apply scratch ----
   std::vector<double> cur_slot_, cur_link_;    // replayed (new) state
   std::vector<double> base_slot_, base_link_;  // committed (old) state
+  std::vector<std::uint32_t> cur_head_, base_head_;  // per device
   std::vector<std::uint8_t> slot_differs_, link_differs_;  // per device
   std::size_t diff_device_count_ = 0;
   std::vector<std::uint32_t> diff_list_;     // devices that had a flag set

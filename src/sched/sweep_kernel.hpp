@@ -16,10 +16,10 @@
 ///
 /// Two compile-time policies adapt it to its callers:
 ///  * Slots — how each device's slot-ready times are held: `ArgminSlots`
-///    (slot-index order, earliest found by argmin; `sweep`) or
-///    `SortedSlots` (each device's multiset kept sorted — slots are
-///    interchangeable, so only the multiset affects any start time; the
-///    engine's canonical form);
+///    (slot-index order, earliest found by argmin; `Evaluator`'s sweeps) or
+///    `SortedSlots` (each device's multiset kept as a sorted ring — slots
+///    are interchangeable, so only the multiset affects any start time; the
+///    incremental engine's canonical form);
 ///  * OnEdge — what is recorded per in-edge: nothing (`NoRecord`), or the
 ///    engine's transfer records and base-state replay.
 ///
@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -72,6 +73,12 @@ struct ArgminSlots {
   double* ready;
   const std::size_t* offset;
 
+  /// `sweep`'s factory; this form keeps no heads.
+  static ArgminSlots over(double* ready, std::uint32_t*,
+                          const std::size_t* offset) {
+    return {ready, offset};
+  }
+
   /// Starts a task of length `exec` on device `d` no earlier than `at`.
   double start(std::uint32_t d, double at, double exec) const {
     // Conditional-move form: the comparisons are data-dependent and would
@@ -89,26 +96,81 @@ struct ArgminSlots {
   }
 };
 
-/// Each device's slot-ready times kept sorted ascending: the earliest slot
-/// is the first, and taking it is a pop-min plus a sorted insert.
+/// Each device's slot-ready times kept as a sorted ring: ascending from the
+/// device's head index to the end of its span, then on from the span's
+/// start. The earliest slot is the head; taking it advances the head, and
+/// the new ready time enters from the tail. Heads start at 0.
 struct SortedSlots {
+  /// Spans of at most this many slots are merged instead: the head stays
+  /// 0 and a branch-free pass keeps the span sorted. On a queue-bound
+  /// 4-slot CPU the insert point is random, and the ring's exit test
+  /// mispredicts.
+  static constexpr std::uint32_t kMergeSpan = 4;
+
   double* ready;
+  std::uint32_t* head;  ///< per device: index of its minimum in its span
   const std::size_t* offset;
 
+  static SortedSlots over(double* ready, std::uint32_t* head,
+                          const std::size_t* offset) {
+    return {ready, head, offset};
+  }
+
   double start(std::uint32_t d, double at, double exec) const {
-    const double start_v = std::max(at, ready[offset[d]]);
+    const double start_v = std::max(at, ready[offset[d] + head[d]]);
     replace_min(d, start_v + exec);
     return start_v;
   }
 
-  /// Drops device `d`'s minimum and inserts `value` (>= that minimum).
-  /// Spans are a handful of slots, so a sequential shift beats a memmove
-  /// call.
+  /// Drops device `d`'s minimum and inserts `value` (>= that minimum). In a
+  /// ring the minimum's cell becomes the tail, and `value` moves toward the
+  /// head past every larger time, so a new maximum — the common case in a
+  /// sweep — costs O(1).
   void replace_min(std::uint32_t d, double value) const {
-    std::size_t i = offset[d];
-    const std::size_t e = offset[d + 1];
-    for (; i + 1 < e && ready[i + 1] < value; ++i) ready[i] = ready[i + 1];
-    ready[i] = value;
+    double* span = ready + offset[d];
+    const auto k = static_cast<std::uint32_t>(offset[d + 1] - offset[d]);
+    if (k <= kMergeSpan) {
+      // Each cell takes its successor up to `value`, then `value`, then
+      // keeps its own time.
+      for (std::uint32_t j = 0; j + 1 < k; ++j) {
+        span[j] = std::max(span[j], std::min(span[j + 1], value));
+      }
+      span[k - 1] = std::max(span[k - 1], value);
+      return;
+    }
+    std::uint32_t i = head[d];
+    const std::uint32_t h = i + 1 == k ? 0 : i + 1;
+    head[d] = h;
+    while (i != h) {
+      const std::uint32_t prev = (i == 0 ? k : i) - 1;
+      if (span[prev] <= value) break;
+      span[i] = span[prev];
+      i = prev;
+    }
+    span[i] = value;
+  }
+
+  /// True when device `d` holds bitwise the same times in the same logical
+  /// order here and in `other` (same offsets). Equal heads take one memcmp;
+  /// otherwise the two wrap points cut the span into at most three runs
+  /// that are contiguous in both. For the nonnegative times held here,
+  /// bitwise equality is value equality (a -0.0 would only read as
+  /// "differs": an extra recompute, never a wrong skip).
+  bool same_span(const SortedSlots& other, std::uint32_t d) const {
+    const double* a = ready + offset[d];
+    const double* b = other.ready + offset[d];
+    const std::size_t k = offset[d + 1] - offset[d];
+    std::size_t ha = head[d];
+    std::size_t hb = other.head[d];
+    if (ha == hb) return std::memcmp(a, b, k * sizeof(double)) == 0;
+    for (std::size_t left = k; left != 0;) {
+      const std::size_t run = std::min({left, k - ha, k - hb});
+      if (std::memcmp(a + ha, b + hb, run * sizeof(double)) != 0) return false;
+      left -= run;
+      ha = ha + run == k ? 0 : ha + run;
+      hb = hb + run == k ? 0 : hb + run;
+    }
+    return true;
   }
 };
 
@@ -233,17 +295,18 @@ struct TailStop {
 /// returns the running maximum finish from `run_max`, or the bound at which
 /// `stop` ended the sweep. Full evaluations, frontier suffixes and the
 /// incremental engine's suffix sweeps all run this loop; the arrays do not
-/// alias, so its body stays in registers. Slots go through `ArgminSlots`,
-/// which is exact on sorted spans too (only the multiset of ready times
-/// reaches a start time), though it leaves them unsorted.
-template <bool kStops = false>
+/// alias, so its body stays in registers. `Slots` is the slot form of
+/// `slot_ready`, built by its `over` factory: `ArgminSlots` for
+/// `Evaluator`'s sweeps (`slot_head` unused, pass nullptr), `SortedSlots`
+/// for the engine's rings with their heads in `slot_head`.
+template <class Slots = ArgminSlots, bool kStops = false>
 [[gnu::always_inline]] inline double sweep(
     const SweepTables& t, const DeviceId* __restrict map,
     const PlanNode* first, const PlanNode* last, double* __restrict start,
     double* __restrict finish, double* __restrict slot_ready,
-    double* __restrict link_ready, double run_max,
+    std::uint32_t* slot_head, double* __restrict link_ready, double run_max,
     TailStop<kStops> stop = {}) {
-  const ArgminSlots slots{slot_ready, t.slot_offset.data()};
+  const Slots slots = Slots::over(slot_ready, slot_head, t.slot_offset.data());
   for (; first != last; ++first) {
     const PlanNode pn = *first;
     const NodeTime nt =

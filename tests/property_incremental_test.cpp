@@ -13,7 +13,9 @@
 /// is bit-identical on its own, not just whichever one the router happens
 /// to pick; a mixed-route case redraws the mode before every probe. A
 /// cutoff case checks probes given a cutoff: exact below it, at or above
-/// it otherwise.
+/// it otherwise. Zero-work cases give a share of the tasks complexity 0
+/// (the virtual source/sink case of graph/task_attrs.hpp), so a task can
+/// finish when it starts and one device's slot ring holds equal times.
 
 #include <gtest/gtest.h>
 
@@ -37,8 +39,10 @@ struct IncCase {
   std::uint64_t seed;
   bool wide = false;  // wide manycore platform instead of the paper one
   ProbeMode mode = ProbeMode::kAuto;
+  double zero_work = 0.0;  // share of tasks given complexity 0
 };
 
+constexpr ProbeMode kAuto = ProbeMode::kAuto;
 constexpr ProbeMode kInc = ProbeMode::kForceIncremental;
 constexpr ProbeMode kFb = ProbeMode::kForceFallback;
 
@@ -62,6 +66,12 @@ constexpr IncCase kGrid[] = {
     IncCase{250, 50, 200, 60, true, kFb},
     IncCase{250, 50, 200, 61, true, kInc},
     IncCase{500, 0, 220, 62, true, kInc},
+    // Zero-work tasks on the wide manycore platform: ties in one ring, in
+    // auto routing and on each forced path.
+    IncCase{120, 40, 160, 63, true, kAuto, 0.5},
+    IncCase{500, 0, 220, 64, true, kAuto, 0.25},
+    IncCase{250, 50, 200, 65, true, kInc, 0.5},
+    IncCase{250, 50, 200, 66, true, kFb, 0.5},
 };
 
 // Stopped probes of the cutoff case, summed over the wide-manycore cases.
@@ -98,6 +108,15 @@ class IncrementalProperty : public ::testing::TestWithParam<IncCase> {
     Dag base = generate_sp_dag(GetParam().nodes, rng_);
     dag_ = add_random_edges(base, GetParam().extra_edges, rng_);
     attrs_ = random_task_attrs(dag_, rng_);
+    // Only zero-work cases draw here, so every other case keeps its stream.
+    for (std::size_t v = 0; GetParam().zero_work > 0.0 && v < attrs_.size();
+         ++v) {
+      if (!rng_.chance(GetParam().zero_work)) continue;
+      attrs_.complexity[v] = 0.0;  // as TaskAttrs::resize fills a new node
+      attrs_.parallelizability[v] = 0.0;
+      attrs_.streamability[v] = 0.0;
+      attrs_.area[v] = 0.0;
+    }
     cost_.emplace(dag_, attrs_, platform_);
     eval_.emplace(*cost_);  // one (breadth-first) order: the bound order
     ref_.emplace(*cost_);
@@ -307,7 +326,8 @@ INSTANTIATE_TEST_SUITE_P(
       return "n" + std::to_string(info.param.nodes) + "_e" +
              std::to_string(info.param.extra_edges) + "_s" +
              std::to_string(info.param.seed) +
-             (info.param.wide ? "_wide" : "") + mode;
+             (info.param.wide ? "_wide" : "") + mode +
+             (info.param.zero_work > 0.0 ? "_zw" : "");
     });
 
 }  // namespace

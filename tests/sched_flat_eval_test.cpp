@@ -9,12 +9,18 @@
 ///    evaluation count `evaluate` would have made; under a cutoff, every
 ///    value below it must still be exact and every other one at or above
 ///    it, at an unchanged count;
-///  * the FlatGraph CSR view must mirror the Dag adjacency exactly.
+///  * the FlatGraph CSR view must mirror the Dag adjacency exactly;
+///  * the incremental engine's slot rings (`SortedSlots`) must hold each
+///    device's sorted multiset after every `replace_min`, and compare
+///    equal exactly when their logical orders do, whatever their heads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
+#include <set>
+#include <vector>
 
 #include "graph/flat_graph.hpp"
 #include "graph/generators.hpp"
@@ -23,6 +29,7 @@
 #include "model/platform_io.hpp"
 #include "sched/evaluator.hpp"
 #include "sched/reference_evaluator.hpp"
+#include "sched/sweep_kernel.hpp"
 #include "test_support.hpp"
 #include "util/thread_pool.hpp"
 #include "workflows/workflows.hpp"
@@ -498,6 +505,102 @@ TEST(FlatGraph, MirrorsDagAdjacency) {
       EXPECT_EQ(flat.out_edge(slot), out[k]);
       EXPECT_EQ(flat.out_dst(slot), dag.dst(out[k]).v);
       EXPECT_EQ(flat.out_data_mb(slot), dag.data_mb(out[k]));
+    }
+  }
+}
+
+/// Device spans of 1, 2, 4, 5 and 32 slots: merged spans, the smallest
+/// ring, and the many-core CPU's.
+const std::vector<std::size_t> kRingOffset = {0, 1, 3, 7, 12, 44};
+
+/// Device `d`'s times in logical order: from its head, wrapping at the end
+/// of its span.
+std::vector<double> logical(const SortedSlots& ring, std::uint32_t d) {
+  const std::size_t b = ring.offset[d];
+  const std::size_t k = ring.offset[d + 1] - b;
+  std::vector<double> out;
+  for (std::size_t j = 0; j < k; ++j) {
+    out.push_back(ring.ready[b + (ring.head[d] + j) % k]);
+  }
+  return out;
+}
+
+TEST(SortedSlots, ReplaceMinMatchesAMultisetReference) {
+  const std::size_t devices = kRingOffset.size() - 1;
+  std::vector<double> ready(kRingOffset.back(), 0.0);
+  std::vector<std::uint32_t> head(devices, 0);
+  const SortedSlots ring =
+      SortedSlots::over(ready.data(), head.data(), kRingOffset.data());
+  std::vector<std::multiset<double>> reference(devices);
+  std::vector<std::size_t> wraps(devices, 0);
+  for (std::size_t d = 0; d < devices; ++d) {
+    const std::vector<double> zeros(kRingOffset[d + 1] - kRingOffset[d], 0.0);
+    reference[d].insert(zeros.begin(), zeros.end());
+  }
+  Rng rng(2027);
+  for (std::size_t step = 0; step < 50000; ++step) {
+    const auto d = static_cast<std::uint32_t>(rng.below(devices));
+    std::multiset<double>& ref = reference[d];
+    // Values on a coarse grid, so equal times are common: the minimum
+    // itself, a time already held, a new maximum, or a grid step above
+    // the minimum.
+    const double min = *ref.begin();
+    double value = min;
+    switch (rng.below(4)) {
+      case 0: break;
+      case 1: value = *std::next(ref.begin(), rng.below(ref.size())); break;
+      case 2: value = *ref.rbegin() + 0.5 * rng.below(3); break;
+      default: value = min + 0.5 * rng.below(8); break;
+    }
+    ref.erase(ref.begin());
+    ref.insert(value);
+    const std::uint32_t before = head[d];
+    ring.replace_min(d, value);
+    wraps[d] += head[d] < before ? 1 : 0;
+    ASSERT_EQ(logical(ring, d), std::vector<double>(ref.begin(), ref.end()))
+        << "device " << d << " step " << step;
+  }
+  for (std::size_t d = 0; d < devices; ++d) {
+    if (kRingOffset[d + 1] - kRingOffset[d] > SortedSlots::kMergeSpan) {
+      EXPECT_GT(wraps[d], 0u) << "device " << d << " never wrapped";
+    }
+  }
+}
+
+TEST(SortedSlots, SameSpanComparesLogicalOrder) {
+  for (std::uint32_t d = 0; d + 1 < kRingOffset.size(); ++d) {
+    const std::size_t b = kRingOffset[d];
+    const std::size_t k = kRingOffset[d + 1] - b;
+    std::vector<double> sorted(k);
+    for (std::size_t j = 0; j < k; ++j) sorted[j] = 0.25 * (j / 2);  // ties
+    // Lays `values` out in logical order from head `h` on device d.
+    const auto ring_at = [&](std::vector<double>& ready,
+                             std::vector<std::uint32_t>& head, std::size_t h,
+                             const std::vector<double>& values) {
+      ready.assign(kRingOffset.back(), -1.0);
+      head.assign(kRingOffset.size() - 1, 0);
+      head[d] = static_cast<std::uint32_t>(h);
+      for (std::size_t j = 0; j < k; ++j) ready[b + (h + j) % k] = values[j];
+      return SortedSlots::over(ready.data(), head.data(), kRingOffset.data());
+    };
+    for (const std::size_t ha : {std::size_t{0}, k / 3, k - 1}) {
+      for (const std::size_t hb : {std::size_t{0}, k / 2, k - 1}) {
+        std::vector<double> ready_a, ready_b;
+        std::vector<std::uint32_t> head_a, head_b;
+        const SortedSlots a = ring_at(ready_a, head_a, ha, sorted);
+        const SortedSlots same = ring_at(ready_b, head_b, hb, sorted);
+        EXPECT_TRUE(a.same_span(same, d)) << "k " << k << " heads " << ha
+                                          << ", " << hb;
+        EXPECT_TRUE(same.same_span(a, d));
+        for (std::size_t j = 0; j < k; ++j) {
+          std::vector<double> changed = sorted;
+          changed[j] += 0.125;
+          const SortedSlots other = ring_at(ready_b, head_b, hb, changed);
+          EXPECT_FALSE(a.same_span(other, d))
+              << "k " << k << " heads " << ha << ", " << hb << " value " << j;
+          EXPECT_FALSE(other.same_span(a, d));
+        }
+      }
     }
   }
 }
